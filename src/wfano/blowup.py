@@ -17,6 +17,9 @@ from .census import QuotientSingularity
 from .exactmath import (OVERCUTOFF, Poly, implicit_eliminate, series_order)
 from .wps import Family, anticanonical_degree
 
+# The default series cutoff of `divisor_multiplicity`, in multiples of r.
+DEFAULT_CUTOFF = 4
+
 
 class NonIntegral(ValueError):
     """(c - m)/r is not an integer: inconsistent family/point/divisor data."""
@@ -161,11 +164,11 @@ def divisor_multiplicity(ctx: BlowupContext, g: Poly, member: Poly,
     """Vanishing order m/r of g at the point, on the given member.
 
     Eliminates the chart coordinate from the member equation to the given
-    cutoff (default 4r) and reads the order of g.  Returns OVERCUTOFF when
-    every term of g cancels below the cutoff.
+    cutoff (default DEFAULT_CUTOFF * r) and reads the order of g.  Returns
+    OVERCUTOFF when every term of g cancels below the cutoff.
     """
     vertex, eliminated, residues = vertex_chart(ctx)
     if cutoff is None:
-        cutoff = 4 * ctx.r
+        cutoff = DEFAULT_CUTOFF * ctx.r
     series = implicit_eliminate(member, vertex, eliminated, residues, cutoff)
     return series_order(g, vertex, eliminated, series, ctx.r)

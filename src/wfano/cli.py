@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import golden, report as report_mod
-from .blowup import BlowupContext, divisor_multiplicity
+from .blowup import DEFAULT_CUTOFF, BlowupContext, divisor_multiplicity
 from .census import census as compute_census
 from .census import EdgeContained, NonTerminal
 from .exactmath import NoEliminatingMonomial, OVERCUTOFF, parse_poly
@@ -22,6 +22,9 @@ from .wps import (COORDS, Family, anticanonical_degree, enumerate_families,
 
 USAGE_ERROR = 2
 MISMATCH = 1
+# Largest `order --cutoff`, in multiples of r; the series work grows steeply
+# with the cutoff, and at 8r no vertex point of the 95 takes a second.
+MAX_CUTOFF = 8
 
 
 class UsageError(ValueError):
@@ -153,18 +156,16 @@ def cmd_order(args) -> int:
     try:
         variant = parse_variant(args.variant or "")
     except UnknownVariantFlag as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(str(exc)) from None
     point = args.point
     if not (len(point) == 2 and point[0] == "O" and point[1] in "yztw"):
-        print(f"error: --point must be one of Oy, Oz, Ot, Ow",
-              file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("--point must be one of Oy, Oz, Ot, Ow")
     try:
         g = parse_poly(args.poly)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(str(exc)) from None
+    if not g:
+        raise UsageError("--poly is the zero polynomial, which has no order")
 
     from .census import vertex_singularity
     idx = COORDS.index(point[1])
@@ -178,9 +179,11 @@ def cmd_order(args) -> int:
         member = generic_member(f, seed=args.seed)
         sing = vertex_singularity(f, idx)
     if sing is None:
-        print(f"error: the general member has no quotient point at {point}",
-              file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(
+            f"the general member has no quotient point at {point}")
+    if args.cutoff is not None and not 1 <= args.cutoff <= MAX_CUTOFF * sing.r:
+        raise UsageError(f"--cutoff must be between 1 and {MAX_CUTOFF}r = "
+                         f"{MAX_CUTOFF * sing.r} at {point}")
     ctx = BlowupContext(f, sing)
     try:
         order = divisor_multiplicity(ctx, g, member, cutoff=args.cutoff)
@@ -189,7 +192,8 @@ def cmd_order(args) -> int:
         return MISMATCH
     if order is OVERCUTOFF:
         print(f"every term cancels below the cutoff; raise --cutoff "
-              f"(used {args.cutoff or 4 * sing.r})", file=sys.stderr)
+              f"(used {args.cutoff or DEFAULT_CUTOFF * sing.r})",
+              file=sys.stderr)
         return MISMATCH
     print(order)
     return 0
@@ -279,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="polynomial, e.g. 'y*z+x*t'")
     sp.add_argument("--variant", help="member variant, e.g. special")
     sp.add_argument("--cutoff", type=int,
-                    help="series cutoff (default 4r)")
+                    help=f"series cutoff, at most {MAX_CUTOFF}r "
+                         f"(default {DEFAULT_CUTOFF}r)")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for the generic member coefficients")
     add_common(sp)

@@ -14,9 +14,13 @@ is always 1.
 The series machinery solves a quasi-homogeneous equation f = 0 locally at
 a coordinate vertex for one coordinate (the "eliminated" one) as a
 truncated power series in the three remaining local parameters, graded by
-their weight residues.  Orders of vanishing are exact rationals m/r; the
-integer grading is scaled by r internally and divided out only at the API
-boundary.
+their weight residues.  One degree-graded substitution serves elimination,
+vanishing orders and the re-substitution check: it builds the degree-D
+parts of the series and of its powers once each, from lower degrees only.
+Integral coefficients are kept as `int`, so a member whose eliminating
+monomial has coefficient 1 keeps every series coefficient an `int`.
+Orders of vanishing are exact rationals m/r; the integer grading is scaled
+by r internally and divided out only at the API boundary.
 """
 
 from __future__ import annotations
@@ -25,13 +29,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 Rat = Fraction
 
 Exp5 = tuple[int, int, int, int, int]
 Exp3 = tuple[int, int, int]
 Poly = dict[Exp5, Fraction]
+Coeff = int | Fraction
+Part = dict[Exp3, Coeff]  # the terms of one weighted degree of a series
 
 COORDS = ("x", "y", "z", "t", "w")
 COORD_INDEX = {name: i for i, name in enumerate(COORDS)}
@@ -45,21 +51,9 @@ class ZeroPolynomial(ValueError):
     """An identically zero polynomial has no vanishing order."""
 
 
-class _OverCutoff:
-    """Singleton result: every term cancelled below the series cutoff."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "OVERCUTOFF"
-
-
-OVERCUTOFF = _OverCutoff()
+# The result of an order whose every term cancels below the series cutoff;
+# compare with `is`.
+OVERCUTOFF = object()
 
 
 class WMonomial(NamedTuple):
@@ -75,10 +69,6 @@ class WMonomial(NamedTuple):
 
     def check(self, weights: Iterable[int]) -> bool:
         return self.degree == sum(e * w for e, w in zip(self.exponents, weights))
-
-
-def weighted_degree(exps: Exp5, weights: Iterable[int]) -> int:
-    return sum(e * w for e, w in zip(exps, weights))
 
 
 def weighted_monomials(weights, d: int, variables=None) -> set[WMonomial]:
@@ -207,7 +197,7 @@ class TruncSeries:
 
     weights: Exp3
     cutoff: int
-    terms: Mapping[Exp3, Fraction]
+    terms: Mapping[Exp3, Coeff]
 
     def __post_init__(self):
         object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
@@ -227,64 +217,69 @@ class TruncSeries:
         return min(self.degree_of(e) for e in self.terms)
 
 
-def _mul_trunc(p: dict[Exp3, Fraction], q: dict[Exp3, Fraction],
-               weights: Exp3, cutoff: int) -> dict[Exp3, Fraction]:
-    out: dict[Exp3, Fraction] = {}
-    for e1, c1 in p.items():
-        d1 = sum(e * w for e, w in zip(e1, weights))
-        for e2, c2 in q.items():
-            d2 = sum(e * w for e, w in zip(e2, weights))
-            if d1 + d2 >= cutoff:
-                continue
-            key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-            c = out.get(key, Fraction(0)) + c1 * c2
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
-    return out
-
-
 def _reduce_to_chart(support: Mapping[Exp5, Fraction], chart_vertex: int,
-                     eliminated: int) -> list[tuple[Fraction, Exp3, int]]:
-    """Set the chart coordinate to 1: (coefficient, local exponents, y-degree)."""
+                     eliminated: int) -> list[tuple[Coeff, Exp3, int]]:
+    """Set the chart coordinate to 1: (coefficient, local exponents, y-degree).
+
+    Integral coefficients come back as `int`, so that a member with integer
+    coefficients keeps the whole series computation on `int`.
+    """
     locals_ = [i for i in range(5) if i not in (chart_vertex, eliminated)]
-    reduced: dict[tuple[Exp3, int], Fraction] = {}
+    reduced: dict[tuple[Exp3, int], Coeff] = {}
     for exps, c in support.items():
-        if c == 0:
-            continue
         loc = (exps[locals_[0]], exps[locals_[1]], exps[locals_[2]])
         key = (loc, exps[eliminated])
-        acc = reduced.get(key, Fraction(0)) + c
-        if acc:
-            reduced[key] = acc
-        else:
-            reduced.pop(key, None)
-    return [(c, loc, ey) for (loc, ey), c in reduced.items()]
+        reduced[key] = reduced.get(key, 0) + c
+    return [(int(c) if c.denominator == 1 else c, loc, ey)
+            for (loc, ey), c in reduced.items() if c]
 
 
-def _substitute(reduced, series_terms, weights: Exp3, cutoff: int
-                ) -> dict[Exp3, Fraction]:
-    """Evaluate the chart-reduced polynomial at Y := series, truncated."""
+def _sum_products(pairs: Iterable[tuple[Part, Part]]) -> Part:
+    """The sum of p * q over the given pairs of sparse series parts."""
+    acc: Part = {}
+    for p, q in pairs:
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+                acc[key] = acc.get(key, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def _graded_substitute(reduced, weights: Exp3, cutoff: int,
+                       parts: list[Part]) -> Iterator[Part]:
+    """Yield the degree-D part of f(Y := S) for D = 0, 1, ..., cutoff - 1.
+
+    `reduced` is f on the chart (see `_reduce_to_chart`); `parts[D]` is the
+    degree-D part of the series S, which has no constant term.  The
+    degree-D part of S^k is built once, from lower degrees only:
+    powers[k][D] = sum over j of parts[j] * powers[k-1][D-j].  parts[D]
+    enters the degree-D part of f(S) only through a term Y with no local
+    factor, so a caller that solves for the series leaves that term out of
+    `reduced` and appends parts[D] after degree D is yielded.
+    """
+    terms = [({loc: c}, ey, sum(e * w for e, w in zip(loc, weights)))
+             for c, loc, ey in reduced]
     max_ey = max((ey for _c, _loc, ey in reduced), default=0)
-    powers: list[dict[Exp3, Fraction]] = [{(0, 0, 0): Fraction(1)}]
-    for _ in range(max_ey):
-        powers.append(_mul_trunc(powers[-1], series_terms, weights, cutoff))
-    out: dict[Exp3, Fraction] = {}
-    for c, loc, ey in reduced:
-        base = sum(e * w for e, w in zip(loc, weights))
-        if base >= cutoff:
-            continue
-        for pe, pc in powers[ey].items():
-            key = (loc[0] + pe[0], loc[1] + pe[1], loc[2] + pe[2])
-            if sum(e * w for e, w in zip(key, weights)) >= cutoff:
-                continue
-            acc = out.get(key, Fraction(0)) + c * pc
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return out
+    powers = [[{(0, 0, 0): 1}] + [{}] * (cutoff - 1), parts]
+    powers += [[] for _ in range(2, max_ey + 1)]
+    for deg in range(cutoff):
+        for k in range(2, max_ey + 1):
+            powers[k].append(_sum_products(
+                (parts[j], powers[k - 1][deg - j]) for j in range(1, deg)))
+        yield _sum_products((mono, powers[ey][deg - base])
+                            for mono, ey, base in terms if base <= deg)
+
+
+def _resubstitute(f: Mapping[Exp5, Fraction], chart_vertex: int,
+                  eliminated: int, series: TruncSeries) -> Iterator[Part]:
+    """The degree parts of f on the chart with the series put in, in order."""
+    if (0, 0, 0) in series.terms:
+        raise ValueError("series has a constant term")
+    parts: list[Part] = [{} for _ in range(series.cutoff)]
+    for exps, c in series.terms.items():
+        parts[series.degree_of(exps)][exps] = c
+    return _graded_substitute(_reduce_to_chart(f, chart_vertex, eliminated),
+                              series.weights, series.cutoff, parts)
 
 
 def implicit_eliminate(support: Mapping[Exp5, Fraction], chart_vertex: int,
@@ -293,10 +288,12 @@ def implicit_eliminate(support: Mapping[Exp5, Fraction], chart_vertex: int,
     """Solve f = 0 in the chart x_vertex = 1 for the eliminated coordinate.
 
     The support must contain a monomial x_vertex^s * x_eliminated, which
-    becomes the unique term linear in the eliminated coordinate with unit
-    local part; the series is then produced degree by degree: at each
-    weighted degree the homogeneous defect of f(series) is cancelled by
-    adjusting the series, which terminates by construction.
+    becomes the unique term u * Y linear in the eliminated coordinate Y
+    with constant local part.  Writing f = u * Y + g, the series S is built
+    one weighted degree at a time: the degree-D part of g(S) needs only the
+    parts of S below degree D, and S_D = -g(S)_D / u cancels it.  With
+    integer coefficients and u = 1 (the normal form of `generic_member`)
+    every coefficient of S is an `int`; otherwise they are `Fraction`s.
 
     Returns the unique series s with f(..., 1, ..., s, ...) = 0 modulo
     weighted degree `cutoff`.
@@ -319,23 +316,12 @@ def implicit_eliminate(support: Mapping[Exp5, Fraction], chart_vertex: int,
     rest = [(c, loc, ey) for c, loc, ey in reduced
             if not (loc == (0, 0, 0) and ey == 1)]
 
-    series: dict[Exp3, Fraction] = {}
-    deg = 1
-    while deg < cutoff:
-        defect = _substitute(rest, series, weights, deg + 1)
-        adjust = False
-        for exps, c in defect.items():
-            if sum(e * w for e, w in zip(exps, weights)) != deg:
-                continue
-            # cancel against unit * Y at this degree
-            series[exps] = series.get(exps, Fraction(0)) - c / unit
-            if series[exps] == 0:
-                del series[exps]
-            adjust = True
-        deg += 1
-        if not adjust:
-            continue
-    return TruncSeries(weights, cutoff, series)
+    parts: list[Part] = []
+    for defect in _graded_substitute(rest, weights, cutoff, parts):
+        parts.append({exps: -c if unit == 1 else Fraction(-c, unit)
+                      for exps, c in defect.items()})
+    return TruncSeries(weights, cutoff,
+                       {exps: c for part in parts for exps, c in part.items()})
 
 
 def series_order(g: Mapping[Exp5, Fraction], chart_vertex: int,
@@ -343,25 +329,20 @@ def series_order(g: Mapping[Exp5, Fraction], chart_vertex: int,
     """Vanishing order of g at the vertex: (min surviving degree)/r.
 
     Substitutes x_vertex = 1 and the eliminated coordinate by its series,
-    then reads off the minimal weighted degree.  Returns OVERCUTOFF when
-    every term cancels below the elimination cutoff.
+    degree by degree, and stops at the first degree that survives.  Returns
+    OVERCUTOFF when every term cancels below the elimination cutoff.
     """
     if not g or all(c == 0 for c in g.values()):
         raise ZeroPolynomial("vanishing order of the zero polynomial")
-    reduced = _reduce_to_chart(g, chart_vertex, eliminated)
-    value = _substitute(reduced, dict(elimination.terms),
-                        elimination.weights, elimination.cutoff)
-    if not value:
-        return OVERCUTOFF
-    w = elimination.weights
-    return Fraction(min(sum(e * ww for e, ww in zip(exps, w))
-                        for exps in value), r)
+    for deg, part in enumerate(_resubstitute(g, chart_vertex, eliminated,
+                                             elimination)):
+        if part:
+            return Fraction(deg, r)
+    return OVERCUTOFF
 
 
 def verify_elimination(support: Mapping[Exp5, Fraction], chart_vertex: int,
                        eliminated: int, elimination: TruncSeries) -> bool:
     """Re-substituting the series into f leaves nothing below the cutoff."""
-    reduced = _reduce_to_chart(support, chart_vertex, eliminated)
-    value = _substitute(reduced, dict(elimination.terms),
-                        elimination.weights, elimination.cutoff)
-    return not value
+    return not any(_resubstitute(support, chart_vertex, eliminated,
+                                 elimination))

@@ -20,10 +20,8 @@ from pathlib import Path
 from typing import Optional
 
 from .census import try_normalize_type
-from .exactmath import Exp5
-from .wps import COORDS, Family
-
-COORD_INDEX = {name: i for i, name in enumerate(COORDS)}
+from .exactmath import COORD_INDEX, Exp5
+from .wps import Family
 
 EXCLUDE_METHODS = frozenset({"B", "N", "S", "F", "P"})
 UNTWIST_METHODS = frozenset({"TAU", "TAU1", "EPS", "EPS1", "EPS2",

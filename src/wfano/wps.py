@@ -16,9 +16,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Optional
 
-from .exactmath import Exp5, Poly, Fraction as Rat, weighted_monomials
-
-COORDS = ("x", "y", "z", "t", "w")
+from .exactmath import COORDS, Exp5, Poly, Fraction as Rat, weighted_monomials
 
 
 @dataclass(frozen=True, order=True)
@@ -188,6 +186,21 @@ def enumerate_families(max_weight: int = 33) -> list[Family]:
 
 # ------------------------------------------------------- concrete members
 
+def _eliminating_monomials(f: Family) -> dict[Exp5, tuple[int, int]]:
+    """x_i^k * x_e -> (i, e) for each quotient point O_i of the general
+    member, where x_e is the coordinate the census eliminates there."""
+    from .census import vertex_singularity
+
+    out = {}
+    for i in range(1, 5):
+        sing = vertex_singularity(f, i)
+        if sing is not None:
+            e = sing.eliminated
+            k = (f.d - f.w[e]) // f.w[i]
+            out[tuple(k if j == i else int(j == e) for j in range(5))] = i, e
+    return out
+
+
 def normal_form_support(f: Family) -> set[Exp5]:
     """Support of the general member after the standard linear normalizations.
 
@@ -198,37 +211,27 @@ def normal_form_support(f: Family) -> set[Exp5]:
     removed, so the series order of x_e at O_i is the one the certificate
     tables read off.
     """
-    from .census import vertex_elimination_candidates
-
     support = {m.exponents for m in weighted_monomials(f.w, f.d)}
-    w5, d = f.w, f.d
-    removed: set[Exp5] = set()
-    kept: set[Exp5] = set()
-    for i in range(1, 5):
-        if w5[i] == 1 or d % w5[i] == 0:
-            continue
-        cands = vertex_elimination_candidates(f, i)
-        if not cands:
-            continue
-        e = max(cands, key=lambda j: (w5[j], j))
-        k = (d - w5[e]) // w5[i]
-        for m in weighted_monomials(w5, w5[e], variables=set(range(5)) - {e}):
+    kept = _eliminating_monomials(f)
+    for unit, (i, e) in kept.items():
+        for m in weighted_monomials(f.w, f.w[e],
+                                    variables=set(range(5)) - {e}):
             exps = list(m.exponents)
-            exps[i] += k
-            removed.add(tuple(exps))
-        keep = [0] * 5
-        keep[i], keep[e] = k, 1
-        kept.add(tuple(keep))
-    return (support - removed) | kept
+            exps[i] += unit[i]
+            support.discard(tuple(exps))
+    return support | kept.keys()
 
 
 def generic_member(f: Family, seed: int = 0) -> Poly:
-    """A deterministic pseudo-random member on the normal-form support."""
+    """A deterministic pseudo-random member on the normal-form support.
+
+    Each eliminating monomial x_i^k * x_e has coefficient 1, so the series
+    solved from it at O_i has integer coefficients.
+    """
+    units = _eliminating_monomials(f)
     rng = random.Random((f.d, f.w, seed).__repr__())
-    poly: Poly = {}
-    for exps in sorted(normal_form_support(f)):
-        poly[exps] = Fraction(rng.randint(1, 10**6))
-    return poly
+    return {exps: Fraction(1 if exps in units else rng.randint(1, 10**6))
+            for exps in sorted(normal_form_support(f))}
 
 
 def special_member(f: Family, name: str) -> Poly:

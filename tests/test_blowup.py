@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 from wfano import golden
 from wfano.blowup import (B, BlowupContext, E, NonIntegral, YClass, b_cubed,
                           divisor_multiplicity, monomial_order,
-                          proper_transform_class, s_class, s_class_ks, triple)
+                          proper_transform_class, s_class, s_class_ks, triple,
+                          vertex_chart)
 from wfano.census import edge_singularities, vertex_singularity
-from wfano.exactmath import OVERCUTOFF, parse_poly
+from wfano.exactmath import (OVERCUTOFF, implicit_eliminate, parse_poly,
+                             verify_elimination)
 from wfano.wps import generic_member, special_member
 
 
@@ -148,6 +150,21 @@ class TestDivisorMultiplicity:
         member = special_member(f, "special")
         ctx = BlowupContext(f, vertex_singularity(f, 2, eliminated=1))
         assert divisor_multiplicity(ctx, member, member) is OVERCUTOFF
+
+    def test_generic_member_eliminates_over_the_integers(self):
+        # the eliminating monomial of the generic member has coefficient 1,
+        # so no division enters the series
+        for no, i in ((50, 3), (23, 2)):
+            ctx = vertex_ctx(no, i)
+            series = implicit_eliminate(generic_member(fam(no)),
+                                        *vertex_chart(ctx), 4 * ctx.r)
+            assert series.terms
+            assert all(type(c) is int for c in series.terms.values()), no
+        # re-substitution at the deep cutoff 8r of No. 50 O_t
+        vertex, eliminated, residues = vertex_chart(vertex_ctx(50, 3))
+        member = generic_member(fam(50))
+        series = implicit_eliminate(member, vertex, eliminated, residues, 56)
+        assert verify_elimination(member, vertex, eliminated, series)
 
     def test_series_route_agrees_with_residue_route(self):
         """Dual-route check over all generic vertex rows.

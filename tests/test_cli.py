@@ -162,16 +162,27 @@ class TestOrder:
           "--variant", "special"), "1/3"),
         (("order", "50", "--point", "Ot", "--poly", "y"), "8/7"),
         (("order", "23", "--point", "Ow", "--poly", "x"), "1/5"),
+        (("order", "50", "--point", "Ot", "--poly", "y", "--cutoff", "56"),
+         "8/7"),
     ])
     def test_orders(self, capsys, args, expected):
         code, out, _ = run(capsys, *args)
         assert code == 0
         assert out.strip() == expected
 
-    def test_parse_error(self, capsys):
-        code, _, err = run(capsys, "order", "23", "--point", "Oz",
-                           "--poly", "y+***")
+    @pytest.mark.parametrize("args", [
+        ("--poly", "y+***"),
+        ("--poly", "0"),
+        ("--poly", "y", "--cutoff", "0"),
+        ("--poly", "y", "--cutoff", "-7"),
+        ("--poly", "y", "--cutoff", "57"),
+    ], ids=["unparsable-poly", "zero-poly", "cutoff-0", "cutoff-negative",
+            "cutoff-above-8r"])
+    def test_usage_errors(self, capsys, args):
+        code, out, err = run(capsys, "order", "50", "--point", "Ot", *args)
         assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_point(self, capsys):
         code, _, err = run(capsys, "order", "1", "--point", "Ow",
