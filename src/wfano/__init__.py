@@ -15,11 +15,12 @@ from .exactmath import (NoEliminatingMonomial, OVERCUTOFF, Poly, Rat,
                         implicit_eliminate, parse_poly, series_order,
                         weighted_monomials)
 from .golden import GoldenData, GoldenRow, NoMatchingRow, UnknownVariantFlag
-from .rigidity import (Certificate, classify_point, curve_status,
-                       involution_case, k3_self_intersection, neg_definite,
+from .rigidity import (Certificate, curve_status, involution_case,
+                       k3_self_intersection, neg_definite,
                        smooth_point_status, super_rigid_families, test_b,
                        test_n, test_p)
-from .wps import (Family, Weights, anticanonical_degree, enumerate_families,
+from .wps import (Family, UnknownSpecialMember, Weights,
+                  anticanonical_degree, enumerate_families,
                   general_quasismooth, generic_member, hat_lcms,
                   is_wellformed, special_member)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .census import QuotientSingularity
-from .exactmath import (OVERCUTOFF, Poly, implicit_eliminate, series_order)
+from .exactmath import Poly, implicit_eliminate, series_order
 from .wps import Family, anticanonical_degree
 
 # The default series cutoff of `divisor_multiplicity`, in multiples of r.

@@ -13,10 +13,12 @@ from pathlib import Path
 from . import golden, report as report_mod
 from .blowup import DEFAULT_CUTOFF, BlowupContext, divisor_multiplicity
 from .census import census as compute_census
-from .census import EdgeContained, NonTerminal
+from .census import (EdgeContained, NonTerminal, is_terminal_family,
+                     vertex_elimination_candidates, vertex_singularity)
 from .exactmath import NoEliminatingMonomial, OVERCUTOFF, parse_poly
 from .golden import NoMatchingRow, UnknownVariantFlag, parse_variant
-from .wps import (COORDS, Family, anticanonical_degree, enumerate_families,
+from .wps import (COORDS, Family, UnknownSpecialMember, anticanonical_degree,
+                  eliminating_monomial, enumerate_families,
                   general_quasismooth, generic_member, is_wellformed,
                   special_member)
 
@@ -31,32 +33,55 @@ class UsageError(ValueError):
     pass
 
 
+# What `main` turns into an exit code and one `error:` line.  Anything else
+# is a defect in the program and keeps its traceback.
+USAGE_ERRORS = (UsageError, UnknownVariantFlag, NoMatchingRow,
+                UnknownSpecialMember)
+MISMATCHES = (NonTerminal, EdgeContained, NoEliminatingMonomial)
+
+
 def _dataset(args):
     if getattr(args, "golden", None):
-        return golden.load(Path(args.golden))
+        try:
+            return golden.load(Path(args.golden))
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot load --golden: {exc}") from None
     return golden.data()
 
 
+def _parse_weights(text: str) -> tuple[int, int, int, int]:
+    """Positive, nondecreasing a1,a2,a3,a4, optionally led by a0 = 1."""
+    try:
+        parts = [int(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) == 5 and parts[0] == 1:
+        parts = parts[1:]
+    if len(parts) != 4 or parts[0] < 1 or parts != sorted(parts):
+        raise UsageError(f"expected positive, nondecreasing weights "
+                         f"a1,a2,a3,a4, got {text!r}")
+    return tuple(parts)
+
+
 def _resolve_family(selector: str, dataset) -> Family:
-    if selector.isdigit():
+    if selector.isdecimal():
         no = int(selector)
         if not 1 <= no <= len(dataset.families):
             raise UsageError(f"family number {no} out of range")
         return dataset.family(no).family
-    try:
-        parts = [int(x) for x in selector.split(",")]
-    except ValueError:
-        raise UsageError(f"selector must be an entry number or "
-                         f"a1,a2,a3,a4, got {selector!r}") from None
-    if len(parts) == 5 and parts[0] == 1:
-        parts = parts[1:]
-    if len(parts) != 4:
-        raise UsageError(f"selector must be an entry number or "
-                         f"a1,a2,a3,a4, got {selector!r}")
+    weights = _parse_weights(selector)
     for rec in dataset.families:
-        if rec.family.w[1:] == tuple(parts):
+        if rec.family.w[1:] == weights:
             return rec.family
-    raise UsageError(f"no family with weights {tuple(parts)}")
+    raise UsageError(f"no family with weights {weights}")
+
+
+def _member_chart(f: Family, i: int, member) -> int | None:
+    """The coordinate the member's equation solves for at O_i: the heaviest
+    x_e whose monomial x_i^k * x_e it contains, or None if there is none."""
+    return max((e for e in vertex_elimination_candidates(f, i)
+                if eliminating_monomial(f, i, e) in member),
+               key=lambda e: (f.w[e], e), default=None)
 
 
 # ------------------------------------------------------------- subcommands
@@ -95,15 +120,8 @@ def cmd_census(args) -> int:
     f = _resolve_family(args.family, dataset)
     cens = compute_census(f)
     if args.json:
-        payload = [
-            {"point": e.point_id(), "count": e.count, "r": e.r,
-             "type": list(e.type_),
-             "local_params": [COORDS[i] for i in e.local_params],
-             "eliminated": (COORDS[e.eliminated]
-                            if e.eliminated is not None else None)}
-            for e in cens.entries
-        ]
-        print(report_mod.to_json(payload))
+        print(report_mod.to_json(
+            [report_mod.census_record(e) for e in cens.entries]))
     else:
         print(f)
         if not cens.entries:
@@ -116,12 +134,8 @@ def cmd_census(args) -> int:
 def cmd_report(args) -> int:
     dataset = _dataset(args)
     f = _resolve_family(args.family, dataset)
-    try:
-        variant = parse_variant(args.variant or "")
-        rep = report_mod.build_report(f.entry_no, variant, dataset)
-    except (UnknownVariantFlag, NoMatchingRow) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    rep = report_mod.build_report(f.entry_no,
+                                  parse_variant(args.variant or ""), dataset)
     if args.json:
         print(report_mod.to_json(rep))
     else:
@@ -131,7 +145,9 @@ def cmd_report(args) -> int:
 
 def cmd_check_tables(args) -> int:
     dataset = _dataset(args)
-    result = report_mod.check_tables(dataset, family_filter=args.family)
+    only = (None if args.family is None
+            else _resolve_family(args.family, dataset).entry_no)
+    result = report_mod.check_tables(dataset, family_filter=only)
     if args.json:
         print(report_mod.to_json({
             "summary": result.summary(),
@@ -153,10 +169,10 @@ def cmd_check_tables(args) -> int:
 def cmd_order(args) -> int:
     dataset = _dataset(args)
     f = _resolve_family(args.family, dataset)
-    try:
-        variant = parse_variant(args.variant or "")
-    except UnknownVariantFlag as exc:
-        raise UsageError(str(exc)) from None
+    variant = parse_variant(args.variant or "")
+    if set(variant) - {"special"}:
+        raise UsageError(f"order takes no --variant but special, "
+                         f"got {args.variant!r}")
     point = args.point
     if not (len(point) == 2 and point[0] == "O" and point[1] in "yztw"):
         raise UsageError("--point must be one of Oy, Oz, Ot, Ow")
@@ -167,29 +183,18 @@ def cmd_order(args) -> int:
     if not g:
         raise UsageError("--poly is the zero polynomial, which has no order")
 
-    from .census import vertex_singularity
     idx = COORDS.index(point[1])
-    if "special" in variant:
-        member = special_member(f, "special")
-        eliminated = None
-        if f.entry_no == 23 and point == "Oz":
-            eliminated = 1  # the z^4 y monomial solves for y
-        sing = vertex_singularity(f, idx, eliminated=eliminated)
-    else:
-        member = generic_member(f, seed=args.seed)
-        sing = vertex_singularity(f, idx)
+    member = (special_member(f, "special") if variant
+              else generic_member(f, seed=args.seed))
+    sing = vertex_singularity(f, idx, _member_chart(f, idx, member))
     if sing is None:
         raise UsageError(
             f"the general member has no quotient point at {point}")
     if args.cutoff is not None and not 1 <= args.cutoff <= MAX_CUTOFF * sing.r:
         raise UsageError(f"--cutoff must be between 1 and {MAX_CUTOFF}r = "
                          f"{MAX_CUTOFF * sing.r} at {point}")
-    ctx = BlowupContext(f, sing)
-    try:
-        order = divisor_multiplicity(ctx, g, member, cutoff=args.cutoff)
-    except NoEliminatingMonomial as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return MISMATCH
+    order = divisor_multiplicity(BlowupContext(f, sing), g, member,
+                                 cutoff=args.cutoff)
     if order is OVERCUTOFF:
         print(f"every term cancels below the cutoff; raise --cutoff "
               f"(used {args.cutoff or DEFAULT_CUTOFF * sing.r})",
@@ -200,14 +205,7 @@ def cmd_order(args) -> int:
 
 
 def cmd_search(args) -> int:
-    parts = [int(x) for x in args.weights.split(",")]
-    if len(parts) == 5 and parts[0] == 1:
-        parts = parts[1:]
-    if len(parts) != 4 or sorted(parts) != parts:
-        print("error: give nondecreasing weights a1,a2,a3,a4",
-              file=sys.stderr)
-        return USAGE_ERROR
-    f = Family.of(*parts)
+    f = Family.of(*_parse_weights(args.weights))
     info = {
         "weights": list(f.w), "degree": f.d,
         "anticanonical_degree": str(anticanonical_degree(f)),
@@ -218,15 +216,10 @@ def cmd_search(args) -> int:
     if not qs.ok:
         info["quasismooth_failure"] = qs.detail
     if qs.ok:
-        from .census import is_terminal_family
         info["terminal"] = is_terminal_family(f)
         if info["terminal"]:
-            cens = compute_census(f)
-            info["census"] = [
-                {"point": e.point_id(), "count": e.count, "r": e.r,
-                 "type": list(e.type_)}
-                for e in cens.entries
-            ]
+            info["census"] = [report_mod.census_record(e)
+                              for e in compute_census(f).entries]
             dataset = _dataset(args)
             match = next((rec.family.entry_no for rec in dataset.families
                           if rec.family.w == f.w), None)
@@ -272,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_report)
 
     sp = sub.add_parser("check-tables", help="run the consistency suite")
-    sp.add_argument("--family", type=int, help="restrict to one family")
+    sp.add_argument("--family",
+                    help="restrict to one family: entry number or a1,a2,a3,a4")
     add_common(sp)
     sp.set_defaults(func=cmd_check_tables)
 
@@ -301,10 +295,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (NonTerminal, EdgeContained) as exc:
+    except MISMATCHES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MISMATCH
 

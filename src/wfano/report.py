@@ -8,15 +8,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .census import census, canonical_type
+from .census import QuotientSingularity, census, canonical_type
 from .golden import GoldenData, METHOD_SYMBOLS, match_rows
 from .rigidity import (Certificate, certify_row, curve_status,
-                       smooth_point_status, super_rigid_families)
-from .wps import COORDS, Family, anticanonical_degree
+                       smooth_point_status)
+from .wps import COORDS, anticanonical_degree
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
+def census_record(e: QuotientSingularity) -> dict:
+    """The JSON record of one census point, as `census`, `search` and the
+    family report print it."""
+    return {
+        "point": e.point_id(),
+        "count": e.count,
+        "r": e.r,
+        "type": list(e.type_),
+        "local_params": [COORDS[i] for i in e.local_params],
+        "eliminated": (COORDS[e.eliminated]
+                       if e.eliminated is not None else None),
+    }
 
 
 def build_report(no: int, variant: Optional[dict[str, str]],
@@ -31,23 +41,12 @@ def build_report(no: int, variant: Optional[dict[str, str]],
         "family": no,
         "degree": f.d,
         "weights": list(f.w),
-        "anticanonical_degree": _frac(anticanonical_degree(f)),
+        "anticanonical_degree": str(anticanonical_degree(f)),
         "superrigid": rec.superrigid,
         "smooth_points": {"kind": sps.kind, "case": sps.case,
                           "detail": sps.detail},
         "curves": {"kind": cs.kind, "max_degree": cs.max_degree},
-        "census": [
-            {
-                "point": e.point_id(),
-                "count": e.count,
-                "r": e.r,
-                "type": list(e.type_),
-                "local_params": [COORDS[i] for i in e.local_params],
-                "eliminated": (COORDS[e.eliminated]
-                               if e.eliminated is not None else None),
-            }
-            for e in cens.entries
-        ],
+        "census": [census_record(e) for e in cens.entries],
         "points": [],
         "discrepancies": [],
     }
@@ -82,7 +81,7 @@ def _point_entry(cert: Certificate) -> dict:
     }
     for key in ("B3", "c", "m"):
         if key in cert.inputs:
-            entry[key.lower()] = (_frac(cert.inputs[key])
+            entry[key.lower()] = (str(cert.inputs[key])
                                   if isinstance(cert.inputs[key], Fraction)
                                   else cert.inputs[key])
     if "k" in cert.inputs:

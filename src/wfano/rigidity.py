@@ -24,7 +24,7 @@ from .blowup import (BlowupContext, NonIntegral, b_cubed,
                      monomial_order, proper_transform_class, s_class_ks)
 from .census import (QuotientSingularity, canonical_type, census,
                      vertex_singularity)
-from .golden import GoldenData, GoldenRow, NoMatchingRow, match_rows
+from .golden import GoldenData, GoldenRow, NoMatchingRow
 from .wps import (COORDS, Family, admits_member_with_stratum,
                   anticanonical_degree, hat_lcms)
 
@@ -292,11 +292,6 @@ class Certificate:
     def valid(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def clean(self) -> bool:
-        """Valid, or failing only in the documented way."""
-        return self.valid or self.documented_defect is not None
-
 
 def _row_singularity(f: Family, row: GoldenRow) -> QuotientSingularity:
     """The quotient point the row refers to, honouring the row's own choice
@@ -318,21 +313,6 @@ def _row_singularity(f: Family, row: GoldenRow) -> QuotientSingularity:
     if sing is None:
         raise NoMatchingRow(f"no quotient points on edge {row.point}")
     return sing
-
-
-def classify_point(f: Family, point: str, variant: Optional[dict[str, str]],
-                   dataset: GoldenData) -> Certificate:
-    """Re-derive the certificate of the golden row matching the variant."""
-    variant = variant or {}
-    rows = match_rows(dataset, f.entry_no, point, variant)
-    if not rows:
-        raise NoMatchingRow(
-            f"no golden row for family {f.entry_no} {point} under {variant}")
-    if len(rows) > 1:
-        raise NoMatchingRow(
-            f"variant {variant} is ambiguous for family {f.entry_no} {point}: "
-            f"{[r.condition_raw for r in rows]}")
-    return certify_row(f, rows[0], dataset)
 
 
 def certify_row(f: Family, row: GoldenRow, dataset: GoldenData) -> Certificate:

@@ -186,6 +186,18 @@ def enumerate_families(max_weight: int = 33) -> list[Family]:
 
 # ------------------------------------------------------- concrete members
 
+class UnknownSpecialMember(KeyError):
+    """`special_member` has no member of that name for the family."""
+
+    __str__ = LookupError.__str__  # the message, not KeyError's repr of it
+
+
+def eliminating_monomial(f: Family, i: int, e: int) -> Exp5:
+    """x_i^k * x_e of degree d, the monomial solving for x_e at O_i."""
+    k = (f.d - f.w[e]) // f.w[i]
+    return tuple(k if j == i else int(j == e) for j in range(5))
+
+
 def _eliminating_monomials(f: Family) -> dict[Exp5, tuple[int, int]]:
     """x_i^k * x_e -> (i, e) for each quotient point O_i of the general
     member, where x_e is the coordinate the census eliminates there."""
@@ -196,8 +208,7 @@ def _eliminating_monomials(f: Family) -> dict[Exp5, tuple[int, int]]:
         sing = vertex_singularity(f, i)
         if sing is not None:
             e = sing.eliminated
-            k = (f.d - f.w[e]) // f.w[i]
-            out[tuple(k if j == i else int(j == e) for j in range(5))] = i, e
+            out[eliminating_monomial(f, i, e)] = i, e
     return out
 
 
@@ -249,4 +260,4 @@ def special_member(f: Family, name: str) -> Poly:
             "t*w^2 + y^2*w^2"          # (t + b y^2) w^2 with b = 1
             "+ y*t^3 - 3*y^3*t^2 + 2*y^5*t"  # y t (t - y^2)(t - 2 y^2)
             "+ z^4*y + x*t*z^3")
-    raise KeyError(f"unknown special member {key!r}")
+    raise UnknownSpecialMember(f"unknown special member {key!r}")

@@ -1,11 +1,14 @@
 """End-to-end CLI behaviour: formats, exit codes, fault injection."""
 
+import contextlib
+import io
 import json
 import shutil
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wfano.cli import main
 
@@ -14,6 +17,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def golden_copy(tmp_path):
+    """A writable copy of the packaged dataset, for `--golden`."""
+    src = resources.files("wfano") / "data"
+    for name in ("families.tsv", "golden_tables.tsv", "golden_notes.tsv"):
+        shutil.copy(str(src / name), tmp_path / name)
+    return tmp_path
 
 
 class TestEnumerate:
@@ -129,11 +140,13 @@ class TestCheckTables:
         assert code == 0
         assert "1 families" in out
 
+    def test_single_family_by_weights(self, capsys):
+        code, out, _ = run(capsys, "check-tables", "--family", "2,3,4,5")
+        assert code == 0
+        assert out.startswith("1 families, 8 golden rows, 0 discrepancies")
+
     def test_fault_injection_names_the_row(self, tmp_path, capsys):
-        src = resources.files("wfano") / "data"
-        for name in ("families.tsv", "golden_tables.tsv", "golden_notes.tsv"):
-            shutil.copy(str(src / name), tmp_path / name)
-        path = tmp_path / "golden_tables.tsv"
+        path = golden_copy(tmp_path) / "golden_tables.tsv"
         lines = path.read_text().splitlines()
         hit = None
         for i, line in enumerate(lines):
@@ -208,3 +221,84 @@ class TestSearch:
         assert code == 0
         info = json.loads(out)
         assert info["quasismooth"] is False
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("argv", [
+        ("search", "3,4,x"),
+        ("search", "0,1,2,3"),
+        ("order", "7", "--point", "Oz", "--poly", "x", "--variant", "special"),
+        ("order", "23", "--point", "Oz", "--poly", "x", "--variant", "zz=0"),
+        ("report", "95", "--golden", "{missing}"),
+        ("check-tables", "--family", "0"),
+        ("check-tables", "--family", "96"),
+    ], ids=["search-not-int", "search-zero-weight", "order-no-special-member",
+            "order-variant-flag", "report-missing-golden", "check-family-0",
+            "check-family-96"])
+    def test_usage_error_exits_2_in_one_line(self, capsys, tmp_path, argv):
+        argv = [a.format(missing=tmp_path / "missing") for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_terminal_golden_family_is_a_mismatch(self, tmp_path, capsys):
+        path = golden_copy(tmp_path) / "families.tsv"
+        lines = path.read_text().splitlines()
+        assert lines[2].startswith("2\t")
+        lines[2] = "2\t7\t1,1,2,2,2\t7/8\t0\t1,1,2,2,2"  # 1/2(1,0,0) at O_z
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "census", "2", "--golden", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+JUNK = st.text("0123456789,-x", max_size=8)
+WEIGHTS = st.one_of(
+    JUNK, st.lists(st.integers(0, 12), min_size=4, max_size=4)
+    .map(lambda ws: ",".join(map(str, sorted(ws)))))
+SELECTORS = st.one_of(st.integers(-2, 97).map(str), WEIGHTS,
+                      st.just("2,3,4,5"))
+VARIANTS = st.one_of(
+    st.sampled_from(["special", "a1=0,c=0", "type=II", "c=0", "zz=0",
+                     "type=III", "a1", ","]),
+    st.text("a1c=0,nztype", max_size=8))
+POINTS = st.one_of(st.sampled_from(["Oy", "Oz", "Ot", "Ow"]),
+                   st.text("Oxyztw", max_size=3))
+# short junk keeps exponents small: `order` work grows with them
+POLYS = st.one_of(st.sampled_from(["x", "y", "y*z+x*t", "t^2", "w-w"]),
+                  st.text("xyztw+-*^ 2", max_size=5))
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["census", "report", "search", "order"]))
+    argv = [command, draw(WEIGHTS if command == "search" else SELECTORS)]
+    if command in ("report", "order") and draw(st.booleans()):
+        argv += ["--variant", draw(VARIANTS)]
+    if command == "order":
+        argv += ["--point", draw(POINTS), "--poly", draw(POLYS)]
+        if draw(st.booleans()):
+            # at most the 4r default for every r >= 2, so no call runs long
+            argv += ["--cutoff", str(draw(st.integers(-2, 8)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@given(cli_argv())
+@settings(max_examples=300, deadline=None)
+def test_any_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            assert exc.code == 2
+            return
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1

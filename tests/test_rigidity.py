@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from wfano import golden
 from wfano.blowup import BlowupContext
 from wfano.census import edge_singularities, vertex_singularity
-from wfano.golden import NoMatchingRow, UnknownVariantFlag
-from wfano.rigidity import (NotApplicable, NotSymmetric, classify_point,
+from wfano.golden import UnknownVariantFlag, match_rows
+from wfano.rigidity import (NotApplicable, NotSymmetric, certify_row,
                             curve_status, involution_case,
                             k3_self_intersection, neg_definite,
                             smooth_point_status, super_rigid_families)
@@ -194,32 +194,37 @@ class TestInvolutionCase:
 
 
 class TestClassifyPoint:
+    """A point's certificate: the golden row the variant selects, re-derived."""
+
     def test_no95_generic(self):
-        cert = classify_point(fam(95), "Oy", {}, DATA)
+        (row,) = match_rows(DATA, 95, "Oy", {})
+        cert = certify_row(fam(95), row, DATA)
         assert cert.method == "B" and cert.kind == "exclude" and cert.valid
         assert cert.inputs["c"] == 6 and cert.inputs["m"] == 6
         assert cert.inputs["k"] == (1, 6)
 
     def test_no10_two_ray(self):
-        cert = classify_point(fam(10), "Ot", {}, DATA)
+        (row,) = match_rows(DATA, 10, "Ot", {})
+        cert = certify_row(fam(10), row, DATA)
         assert cert.method == "P" and cert.valid
 
     def test_no23_invisible_variant(self):
-        cert = classify_point(fam(23), "Oz",
-                              {"a1": "zero", "c": "zero"}, DATA)
+        (row,) = match_rows(DATA, 23, "Oz", {"a1": "zero", "c": "zero"})
+        cert = certify_row(fam(23), row, DATA)
         assert cert.method == "IOTA1" and cert.kind == "untwist" and cert.valid
 
     def test_no23_generic_vs_variants(self):
-        assert classify_point(fam(23), "Oz", {}, DATA).method == "B"
-        assert classify_point(fam(23), "Oz", {"c": "zero"}, DATA).method == "F"
+        for variant, method in (({}, "B"), ({"c": "zero"}, "F")):
+            (row,) = match_rows(DATA, 23, "Oz", variant)
+            cert = certify_row(fam(23), row, DATA)
+            assert cert.method == method and cert.valid
 
     def test_unknown_flag(self):
         with pytest.raises(UnknownVariantFlag):
-            classify_point(fam(23), "Oz", {"zz": "zero"}, DATA)
+            match_rows(DATA, 23, "Oz", {"zz": "zero"})
 
     def test_no_matching_row(self):
-        with pytest.raises(NoMatchingRow):
-            classify_point(fam(23), "Oy", {}, DATA)  # not a singular point
+        assert match_rows(DATA, 23, "Oy", {}) == []  # not a singular point
 
 
 class TestSuperRigid:

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from wfano import golden
-from wfano.wps import (Family, Weights, anticanonical_degree,
-                       admits_member_with_stratum, enumerate_families,
-                       general_quasismooth, generic_member, hat_lcms,
-                       is_wellformed, normal_form_support, special_member)
+from wfano.wps import (Family, UnknownSpecialMember, Weights,
+                       anticanonical_degree, admits_member_with_stratum,
+                       enumerate_families, general_quasismooth,
+                       generic_member, hat_lcms, is_wellformed,
+                       normal_form_support, special_member)
 
 
 class TestBasics:
@@ -125,5 +126,5 @@ class TestMembers:
                    for exps in member)
 
     def test_unknown_special_member(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(UnknownSpecialMember):
             special_member(golden.data().family(7).family, "special")
