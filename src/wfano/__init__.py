@@ -11,7 +11,7 @@ from .census import (Census, EdgeContained, NonTerminal, QuotientSingularity,
                      edge_singularities, is_terminal_family, normalize_type,
                      try_normalize_type, vertex_singularity)
 from .exactmath import (NoEliminatingMonomial, OVERCUTOFF, Poly, Rat,
-                        TruncSeries, WMonomial, ZeroPolynomial,
+                        TruncSeries, ZeroPolynomial,
                         implicit_eliminate, parse_poly, series_order,
                         weighted_monomials)
 from .golden import GoldenData, GoldenRow, NoMatchingRow, UnknownVariantFlag

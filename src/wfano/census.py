@@ -99,12 +99,6 @@ class Census:
     family: Family
     entries: tuple[QuotientSingularity, ...]
 
-    def by_point(self, point_id: str) -> Optional[QuotientSingularity]:
-        for e in self.entries:
-            if e.point_id() == point_id:
-                return e
-        return None
-
 
 def vertex_elimination_candidates(f: Family, i: int) -> list[int]:
     """Coordinates x_j with x_i^k * x_j of degree d for some k >= 1."""

@@ -27,6 +27,9 @@ MISMATCH = 1
 # Largest `order --cutoff`, in multiples of r; the series work grows steeply
 # with the cutoff, and at 8r no vertex point of the 95 takes a second.
 MAX_CUTOFF = 8
+# Largest weight a selector or `search` accepts; the quasi-smoothness test
+# keeps bit masks of about a1+a2+a3+a4 bits per coordinate subset.
+MAX_WEIGHT = 10**6
 
 
 class UsageError(ValueError):
@@ -60,6 +63,9 @@ def _parse_weights(text: str) -> tuple[int, int, int, int]:
     if len(parts) != 4 or parts[0] < 1 or parts != sorted(parts):
         raise UsageError(f"expected positive, nondecreasing weights "
                          f"a1,a2,a3,a4, got {text!r}")
+    if parts[3] > MAX_WEIGHT:
+        raise UsageError(f"weights above {MAX_WEIGHT} are not supported, "
+                         f"got {text!r}")
     return tuple(parts)
 
 

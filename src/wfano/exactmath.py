@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping
 
 Rat = Fraction
 
@@ -56,56 +56,30 @@ class ZeroPolynomial(ValueError):
 OVERCUTOFF = object()
 
 
-class WMonomial(NamedTuple):
-    """An exponent 5-vector together with its weighted degree."""
-
-    exponents: Exp5
-    degree: int
-
-    @classmethod
-    def make(cls, exponents: Iterable[int], weights: Iterable[int]) -> "WMonomial":
-        exps = tuple(exponents)
-        return cls(exps, sum(e * w for e, w in zip(exps, weights)))
-
-    def check(self, weights: Iterable[int]) -> bool:
-        return self.degree == sum(e * w for e, w in zip(self.exponents, weights))
-
-
-def weighted_monomials(weights, d: int, variables=None) -> set[WMonomial]:
+def weighted_monomials(weights, d: int) -> set[Exp5]:
     """All exponent vectors of weighted degree exactly d.
 
-    `weights` is the 5-vector (1, a1, a2, a3, a4); `variables`, when given,
-    restricts the support to that set of coordinate indices.  The empty set
-    is a valid result; degree 0 yields the single constant monomial.
+    `weights` is the 5-vector (1, a1, a2, a3, a4).  The empty set is a
+    valid result; degree 0 yields the single constant monomial.
     """
     weights = tuple(weights)
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
-    allowed = set(range(5)) if variables is None else set(variables)
-    out: set[WMonomial] = set()
-    exps = [0] * 5
-
-    def rec(idx: int, remaining: int) -> None:
-        if idx == 5:
-            if remaining == 0:
-                out.add(WMonomial(tuple(exps), d))
-            return
-        if idx not in allowed:
-            rec(idx + 1, remaining)
-            return
-        w = weights[idx]
-        for e in range(remaining // w + 1):
-            exps[idx] = e
-            rec(idx + 1, remaining - e * w)
-        exps[idx] = 0
-
-    rec(0, d)
-    return out
+    # fill the heaviest coordinates first; x (weight 1) takes what is left
+    partial = [((), d)]  # (trailing exponents, degree still to fill)
+    for w in reversed(weights[1:]):
+        partial = [((e,) + exps, rest - e * w) for exps, rest in partial
+                   for e in range(rest // w + 1)]
+    first = weights[0]
+    return {(rest // first,) + exps for exps, rest in partial
+            if rest % first == 0}
 
 
 # ----------------------------------------------------------------- parsing
 
-_TERM_TOKEN = re.compile(r"([+-])|(\d+)|([xyztw])(?:\^(\d+))?|(\*)|(\s+)")
+_SIGN = re.compile(r"([+-])")
+_TERM = re.compile(r"[\s*]*(?:(\d+)[\s*]*)?((?:[xyztw](?:\^\d+)?[\s*]*)*)")
+_FACTOR = re.compile(r"([xyztw])(?:\^(\d+))?")
 
 
 def parse_poly(text: str) -> Poly:
@@ -114,72 +88,25 @@ def parse_poly(text: str) -> Poly:
     Terms like ``3*x^2*y`` joined by ``+``/``-``; the ``*`` and ``^1`` are
     optional, integer coefficients optional, whitespace ignored.
     """
-    poly: Poly = {}
-    pos = 0
-    sign = 1
-    coeff: int | None = None
-    exps = [0] * 5
-    started = False
-    has_factor = False
-
-    def flush():
-        nonlocal coeff, exps, started, sign, has_factor
-        if not started:
-            return
-        if not has_factor:
-            raise ValueError(f"dangling sign in polynomial: {text!r}")
-        c = Fraction(sign * (1 if coeff is None else coeff))
-        key = tuple(exps)
-        poly[key] = poly.get(key, Fraction(0)) + c
-        sign, coeff, exps = 1, None, [0] * 5
-        started = has_factor = False
-
-    while pos < len(text):
-        m = _TERM_TOKEN.match(text, pos)
+    poly: dict[Exp5, int] = {}
+    pieces = _SIGN.split(text)  # term, sign, term, sign, ..., term
+    for i in range(0, len(pieces), 2):
+        m = _TERM.fullmatch(pieces[i])
         if not m:
-            raise ValueError(f"cannot parse polynomial at: {text[pos:]!r}")
-        pos = m.end()
-        s, num, var, exp, _star, space = m.groups()
-        if space or _star:
-            continue
-        if s:
-            flush()
-            sign = 1 if s == "+" else -1
-            started = True
-        elif num:
-            if coeff is not None or any(exps):
-                raise ValueError(f"misplaced integer in term: {text!r}")
-            coeff = int(num)
-            started = has_factor = True
-        else:
+            raise ValueError(f"cannot parse term {pieces[i].strip()!r} "
+                             f"of polynomial {text!r}")
+        num, factors = m.groups()
+        if not (num or factors):
+            if i == 0:  # nothing before a leading sign, or empty text
+                continue
+            raise ValueError(f"dangling sign in polynomial: {text!r}")
+        exps = [0] * 5
+        for var, exp in _FACTOR.findall(factors):
             exps[COORD_INDEX[var]] += int(exp) if exp else 1
-            started = has_factor = True
-    flush()
-    return {k: v for k, v in poly.items() if v != 0}
-
-
-def poly_to_text(poly: Poly) -> str:
-    """Render a polynomial in the same mini-grammar, deterministically."""
-    if not poly:
-        return "0"
-    parts = []
-    for exps in sorted(poly, reverse=True):
-        c = poly[exps]
-        mono = "*".join(
-            f"{COORDS[i]}^{e}" if e > 1 else COORDS[i]
-            for i, e in enumerate(exps) if e > 0
-        )
-        if not mono:
-            parts.append((c, str(abs(c))))
-            continue
-        if abs(c) == 1:
-            parts.append((c, mono))
-        else:
-            parts.append((c, f"{abs(c)}*{mono}"))
-    out = ""
-    for c, body in parts:
-        out += (" - " if c < 0 else (" + " if out else "")) + body
-    return out.lstrip(" +")
+        key = tuple(exps)
+        sign = -1 if i and pieces[i - 1] == "-" else 1
+        poly[key] = poly.get(key, 0) + sign * int(num or 1)
+    return {k: Fraction(v) for k, v in poly.items() if v}
 
 
 # ------------------------------------------------------------------ series
@@ -255,11 +182,16 @@ def _graded_substitute(reduced, weights: Exp3, cutoff: int,
     powers[k][D] = sum over j of parts[j] * powers[k-1][D-j].  parts[D]
     enters the degree-D part of f(S) only through a term Y with no local
     factor, so a caller that solves for the series leaves that term out of
-    `reduced` and appends parts[D] after degree D is yielded.
+    `reduced` and appends parts[D] after degree D is yielded.  S^k has no
+    part below degree k, as every local weight is at least 1, so a term
+    whose local degree plus Y-degree reaches the cutoff is dropped and the
+    work does not grow with large exponents of Y.
     """
     terms = [({loc: c}, ey, sum(e * w for e, w in zip(loc, weights)))
              for c, loc, ey in reduced]
-    max_ey = max((ey for _c, _loc, ey in reduced), default=0)
+    terms = [(mono, ey, base) for mono, ey, base in terms
+             if base + ey < cutoff]
+    max_ey = max((ey for _mono, ey, _base in terms), default=0)
     powers = [[{(0, 0, 0): 1}] + [{}] * (cutoff - 1), parts]
     powers += [[] for _ in range(2, max_ey + 1)]
     for deg in range(cutoff):

@@ -15,12 +15,13 @@ import csv
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from .census import try_normalize_type
-from .exactmath import COORD_INDEX, Exp5
+from .exactmath import COORD_INDEX, Exp5, parse_poly
 from .wps import Family
 
 EXCLUDE_METHODS = frozenset({"B", "N", "S", "F", "P"})
@@ -32,29 +33,20 @@ METHOD_SYMBOLS = {
     "EPS2": "[eps2]", "IOTA": "[iota]", "IOTA1": "[iota1]",
 }
 
-_GREEK = re.compile(r"(alpha|beta|lambda|mu)(_?\w+)?")
-_MONO = re.compile(r"([xyztw])(?:\^(\d+))?")
+# A coefficient symbol with at most a one-character subscript, as in
+# 'y-alpha_iz'; a longer pattern would swallow the monomial after it.
+_GREEK = re.compile(r"(alpha|beta|lambda|mu)(_\w)?")
 
 
-def parse_monomial(text: str) -> Exp5:
-    """'z^2t^2' -> (0,0,2,2,0); coefficient symbols must be stripped first."""
-    exps = [0] * 5
-    pos = 0
-    for m in _MONO.finditer(text):
-        if m.start() != pos and text[pos:m.start()].strip(" *"):
-            raise ValueError(f"cannot parse monomial {text!r}")
-        exps[COORD_INDEX[m.group(1)]] += int(m.group(2) or 1)
-        pos = m.end()
-    if pos != len(text) and text[pos:].strip(" *"):
-        raise ValueError(f"cannot parse monomial {text!r}")
-    return tuple(exps)
+@lru_cache(maxsize=None)
+def parse_monomials(text: str) -> tuple[Exp5, ...]:
+    """Monomials of one table polynomial, e.g. 'z-alpha_i y^2' -> z, y^2.
 
-
-def parse_generator(text: str) -> list[Exp5]:
-    """Monomials of one linear-system generator, e.g. 'z-alpha_i y^2'."""
-    cleaned = _GREEK.sub(" ", text)
-    parts = [p.strip() for p in re.split(r"[+-]", cleaned) if p.strip()]
-    return [parse_monomial(p) for p in parts]
+    The coefficient symbols are stripped and the rest is read by
+    `parse_poly`, the engine's one grammar for polynomial text.  The tables
+    repeat a few dozen strings, so each is parsed once.
+    """
+    return tuple(parse_poly(_GREEK.sub(" ", text)))
 
 
 def parse_type(text: str) -> tuple[int, tuple[int, int, int],
@@ -268,12 +260,11 @@ def load(path: Optional[Path] = None) -> GoldenData:
         surface_raw = rec["surface"]
         sfix = surface_fixes.get((no, point, surface_raw))
         surface_str = sfix.corrected if sfix else surface_raw
-        surface = tuple(tuple(parse_generator(g))
+        surface = tuple(parse_monomials(g)
                         for g in surface_str.split(",") if g.strip())
         vanishing = tuple(
-            parse_monomial(_GREEK.sub(" ", v).strip())
-            for part in rec["vanishing"].split(" or ")
-            for v in part.split(",") if v.strip())
+            mono for part in rec["vanishing"].split(" or ")
+            for v in part.split(",") for mono in parse_monomials(v))
         defect = defects.get((no, point))
         rows.append(GoldenRow(
             family_no=no, point=point, count=int(rec["count"]),

@@ -268,5 +268,5 @@ def check_tables(dataset: GoldenData,
     return CheckResult(nfam, nrows, discrepancies, documented)
 
 
-def to_json(obj, pretty: bool = True) -> str:
-    return json.dumps(obj, indent=2 if pretty else None, sort_keys=False)
+def to_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=False)

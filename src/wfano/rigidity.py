@@ -24,7 +24,7 @@ from .blowup import (BlowupContext, NonIntegral, b_cubed,
                      monomial_order, proper_transform_class, s_class_ks)
 from .census import (QuotientSingularity, canonical_type, census,
                      vertex_singularity)
-from .golden import GoldenData, GoldenRow, NoMatchingRow
+from .golden import GoldenData, GoldenRow, NoMatchingRow, parse_monomials
 from .wps import (COORDS, Family, admits_member_with_stratum,
                   anticanonical_degree, hat_lcms)
 
@@ -431,12 +431,8 @@ def _certify_involution(f: Family, row: GoldenRow, inputs: dict,
     checks.append(Check("involution pattern", ok, detail))
 
     if row.witness_raw:
-        from .golden import parse_generator
-        monos = []
-        for part in row.witness_raw.replace("-", "+").split("+"):
-            if part.strip():
-                monos.extend(parse_generator(part))
-        degs = {sum(e * w for e, w in zip(mono, f.w)) for mono in monos}
+        degs = {sum(e * w for e, w in zip(mono, f.w))
+                for mono in parse_monomials(row.witness_raw)}
         checks.append(Check(
             "witness degree", degs == {f.d},
             f"witness {row.witness_raw} has degrees {sorted(degs)}, "

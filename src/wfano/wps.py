@@ -16,7 +16,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Optional
 
-from .exactmath import COORDS, Exp5, Poly, Fraction as Rat, weighted_monomials
+from .exactmath import (COORDS, Exp5, Poly, Fraction as Rat, parse_poly,
+                        weighted_monomials)
 
 
 @dataclass(frozen=True, order=True)
@@ -88,14 +89,18 @@ def is_wellformed(w: Weights | Iterable[int]) -> bool:
 
 @lru_cache(maxsize=None)
 def _semigroup_mask(weights: tuple[int, ...], bound: int) -> int:
-    """Bit t is set iff t is a nonnegative integer combination of weights."""
+    """Bit t is set iff t is a nonnegative integer combination of weights.
+
+    Each weight a enters by doubling shifts: after the shifts by a, 2a, ...,
+    2^j a the mask holds every sum with up to 2^(j+1) - 1 more copies of a.
+    """
     m = 1
     full = (1 << (bound + 1)) - 1
     for a in weights:
-        prev = -1
-        while m != prev:
-            prev = m
-            m = (m | (m << a)) & full
+        shift = a
+        while shift <= bound:
+            m |= (m << shift) & full
+            shift *= 2
     return m
 
 
@@ -222,15 +227,12 @@ def normal_form_support(f: Family) -> set[Exp5]:
     removed, so the series order of x_e at O_i is the one the certificate
     tables read off.
     """
-    support = {m.exponents for m in weighted_monomials(f.w, f.d)}
     kept = _eliminating_monomials(f)
-    for unit, (i, e) in kept.items():
-        for m in weighted_monomials(f.w, f.w[e],
-                                    variables=set(range(5)) - {e}):
-            exps = list(m.exponents)
-            exps[i] += unit[i]
-            support.discard(tuple(exps))
-    return support | kept.keys()
+    # x_i^k | M means M = x_i^k * m with deg(m) = a_e; m = x_e only for the
+    # eliminating monomial itself, which stays
+    absorbed = [(i, unit[i]) for unit, (i, _e) in kept.items()]
+    return {m for m in weighted_monomials(f.w, f.d)
+            if not any(m[i] >= k for i, k in absorbed)} | kept.keys()
 
 
 def generic_member(f: Family, seed: int = 0) -> Poly:
@@ -255,7 +257,6 @@ def special_member(f: Family, name: str) -> Poly:
     """
     key = f"{f.entry_no}:{name}"
     if key == "23:special":
-        from .exactmath import parse_poly
         return parse_poly(
             "t*w^2 + y^2*w^2"          # (t + b y^2) w^2 with b = 1
             "+ y*t^3 - 3*y^3*t^2 + 2*y^5*t"  # y t (t - y^2)(t - 2 y^2)

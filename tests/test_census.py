@@ -188,9 +188,9 @@ class TestCensus:
         }
 
     def test_by_point(self):
-        c = census(fam(95))
-        assert c.by_point("OtOw").r == 11
-        assert c.by_point("Ow") is None
+        by_point = {e.point_id(): e for e in census(fam(95)).entries}
+        assert by_point["OtOw"].r == 11
+        assert "Ow" not in by_point
 
 
 class TestTerminalFamily:

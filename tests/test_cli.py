@@ -177,6 +177,8 @@ class TestOrder:
         (("order", "23", "--point", "Ow", "--poly", "x"), "1/5"),
         (("order", "50", "--point", "Ot", "--poly", "y", "--cutoff", "56"),
          "8/7"),
+        # y^1000000 lies far above the cutoff and costs nothing
+        (("order", "50", "--point", "Ot", "--poly", "y^1000000 + y"), "8/7"),
     ])
     def test_orders(self, capsys, args, expected):
         code, out, _ = run(capsys, *args)
@@ -232,9 +234,10 @@ class TestErrorBoundary:
         ("report", "95", "--golden", "{missing}"),
         ("check-tables", "--family", "0"),
         ("check-tables", "--family", "96"),
+        ("search", "1,1,1,1000001"),
     ], ids=["search-not-int", "search-zero-weight", "order-no-special-member",
             "order-variant-flag", "report-missing-golden", "check-family-0",
-            "check-family-96"])
+            "check-family-96", "search-weight-over-bound"])
     def test_usage_error_exits_2_in_one_line(self, capsys, tmp_path, argv):
         argv = [a.format(missing=tmp_path / "missing") for a in argv]
         code, out, err = run(capsys, *argv)
@@ -266,7 +269,7 @@ VARIANTS = st.one_of(
     st.text("a1c=0,nztype", max_size=8))
 POINTS = st.one_of(st.sampled_from(["Oy", "Oz", "Ot", "Ow"]),
                    st.text("Oxyztw", max_size=3))
-# short junk keeps exponents small: `order` work grows with them
+# short junk keeps the drawn polynomials small
 POLYS = st.one_of(st.sampled_from(["x", "y", "y*z+x*t", "t^2", "w-w"]),
                   st.text("xyztw+-*^ 2", max_size=5))
 

@@ -5,24 +5,34 @@ import pytest
 from wfano import golden
 from wfano.golden import (UnknownVariantFlag, canonical_atom,
                           default_assignment, match_rows, parse_condition,
-                          parse_generator, parse_linear_system,
-                          parse_monomial, parse_type, parse_variant)
+                          parse_linear_system, parse_monomials, parse_type,
+                          parse_variant)
 
 DATA = golden.data()
 
 
 class TestGrammar:
     def test_parse_monomial(self):
-        assert parse_monomial("z^2t^2") == (0, 0, 2, 2, 0)
-        assert parse_monomial("y") == (0, 1, 0, 0, 0)
-        assert parse_monomial("xy^3") == (1, 3, 0, 0, 0)
+        assert parse_monomials("z^2t^2") == ((0, 0, 2, 2, 0),)
+        assert parse_monomials("y") == ((0, 1, 0, 0, 0),)
+        assert parse_monomials("xy^3") == ((1, 3, 0, 0, 0),)
         with pytest.raises(ValueError):
-            parse_monomial("q^2")
+            parse_monomials("q^2")
 
     def test_parse_generator(self):
-        assert parse_generator("z-alpha_i y^2") == [
-            (0, 0, 1, 0, 0), (0, 2, 0, 0, 0)]
-        assert parse_generator("w+yt") == [(0, 0, 0, 0, 1), (0, 1, 0, 1, 0)]
+        assert parse_monomials("z-alpha_i y^2") == (
+            (0, 0, 1, 0, 0), (0, 2, 0, 0, 0))
+        assert parse_monomials("w+yt") == ((0, 0, 0, 0, 1), (0, 1, 0, 1, 0))
+        assert parse_monomials("zw^2-z^3t") == (
+            (0, 0, 1, 0, 2), (0, 0, 3, 1, 0))
+
+    def test_subscript_does_not_swallow_the_next_monomial(self):
+        # a one-character subscript: 'alpha_iz' is alpha_i times z
+        assert parse_monomials("y-alpha_iz") == (
+            (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))
+        row = DATA.rows_for(22, "OyOz")[0]
+        assert row.surface_raw == "y-alpha_iz"
+        assert row.surface == (((0, 1, 0, 0, 0), (0, 0, 1, 0, 0)),)
 
     def test_parse_type(self):
         r, res, subs = parse_type("1/3(1_x,2_y,1_t)")

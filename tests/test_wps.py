@@ -3,10 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wfano import golden
+from wfano.census import vertex_singularity
+from wfano.exactmath import weighted_monomials
 from wfano.wps import (Family, UnknownSpecialMember, Weights,
-                       anticanonical_degree, admits_member_with_stratum,
+                       _semigroup_mask, anticanonical_degree,
+                       admits_member_with_stratum, eliminating_monomial,
                        enumerate_families, general_quasismooth,
                        generic_member, hat_lcms, is_wellformed,
                        normal_form_support, special_member)
@@ -44,6 +48,18 @@ class TestBasics:
 
 
 class TestQuasiSmooth:
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=5),
+           st.integers(0, 80))
+    @settings(max_examples=300, deadline=None)
+    def test_semigroup_mask_matches_brute_force(self, weights, bound):
+        reachable = {0}
+        for a in weights:
+            reachable = {s + k * a for s in reachable
+                         for k in range((bound - s) // a + 1)}
+        mask = _semigroup_mask(tuple(sorted(weights)), bound)
+        assert {t for t in range(bound + 1) if mask >> t & 1} == reachable
+        assert mask >> (bound + 1) == 0
+
     def test_family_7(self):
         assert general_quasismooth(Family.of(1, 2, 2, 3)).ok
 
@@ -109,6 +125,26 @@ class TestMembers:
         support = normal_form_support(f50)
         assert (0, 1, 0, 3, 0) in support      # y t^3 stays
         assert (1, 0, 0, 3, 0) not in support  # x t^3 absorbed into it
+
+    def test_normal_form_matches_per_vertex_absorption(self):
+        # at each quotient vertex O_i, x_e absorbs x_i^k * m for every m of
+        # degree a_e free of x_e, except the eliminating monomial itself
+        for rec in golden.data().families:
+            f = rec.family
+            support = weighted_monomials(f.w, f.d)
+            units = set()
+            for i in range(1, 5):
+                sing = vertex_singularity(f, i)
+                if sing is None:
+                    continue
+                e = sing.eliminated
+                unit = eliminating_monomial(f, i, e)
+                units.add(unit)
+                for m in weighted_monomials(f.w, f.w[e]):
+                    if m[e] == 0:
+                        support.discard(tuple(
+                            x + unit[i] * (j == i) for j, x in enumerate(m)))
+            assert normal_form_support(f) == support | units, f
 
     def test_generic_member_is_deterministic(self):
         f = golden.data().family(23).family
