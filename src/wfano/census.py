@@ -107,6 +107,18 @@ def vertex_elimination_candidates(f: Family, i: int) -> list[int]:
             if j != i and (d - w5[j]) % w5[i] == 0 and (d - w5[j]) >= w5[i]]
 
 
+def vertex_conditions_hold(f: Family) -> bool:
+    """The singleton case of the quasi-smoothness test at O_y .. O_w.
+
+    For I = {i}, some x_i^k or x_i^k * x_j has degree d: a_i | d, or x_i
+    has an elimination candidate.  A necessary condition for
+    `wps.general_quasismooth`, and much cheaper; the enumeration uses it
+    as a filter.  O_t rejects the most candidates, so it is tested first.
+    """
+    return all(f.d % f.w[i] == 0 or vertex_elimination_candidates(f, i)
+               for i in (3, 2, 1, 4))
+
+
 def vertex_singularity(f: Family, i: int,
                        eliminated: Optional[int] = None
                        ) -> Optional[QuotientSingularity]:

@@ -30,6 +30,9 @@ MAX_CUTOFF = 8
 # Largest weight a selector or `search` accepts; the quasi-smoothness test
 # keeps bit masks of about a1+a2+a3+a4 bits per coordinate subset.
 MAX_WEIGHT = 10**6
+# Largest `enumerate --max-weight`; the scan over a1 <= a2 <= a3 grows as its
+# cube and takes about 3 s at this bound.  All 95 families have a4 <= 33.
+MAX_ENUMERATE_WEIGHT = 100
 
 
 class UsageError(ValueError):
@@ -93,6 +96,9 @@ def _member_chart(f: Family, i: int, member) -> int | None:
 # ------------------------------------------------------------- subcommands
 
 def cmd_enumerate(args) -> int:
+    if not 1 <= args.max_weight <= MAX_ENUMERATE_WEIGHT:
+        raise UsageError(f"--max-weight must be in 1..{MAX_ENUMERATE_WEIGHT}, "
+                         f"got {args.max_weight}")
     dataset = _dataset(args)
     families = enumerate_families(args.max_weight)
     expected = [rec.family for rec in dataset.families]
@@ -253,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="directory overriding the packaged dataset")
 
     sp = sub.add_parser("enumerate", help="rediscover the 95 families")
-    sp.add_argument("--max-weight", type=int, default=33)
+    sp.add_argument("--max-weight", type=int, default=33,
+                    help=f"largest a4 scanned, 1..{MAX_ENUMERATE_WEIGHT}")
     sp.add_argument("--diff-paper", action="store_true",
                     help="show the documented source-list corrections")
     add_common(sp)

@@ -164,21 +164,60 @@ def admits_member_with_stratum(f: Family, coords: tuple[int, ...]) -> bool:
 
 # ----------------------------------------------------------- enumeration
 
+def divisor_table(n: int) -> list[list[int]]:
+    """divisors[m] lists the divisors of m in increasing order, 1 <= m <= n."""
+    divisors: list[list[int]] = [[] for _ in range(n + 1)]
+    for k in range(1, n + 1):
+        for m in range(k, n + 1, k):
+            divisors[m].append(k)
+    return divisors
+
+
+def a4_candidates(a1: int, a2: int, a3: int, max_weight: int,
+                  divisors: list[list[int]]) -> list[int]:
+    """The a4 in [a3, max_weight] that pass the singleton test at O_w.
+
+    With s = a1+a2+a3 and d = s + a4, x_w^k has degree d iff a4 | s, and
+    x_w^k * x_j has degree d for some k >= 1 iff a4 | s - a_j (a0 = 1), so
+    a4 divides one of s, s-1, s-a1, s-a2, s-a3.  `divisors` must cover s.
+    """
+    s = a1 + a2 + a3
+    return sorted({k for n in (s, s - 1, s - a1, s - a2, s - a3)
+                   for k in divisors[n] if a3 <= k <= max_weight})
+
+
 def enumerate_families(max_weight: int = 33) -> list[Family]:
     """All terminal quasi-smooth anticanonical families with a4 <= max_weight.
 
     Sorted lexicographically by (d, a1, a2, a3, a4) and numbered from 1.
-    """
-    from .census import is_terminal_family  # cycle-free: census imports nothing back
+    Johnson and Kollar ("Fano hypersurfaces in weighted projective
+    4-spaces", Experiment. Math. 2001) show that the list of 95 is
+    complete; all of them have a4 <= 33.
 
+    The scan runs over a1 <= a2 <= a3 and draws a4 from the divisors of
+    s, s-1, s-a1, s-a2 and s-a3 (s = a1+a2+a3) that lie in [a3, max_weight].
+    The subset {w} of Iano-Fletcher's quasi-smoothness criterion ("Working
+    with weighted complete intersections") needs x_w^k or x_w^k * x_j of
+    degree d = s + a4, so a4 divides d - a_j for some coordinate j, with
+    j = w for x_w^k alone.  Candidates that fail the same singleton test
+    at another vertex are dropped before the full `general_quasismooth`
+    and `is_terminal_family` run; the filter is only a necessary
+    condition, so both still decide every family.
+    """
+    # lazy: census imports COORDS and Family from this module
+    from .census import is_terminal_family, vertex_conditions_hold
+
+    divisors = divisor_table(3 * max_weight)
     found = []
     for a1 in range(1, max_weight + 1):
         for a2 in range(a1, max_weight + 1):
             for a3 in range(a2, max_weight + 1):
-                for a4 in range(a3, max_weight + 1):
+                for a4 in a4_candidates(a1, a2, a3, max_weight, divisors):
                     if gcd(gcd(a1, a2), gcd(a3, a4)) != 1:
                         continue
                     fam = Family.of(a1, a2, a3, a4)
+                    if not vertex_conditions_hold(fam):
+                        continue
                     if not general_quasismooth(fam).ok:
                         continue
                     if not is_terminal_family(fam):

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfano.cli import main
+from wfano.cli import MAX_ENUMERATE_WEIGHT, main
 
 
 def run(capsys, *argv):
@@ -235,9 +235,14 @@ class TestErrorBoundary:
         ("check-tables", "--family", "0"),
         ("check-tables", "--family", "96"),
         ("search", "1,1,1,1000001"),
+        ("enumerate", "--max-weight", "0"),
+        ("enumerate", "--max-weight", "-3"),
+        ("enumerate", "--max-weight", str(MAX_ENUMERATE_WEIGHT + 1)),
     ], ids=["search-not-int", "search-zero-weight", "order-no-special-member",
             "order-variant-flag", "report-missing-golden", "check-family-0",
-            "check-family-96", "search-weight-over-bound"])
+            "check-family-96", "search-weight-over-bound",
+            "enumerate-max-weight-0", "enumerate-max-weight-negative",
+            "enumerate-max-weight-over-bound"])
     def test_usage_error_exits_2_in_one_line(self, capsys, tmp_path, argv):
         argv = [a.format(missing=tmp_path / "missing") for a in argv]
         code, out, err = run(capsys, *argv)

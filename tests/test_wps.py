@@ -1,19 +1,21 @@
 """Families, quasi-smoothness, and the enumeration of all 95."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wfano import golden
-from wfano.census import vertex_singularity
+from wfano.census import (is_terminal_family, vertex_conditions_hold,
+                          vertex_singularity)
 from wfano.exactmath import weighted_monomials
 from wfano.wps import (Family, UnknownSpecialMember, Weights,
-                       _semigroup_mask, anticanonical_degree,
-                       admits_member_with_stratum, eliminating_monomial,
-                       enumerate_families, general_quasismooth,
-                       generic_member, hat_lcms, is_wellformed,
-                       normal_form_support, special_member)
+                       _semigroup_mask, a4_candidates, anticanonical_degree,
+                       admits_member_with_stratum, divisor_table,
+                       eliminating_monomial, enumerate_families,
+                       general_quasismooth, generic_member, hat_lcms,
+                       is_wellformed, normal_form_support, special_member)
 
 
 class TestBasics:
@@ -90,6 +92,37 @@ class TestQuasiSmooth:
         assert hits == {2, 5, 12, 13, 20, 25, 33, 58}
 
 
+@st.composite
+def chained_quadruples(draw):
+    """Weights whose general member of degree d <= 400 has x_i^k or
+    x_i^k * x_j for three of its coordinates; the fourth weight closes
+    the sum to d.  Uniform draws of weights near 200 are almost never
+    quasi-smooth; about one in twenty of these is."""
+    d = draw(st.integers(4, 400))
+    ws = [1]
+    for left in (3, 2, 1):
+        n = d - draw(st.sampled_from([0] + ws))
+        room = d - sum(ws[1:]) - left
+        ws.append(draw(st.sampled_from(
+            [m for m in range(1, min(n, room) + 1) if n % m == 0])))
+    return tuple(sorted(ws[1:] + [d - sum(ws[1:])]))
+
+
+def four_loop_scan(bound):
+    """The enumeration as a plain scan of every quadruple up to bound."""
+    found = []
+    for a1 in range(1, bound + 1):
+        for a2 in range(a1, bound + 1):
+            for a3 in range(a2, bound + 1):
+                for a4 in range(a3, bound + 1):
+                    f = Family.of(a1, a2, a3, a4)
+                    if (gcd(gcd(a1, a2), gcd(a3, a4)) == 1
+                            and general_quasismooth(f).ok
+                            and is_terminal_family(f)):
+                        found.append((f.d, a1, a2, a3, a4))
+    return sorted(found)
+
+
 @pytest.fixture(scope="module")
 def families():
     return enumerate_families(33)
@@ -117,6 +150,26 @@ class TestEnumeration:
         keys = [(f.d, *f.w[1:]) for f in families]
         assert keys == sorted(keys)
         assert [f.entry_no for f in families] == list(range(1, 96))
+
+    # quasi-smooth, with a4 dividing only s, s-1, s-a1, s-a2 or s-a3 in turn
+    @example((1, 1, 1, 3)).via("a4 | s")
+    @example((2, 3, 3, 7)).via("a4 | s-1")
+    @example((2, 3, 4, 7)).via("a4 | s-a1")
+    @example((1, 2, 3, 4)).via("a4 | s-a2")
+    @example((2, 3, 4, 5)).via("a4 | s-a3")
+    @given(chained_quadruples())
+    @settings(max_examples=400, deadline=None)
+    def test_candidate_filter_keeps_every_quasismooth_quadruple(self, w):
+        f = Family.of(*w)
+        if general_quasismooth(f).ok:
+            a1, a2, a3, a4 = w
+            assert a4 in a4_candidates(a1, a2, a3, a4,
+                                       divisor_table(a1 + a2 + a3))
+            assert vertex_conditions_hold(f)
+
+    def test_matches_four_loop_scan(self):
+        assert [(f.d, *f.w[1:]) for f in enumerate_families(20)] == \
+            four_loop_scan(20)
 
 
 class TestMembers:
