@@ -19,9 +19,8 @@ from .rigidity import (Certificate, curve_status, involution_case,
                        k3_self_intersection, neg_definite,
                        smooth_point_status, super_rigid_families, test_b,
                        test_n, test_p)
-from .wps import (Family, UnknownSpecialMember, Weights,
-                  anticanonical_degree, enumerate_families,
-                  general_quasismooth, generic_member, hat_lcms,
-                  is_wellformed, special_member)
+from .wps import (Family, UnknownSpecialMember, anticanonical_degree,
+                  enumerate_families, general_quasismooth, generic_member,
+                  hat_lcms, is_wellformed, special_member)
 
 __version__ = "0.1.0"

@@ -221,7 +221,7 @@ def cmd_search(args) -> int:
     info = {
         "weights": list(f.w), "degree": f.d,
         "anticanonical_degree": str(anticanonical_degree(f)),
-        "wellformed": is_wellformed(f.weights),
+        "wellformed": is_wellformed(f.w),
     }
     qs = general_quasismooth(f)
     info["quasismooth"] = qs.ok

@@ -25,8 +25,6 @@ from .exactmath import COORD_INDEX, Exp5, parse_poly
 from .wps import Family
 
 EXCLUDE_METHODS = frozenset({"B", "N", "S", "F", "P"})
-UNTWIST_METHODS = frozenset({"TAU", "TAU1", "EPS", "EPS1", "EPS2",
-                             "IOTA", "IOTA1"})
 METHOD_SYMBOLS = {
     "B": "(b)", "N": "(n)", "S": "(s)", "F": "(f)", "P": "(p)",
     "TAU": "[tau]", "TAU1": "[tau1]", "EPS": "[eps]", "EPS1": "[eps1]",
@@ -140,7 +138,7 @@ class GoldenRow:
     condition: frozenset[tuple[str, str]]
     witness_raw: str
     corrected: bool = False
-    defect: Optional[str] = None
+    defect: Optional[Note] = None    # the documented certificate defect
 
     @property
     def kind(self) -> str:
@@ -248,6 +246,9 @@ def load(path: Optional[Path] = None) -> GoldenData:
     rows = []
     for rec in _read_tsv("golden_tables.tsv", path):
         no, point = int(rec["no"]), rec["point"]
+        if rec["method"] not in METHOD_SYMBOLS:
+            raise ValueError(f"unknown method {rec['method']!r} "
+                             f"(family {no}, {point})")
         type_raw = rec["type_raw"]
         fix = type_fixes.get((no, point))
         type_str = fix.corrected if fix else type_raw
@@ -265,7 +266,6 @@ def load(path: Optional[Path] = None) -> GoldenData:
         vanishing = tuple(
             mono for part in rec["vanishing"].split(" or ")
             for v in part.split(",") for mono in parse_monomials(v))
-        defect = defects.get((no, point))
         rows.append(GoldenRow(
             family_no=no, point=point, count=int(rec["count"]),
             r=r, type_raw=type_raw, type_str=type_str, residues=residues,
@@ -277,7 +277,10 @@ def load(path: Optional[Path] = None) -> GoldenData:
             condition=parse_condition(rec["condition"]),
             witness_raw=rec["witness"],
             corrected=fix is not None or sfix is not None,
-            defect=defect.kind if defect and rec["method"] == "N" else None))
+            # the defect note is about the printed (n) certificate; a row
+            # that reads another method is not the documented one
+            defect=(defects.get((no, point)) if rec["method"] == "N"
+                    else None)))
     return GoldenData(tuple(fams), tuple(rows), notes)
 
 

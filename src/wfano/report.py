@@ -56,9 +56,9 @@ def build_report(no: int, variant: Optional[dict[str, str]],
     for point in dataset.points_of(no):
         rows = match_rows(dataset, no, point, variant)
         for row in rows:
-            cert = certify_row(f, row, dataset)
+            cert = certify_row(f, row)
             report["points"].append(_point_entry(cert))
-            if not cert.valid and cert.documented_defect is None:
+            if cert.undocumented_failures:
                 report["discrepancies"].append(
                     _discrepancy(cert, "certificate check failed"))
     return report
@@ -67,10 +67,10 @@ def build_report(no: int, variant: Optional[dict[str, str]],
 def _point_entry(cert: Certificate) -> dict:
     row = cert.row
     entry = {
-        "point": cert.point,
-        "method": cert.method,
-        "symbol": METHOD_SYMBOLS[cert.method],
-        "kind": cert.kind,
+        "point": row.point,
+        "method": row.method,
+        "symbol": METHOD_SYMBOLS[row.method],
+        "kind": row.kind,
         "type": row.type_str,
         "condition": row.condition_raw,
         "valid": cert.valid,
@@ -92,8 +92,8 @@ def _point_entry(cert: Certificate) -> dict:
         entry["linear_system"] = row.linsys_raw
     if row.witness_raw:
         entry["witness"] = row.witness_raw
-    if cert.documented_defect:
-        entry["documented_defect"] = cert.documented_defect
+    if row.defect:
+        entry["documented_defect"] = row.defect.kind
     if row.corrected:
         entry["corrected_type"] = True
     return entry
@@ -101,11 +101,11 @@ def _point_entry(cert: Certificate) -> dict:
 
 def _discrepancy(cert: Certificate, reason: str) -> dict:
     return {
-        "family": cert.family_no,
-        "point": cert.point,
+        "family": cert.row.family_no,
+        "point": cert.row.point,
         "condition": cert.row.condition_raw,
         "reason": reason,
-        "failed_checks": [c.name for c in cert.checks if not c.passed],
+        "failed_checks": [c.name for c in cert.undocumented_failures],
     }
 
 
@@ -131,6 +131,8 @@ def render_text(report: dict) -> str:
             elim = f", eliminates {e['eliminated']}" if e["eliminated"] else ""
             lines.append(f"  {e['point']} = {mult}1/{e['r']}({t})"
                          f"  [params {''.join(e['local_params'])}{elim}]")
+    failed_at = {(d["point"], d["condition"])
+                 for d in report["discrepancies"]}
     for p in report["points"]:
         head = (f"  {p['point']} {p['symbol']} {p['kind']}"
                 + (f"  [{p['condition']}]" if p["condition"] else ""))
@@ -143,7 +145,8 @@ def render_text(report: dict) -> str:
         if "witness" in p:
             bits.append(f"witness {p['witness']}")
         status = "ok" if p["valid"] else (
-            "DOCUMENTED DEFECT" if "documented_defect" in p else "FAILED")
+            "DOCUMENTED DEFECT" if "documented_defect" in p
+            and (p["point"], p["condition"]) not in failed_at else "FAILED")
         lines.append(head + ("  |  " + "; ".join(bits) if bits else "")
                      + f"  -> {status}")
         if not p["valid"]:
@@ -237,14 +240,12 @@ def check_tables(dataset: GoldenData,
 
         for row in dataset.rows_for(no):
             nrows += 1
-            cert = certify_row(f, row, dataset)
-            if cert.valid:
-                continue
-            if cert.documented_defect is not None:
-                continue  # already listed among documented notes
-            discrepancies.append(_discrepancy(
-                cert, "; ".join(f"{c.name}: {c.detail}"
-                                for c in cert.checks if not c.passed)))
+            cert = certify_row(f, row)
+            failures = cert.undocumented_failures
+            if failures:
+                discrepancies.append(_discrepancy(
+                    cert, "; ".join(f"{c.name}: {c.detail}"
+                                    for c in failures)))
 
         # variant coverage: every combination of a point's condition atoms
         # must be answered by some row

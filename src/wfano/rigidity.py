@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .blowup import (BlowupContext, NonIntegral, b_cubed,
                      monomial_order, proper_transform_class, s_class_ks)
 from .census import (QuotientSingularity, canonical_type, census,
-                     vertex_singularity)
+                     edge_singularities, vertex_singularity)
 from .golden import GoldenData, GoldenRow, NoMatchingRow, parse_monomials
 from .wps import (COORDS, Family, admits_member_with_stratum,
                   anticanonical_degree, hat_lcms)
@@ -279,18 +279,23 @@ def _split_point(point: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Certificate:
-    family_no: int
-    point: str
-    method: str
-    kind: str                           # exclude | untwist
+    """The checks recomputed on one golden row, and the values they used."""
+
+    row: GoldenRow
     inputs: dict
     checks: tuple[Check, ...]
-    row: GoldenRow
-    documented_defect: Optional[str] = None
 
     @property
     def valid(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    @property
+    def undocumented_failures(self) -> list[Check]:
+        """The failed checks that the row's documented defect does not
+        excuse; a defect excuses the checks whose name ends in its field."""
+        defect = self.row.defect
+        return [c for c in self.checks if not c.passed
+                and not (defect and c.name.endswith(defect.field))]
 
 
 def _row_singularity(f: Family, row: GoldenRow) -> QuotientSingularity:
@@ -308,14 +313,13 @@ def _row_singularity(f: Family, row: GoldenRow) -> QuotientSingularity:
         if sing is None:
             raise NoMatchingRow(f"general member misses O_{COORDS[loc[1]]}")
         return sing
-    from .census import edge_singularities
     sing = edge_singularities(f, loc[1], loc[2])
     if sing is None:
         raise NoMatchingRow(f"no quotient points on edge {row.point}")
     return sing
 
 
-def certify_row(f: Family, row: GoldenRow, dataset: GoldenData) -> Certificate:
+def certify_row(f: Family, row: GoldenRow) -> Certificate:
     """Recompute every machine-checkable quantity on one golden row."""
     checks: list[Check] = []
     inputs: dict = {"r": row.r}
@@ -337,17 +341,11 @@ def certify_row(f: Family, row: GoldenRow, dataset: GoldenData) -> Certificate:
             f"weights of {''.join(COORDS[i] for i in subs)} mod {row.r} = "
             f"{expected} vs printed {row.residues}"))
 
-    if row.method in ("B", "N", "S", "F", "P"):
+    if row.kind == "exclude":
         _certify_exclusion(f, row, ctx, inputs, checks)
-        kind = "exclude"
     else:
         _certify_involution(f, row, inputs, checks)
-        kind = "untwist"
-
-    return Certificate(
-        family_no=f.entry_no, point=row.point, method=row.method, kind=kind,
-        inputs=inputs, checks=tuple(checks), row=row,
-        documented_defect=row.defect)
+    return Certificate(row, inputs, tuple(checks))
 
 
 def _certify_exclusion(f: Family, row: GoldenRow, ctx: BlowupContext,

@@ -10,7 +10,7 @@ with deterministic pseudo-random coefficients for order computations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -21,46 +21,30 @@ from .exactmath import (COORDS, Exp5, Poly, Fraction as Rat, parse_poly,
 
 
 @dataclass(frozen=True, order=True)
-class Weights:
-    """The 5-vector (1, a1, a2, a3, a4) with a1 <= a2 <= a3 <= a4."""
-
-    a: tuple[int, int, int, int, int]
-
-    def __post_init__(self):
-        if len(self.a) != 5 or self.a[0] != 1:
-            raise ValueError("weights must be (1, a1, a2, a3, a4)")
-        if any(w < 1 for w in self.a):
-            raise ValueError("weights must be positive")
-        if list(self.a[1:]) != sorted(self.a[1:]):
-            raise ValueError("weights must be nondecreasing from index 1")
-
-    def __getitem__(self, i: int) -> int:
-        return self.a[i]
-
-    def __iter__(self):
-        return iter(self.a)
-
-
-@dataclass(frozen=True, order=True)
 class Family:
-    """An anticanonically embedded hypersurface family X_d in P(1,a1..a4)."""
+    """An anticanonically embedded hypersurface family X_d in P(1,a1..a4).
 
-    weights: Weights
-    d: int
+    `w` is the 5-vector (1, a1, a2, a3, a4) with 0 < a1 <= a2 <= a3 <= a4,
+    and the degree d = a1+a2+a3+a4 is derived from it.
+    """
+
+    w: tuple[int, int, int, int, int]
     entry_no: Optional[int] = None
+    d: int = field(init=False)
 
     def __post_init__(self):
-        if self.d != sum(self.weights.a[1:]):
-            raise ValueError("degree must equal a1+a2+a3+a4")
+        w = self.w
+        if len(w) != 5 or w[0] != 1:
+            raise ValueError("weights must be (1, a1, a2, a3, a4)")
+        if not 0 < w[1] <= w[2] <= w[3] <= w[4]:
+            raise ValueError("weights must be positive and nondecreasing "
+                             "from index 1")
+        object.__setattr__(self, "d", w[1] + w[2] + w[3] + w[4])
 
     @classmethod
     def of(cls, a1: int, a2: int, a3: int, a4: int,
            entry_no: Optional[int] = None) -> "Family":
-        return cls(Weights((1, a1, a2, a3, a4)), a1 + a2 + a3 + a4, entry_no)
-
-    @property
-    def w(self) -> tuple[int, int, int, int, int]:
-        return self.weights.a
+        return cls((1, a1, a2, a3, a4), entry_no)
 
     def __str__(self):
         tag = f"No. {self.entry_no}: " if self.entry_no else ""
@@ -79,7 +63,7 @@ def hat_lcms(f: Family) -> tuple[int, int, int]:
     return (lcm(a[1], a[3], a[4]), lcm(a[1], a[2], a[4]), lcm(a[1], a[2], a[3]))
 
 
-def is_wellformed(w: Weights | Iterable[int]) -> bool:
+def is_wellformed(w: Iterable[int]) -> bool:
     """Every 4-subset of the weights has gcd 1 (a0 = 1 reduces this to one gcd)."""
     a = tuple(w)
     return gcd(gcd(a[1], a[2]), gcd(a[3], a[4])) == 1

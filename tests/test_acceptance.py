@@ -81,7 +81,7 @@ def test_criterion_04_b3_signs():
         if not row.b3_sign:
             continue
         f = fam(row.family_no)
-        cert = certify_row(f, row, DATA)
+        cert = certify_row(f, row)
         check = next(c for c in cert.checks if c.name == "B^3 sign")
         assert check.passed, (row.family_no, row.point)
         checked += 1
@@ -106,7 +106,7 @@ def test_criterion_05_class_order_consistency():
         if row.linsys is None:
             continue
         f = fam(row.family_no)
-        cert = certify_row(f, row, DATA)
+        cert = certify_row(f, row)
         for name in ("transform class", "surface degree"):
             check = next(c for c in cert.checks if c.name == name)
             assert check.passed, (row.family_no, row.point, name, check.detail)
@@ -135,7 +135,7 @@ def test_criterion_06_inequality_certificates():
         if row.method not in ("B", "N", "P"):
             continue
         f = fam(row.family_no)
-        cert = certify_row(f, row, DATA)
+        cert = certify_row(f, row)
         if row.method == "P":
             check = next(c for c in cert.checks if c.name == "two-ray game")
             assert check.passed, (row.family_no, row.point)

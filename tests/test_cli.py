@@ -27,6 +27,24 @@ def golden_copy(tmp_path):
     return tmp_path
 
 
+def golden_with_cell(tmp_path, no, point, column, old, new):
+    """A `--golden` copy whose first row at the point with `old` in the
+    column reads `new` there."""
+    path = golden_copy(tmp_path) / "golden_tables.tsv"
+    lines = path.read_text().splitlines()
+    col = lines[0].split("\t").index(column)
+    for i, line in enumerate(lines):
+        cells = line.split("\t")
+        if cells[:2] == [str(no), point] and cells[col] == old:
+            cells[col] = new
+            lines[i] = "\t".join(cells)
+            break
+    else:
+        raise AssertionError(f"no row {no} {point} with {column} {old!r}")
+    path.write_text("\n".join(lines) + "\n")
+    return tmp_path
+
+
 class TestEnumerate:
     def test_text_has_95_lines(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--max-weight", "33")
@@ -145,26 +163,24 @@ class TestCheckTables:
         assert code == 0
         assert out.startswith("1 families, 8 golden rows, 0 discrepancies")
 
-    def test_fault_injection_names_the_row(self, tmp_path, capsys):
-        path = golden_copy(tmp_path) / "golden_tables.tsv"
-        lines = path.read_text().splitlines()
-        hit = None
-        for i, line in enumerate(lines):
-            cells = line.split("\t")
-            if cells[0] == "19" and cells[1] == "OzOt" and cells[6] == "0":
-                cells[6] = "+"
-                lines[i] = "\t".join(cells)
-                hit = i
-                break
-        assert hit is not None
-        path.write_text("\n".join(lines) + "\n")
+    @pytest.mark.parametrize("no,point,column,old,new", [
+        (19, "OzOt", "b3", "0", "+"),
+        # the row's documented defect excuses its failed inequality only
+        (52, "Oz", "b3", "-", "+"),
+        # and only on the (n) certificate that its note documents
+        (52, "Oz", "method", "N", "B"),
+    ], ids=["19-OzOt-b3", "52-Oz-documented-defect-b3",
+            "52-Oz-documented-defect-method"])
+    def test_fault_injection_names_the_row(self, tmp_path, capsys, no, point,
+                                           column, old, new):
+        golden_with_cell(tmp_path, no, point, column, old, new)
         code, out, _ = run(capsys, "check-tables", "--golden", str(tmp_path),
                            "--json")
         assert code == 1
         payload = json.loads(out)
         assert len(payload["discrepancies"]) == 1
         d = payload["discrepancies"][0]
-        assert d["family"] == 19 and d["point"] == "OzOt"
+        assert d["family"] == no and d["point"] == point
 
 
 class TestOrder:
@@ -232,6 +248,7 @@ class TestErrorBoundary:
         ("order", "7", "--point", "Oz", "--poly", "x", "--variant", "special"),
         ("order", "23", "--point", "Oz", "--poly", "x", "--variant", "zz=0"),
         ("report", "95", "--golden", "{missing}"),
+        ("report", "95", "--golden", "{unknown_method}"),
         ("check-tables", "--family", "0"),
         ("check-tables", "--family", "96"),
         ("search", "1,1,1,1000001"),
@@ -239,12 +256,16 @@ class TestErrorBoundary:
         ("enumerate", "--max-weight", "-3"),
         ("enumerate", "--max-weight", str(MAX_ENUMERATE_WEIGHT + 1)),
     ], ids=["search-not-int", "search-zero-weight", "order-no-special-member",
-            "order-variant-flag", "report-missing-golden", "check-family-0",
+            "order-variant-flag", "report-missing-golden",
+            "report-golden-unknown-method", "check-family-0",
             "check-family-96", "search-weight-over-bound",
             "enumerate-max-weight-0", "enumerate-max-weight-negative",
             "enumerate-max-weight-over-bound"])
     def test_usage_error_exits_2_in_one_line(self, capsys, tmp_path, argv):
-        argv = [a.format(missing=tmp_path / "missing") for a in argv]
+        if "{unknown_method}" in argv:
+            golden_with_cell(tmp_path, 95, "Oy", "method", "B", "Q")
+        argv = [a.format(missing=tmp_path / "missing", unknown_method=tmp_path)
+                for a in argv]
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""

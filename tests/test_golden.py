@@ -106,7 +106,8 @@ class TestDataset:
 
     def test_defect_flag(self):
         row = DATA.rows_for(52, "Oz")[0]
-        assert row.defect == "certificate_defect"
+        assert row.defect.kind == "certificate_defect"
+        assert row.defect.field == "inequality"
         assert sum(1 for r in DATA.rows if r.defect) == 1
 
     def test_every_row_parses_completely(self):

@@ -198,26 +198,28 @@ class TestClassifyPoint:
 
     def test_no95_generic(self):
         (row,) = match_rows(DATA, 95, "Oy", {})
-        cert = certify_row(fam(95), row, DATA)
-        assert cert.method == "B" and cert.kind == "exclude" and cert.valid
+        cert = certify_row(fam(95), row)
+        assert cert.row.method == "B" and cert.row.kind == "exclude"
+        assert cert.valid
         assert cert.inputs["c"] == 6 and cert.inputs["m"] == 6
         assert cert.inputs["k"] == (1, 6)
 
     def test_no10_two_ray(self):
         (row,) = match_rows(DATA, 10, "Ot", {})
-        cert = certify_row(fam(10), row, DATA)
-        assert cert.method == "P" and cert.valid
+        cert = certify_row(fam(10), row)
+        assert cert.row.method == "P" and cert.valid
 
     def test_no23_invisible_variant(self):
         (row,) = match_rows(DATA, 23, "Oz", {"a1": "zero", "c": "zero"})
-        cert = certify_row(fam(23), row, DATA)
-        assert cert.method == "IOTA1" and cert.kind == "untwist" and cert.valid
+        cert = certify_row(fam(23), row)
+        assert cert.row.method == "IOTA1" and cert.row.kind == "untwist"
+        assert cert.valid
 
     def test_no23_generic_vs_variants(self):
         for variant, method in (({}, "B"), ({"c": "zero"}, "F")):
             (row,) = match_rows(DATA, 23, "Oz", variant)
-            cert = certify_row(fam(23), row, DATA)
-            assert cert.method == method and cert.valid
+            cert = certify_row(fam(23), row)
+            assert cert.row.method == method and cert.valid
 
     def test_unknown_flag(self):
         with pytest.raises(UnknownVariantFlag):

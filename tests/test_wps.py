@@ -10,8 +10,8 @@ from wfano import golden
 from wfano.census import (is_terminal_family, vertex_conditions_hold,
                           vertex_singularity)
 from wfano.exactmath import weighted_monomials
-from wfano.wps import (Family, UnknownSpecialMember, Weights,
-                       _semigroup_mask, a4_candidates, anticanonical_degree,
+from wfano.wps import (Family, UnknownSpecialMember, _semigroup_mask,
+                       a4_candidates, anticanonical_degree,
                        admits_member_with_stratum, divisor_table,
                        eliminating_monomial, enumerate_families,
                        general_quasismooth, generic_member, hat_lcms,
@@ -21,11 +21,9 @@ from wfano.wps import (Family, UnknownSpecialMember, Weights,
 class TestBasics:
     def test_weights_validation(self):
         with pytest.raises(ValueError):
-            Weights((2, 1, 1, 1, 1))
+            Family((2, 1, 1, 1, 1))
         with pytest.raises(ValueError):
-            Weights((1, 3, 2, 4, 5))
-        with pytest.raises(ValueError):
-            Family(Weights((1, 1, 1, 1, 1)), 5)
+            Family((1, 3, 2, 4, 5))
 
     @pytest.mark.parametrize("w,expected", [
         ((1, 1, 1, 2), Fraction(5, 2)),     # No. 2
