@@ -11,9 +11,8 @@ from .census import (Census, EdgeContained, NonTerminal, QuotientSingularity,
                      edge_singularities, is_terminal_family, normalize_type,
                      try_normalize_type, vertex_singularity)
 from .exactmath import (NoEliminatingMonomial, OVERCUTOFF, Poly, Rat,
-                        TruncSeries, ZeroPolynomial,
-                        implicit_eliminate, parse_poly, series_order,
-                        weighted_monomials)
+                        ZeroPolynomial, implicit_eliminate, parse_poly,
+                        series_order, weighted_monomials)
 from .golden import GoldenData, GoldenRow, NoMatchingRow, UnknownVariantFlag
 from .rigidity import (Certificate, curve_status, involution_case,
                        k3_self_intersection, neg_definite,

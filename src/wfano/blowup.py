@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .census import QuotientSingularity
-from .exactmath import Poly, implicit_eliminate, series_order
+from .exactmath import Poly, series_order
 from .wps import Family, anticanonical_degree
 
 # The default series cutoff of `divisor_multiplicity`, in multiples of r.
@@ -163,12 +163,11 @@ def divisor_multiplicity(ctx: BlowupContext, g: Poly, member: Poly,
                          cutoff: Optional[int] = None):
     """Vanishing order m/r of g at the point, on the given member.
 
-    Eliminates the chart coordinate from the member equation to the given
-    cutoff (default DEFAULT_CUTOFF * r) and reads the order of g.  Returns
-    OVERCUTOFF when every term of g cancels below the cutoff.
+    Eliminates the chart coordinate from the member equation only as deep
+    as the first surviving degree of g, at most to the given cutoff
+    (default DEFAULT_CUTOFF * r).  Returns OVERCUTOFF when every term of g
+    cancels below the cutoff.
     """
-    vertex, eliminated, residues = vertex_chart(ctx)
     if cutoff is None:
         cutoff = DEFAULT_CUTOFF * ctx.r
-    series = implicit_eliminate(member, vertex, eliminated, residues, cutoff)
-    return series_order(g, vertex, eliminated, series, ctx.r)
+    return series_order(g, member, *vertex_chart(ctx), cutoff, ctx.r)

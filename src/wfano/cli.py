@@ -290,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="polynomial, e.g. 'y*z+x*t'")
     sp.add_argument("--variant", help="member variant, e.g. special")
     sp.add_argument("--cutoff", type=int,
-                    help=f"series cutoff, at most {MAX_CUTOFF}r "
+                    help=f"cap on the series depth; an order of cutoff/r "
+                         f"or more reports over-cutoff; at most {MAX_CUTOFF}r "
                          f"(default {DEFAULT_CUTOFF}r)")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for the generic member coefficients")

@@ -17,8 +17,11 @@ truncated power series in the three remaining local parameters, graded by
 their weight residues.  One degree-graded substitution serves elimination,
 vanishing orders and the re-substitution check: it builds the degree-D
 parts of the series and of its powers once each, from lower degrees only.
-Integral coefficients are kept as `int`, so a member whose eliminating
-monomial has coefficient 1 keeps every series coefficient an `int`.
+A vanishing order solves the member and reads the divisor in one pass,
+degree by degree, so the series is built only as deep as the first degree
+that survives; the cutoff only caps the work.  Integral coefficients are
+kept as `int`, so a member whose eliminating monomial has coefficient 1
+keeps every series coefficient an `int`.
 Orders of vanishing are exact rationals m/r; the integer grading is scaled
 by r internally and divided out only at the API boundary.
 """
@@ -26,10 +29,8 @@ by r internally and divided out only at the API boundary.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 Rat = Fraction
 
@@ -112,36 +113,19 @@ def parse_poly(text: str) -> Poly:
 # ------------------------------------------------------------------ series
 
 
-@dataclass(frozen=True)
-class TruncSeries:
-    """A truncated series in three local parameters with integer grading.
+class Series(NamedTuple):
+    """A solved series: `parts[D]` holds its terms of weighted degree D.
 
-    `weights` are the scaled local weights (weight residues in (0, r));
-    every stored term has weighted degree strictly below `cutoff` and a
-    nonzero coefficient.  Instances are immutable; `terms` must not be
-    mutated after construction.
+    `weights` are the scaled local weights (weight residues in (0, r)); the
+    cutoff is `len(parts)`, and `parts[0]` is empty.
     """
 
     weights: Exp3
-    cutoff: int
-    terms: Mapping[Exp3, Coeff]
+    parts: list[Part]
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
-        for exps, c in self.terms.items():
-            if c == 0:
-                raise ValueError("zero coefficient stored in series")
-            if self.degree_of(exps) >= self.cutoff:
-                raise ValueError("series term at or above cutoff")
-
-    def degree_of(self, exps: Exp3) -> int:
-        return sum(e * w for e, w in zip(exps, self.weights))
-
-    def order(self) -> int | None:
-        """Minimal weighted degree of a term, or None for the zero series."""
-        if not self.terms:
-            return None
-        return min(self.degree_of(e) for e in self.terms)
+    @property
+    def terms(self) -> dict[Exp3, Coeff]:
+        return {exps: c for part in self.parts for exps, c in part.items()}
 
 
 def _reduce_to_chart(support: Mapping[Exp5, Fraction], chart_vertex: int,
@@ -202,21 +186,9 @@ def _graded_substitute(reduced, weights: Exp3, cutoff: int,
                             for mono, ey, base in terms if base <= deg)
 
 
-def _resubstitute(f: Mapping[Exp5, Fraction], chart_vertex: int,
-                  eliminated: int, series: TruncSeries) -> Iterator[Part]:
-    """The degree parts of f on the chart with the series put in, in order."""
-    if (0, 0, 0) in series.terms:
-        raise ValueError("series has a constant term")
-    parts: list[Part] = [{} for _ in range(series.cutoff)]
-    for exps, c in series.terms.items():
-        parts[series.degree_of(exps)][exps] = c
-    return _graded_substitute(_reduce_to_chart(f, chart_vertex, eliminated),
-                              series.weights, series.cutoff, parts)
-
-
-def implicit_eliminate(support: Mapping[Exp5, Fraction], chart_vertex: int,
-                       eliminated: int, local_weights: Exp3,
-                       cutoff: int) -> TruncSeries:
+def _eliminate(support: Mapping[Exp5, Fraction], chart_vertex: int,
+               eliminated: int, weights: Exp3, cutoff: int,
+               parts: list[Part]) -> Iterator[None]:
     """Solve f = 0 in the chart x_vertex = 1 for the eliminated coordinate.
 
     The support must contain a monomial x_vertex^s * x_eliminated, which
@@ -227,12 +199,11 @@ def implicit_eliminate(support: Mapping[Exp5, Fraction], chart_vertex: int,
     integer coefficients and u = 1 (the normal form of `generic_member`)
     every coefficient of S is an `int`; otherwise they are `Fraction`s.
 
-    Returns the unique series s with f(..., 1, ..., s, ...) = 0 modulo
-    weighted degree `cutoff`.
+    For D = 0, 1, ..., cutoff - 1 appends S_D to `parts`, then yields, so a
+    caller can stop as soon as it has the degrees it needs.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    weights = tuple(local_weights)
     if len(weights) != 3 or any(w <= 0 for w in weights):
         raise ValueError("local_weights must be three positive integers")
     reduced = _reduce_to_chart(support, chart_vertex, eliminated)
@@ -247,34 +218,55 @@ def implicit_eliminate(support: Mapping[Exp5, Fraction], chart_vertex: int,
     unit = linear[0]
     rest = [(c, loc, ey) for c, loc, ey in reduced
             if not (loc == (0, 0, 0) and ey == 1)]
-
-    parts: list[Part] = []
     for defect in _graded_substitute(rest, weights, cutoff, parts):
         parts.append({exps: -c if unit == 1 else Fraction(-c, unit)
                       for exps, c in defect.items()})
-    return TruncSeries(weights, cutoff,
-                       {exps: c for part in parts for exps, c in part.items()})
+        yield
 
 
-def series_order(g: Mapping[Exp5, Fraction], chart_vertex: int,
-                 eliminated: int, elimination: TruncSeries, r: int):
-    """Vanishing order of g at the vertex: (min surviving degree)/r.
+def implicit_eliminate(support: Mapping[Exp5, Fraction], chart_vertex: int,
+                       eliminated: int, local_weights: Exp3,
+                       cutoff: int) -> Series:
+    """The unique series s with f(..., 1, ..., s, ...) = 0 modulo weighted
+    degree `cutoff`, solved to the full cutoff (see `_eliminate`)."""
+    weights = tuple(local_weights)
+    parts: list[Part] = []
+    for _ in _eliminate(support, chart_vertex, eliminated, weights, cutoff,
+                        parts):
+        pass
+    return Series(weights, parts)
 
-    Substitutes x_vertex = 1 and the eliminated coordinate by its series,
-    degree by degree, and stops at the first degree that survives.  Returns
-    OVERCUTOFF when every term cancels below the elimination cutoff.
+
+def series_order(g: Mapping[Exp5, Fraction], member: Mapping[Exp5, Fraction],
+                 chart_vertex: int, eliminated: int, local_weights: Exp3,
+                 cutoff: int, r: int):
+    """Vanishing order of g at the vertex of the member: (min surviving
+    degree)/r.
+
+    Solves the member for the eliminated coordinate and substitutes the
+    series into g in one pass: degree D of g needs the series only up to
+    degree D, so the series is built only as deep as the first degree of g
+    that survives.  Returns OVERCUTOFF when every term cancels below the
+    cutoff, which thereby caps the work.
     """
     if not g or all(c == 0 for c in g.values()):
         raise ZeroPolynomial("vanishing order of the zero polynomial")
-    for deg, part in enumerate(_resubstitute(g, chart_vertex, eliminated,
-                                             elimination)):
+    weights = tuple(local_weights)
+    parts: list[Part] = []
+    steps = zip(_eliminate(member, chart_vertex, eliminated, weights, cutoff,
+                           parts),
+                _graded_substitute(_reduce_to_chart(g, chart_vertex,
+                                                    eliminated),
+                                   weights, cutoff, parts))
+    for deg, (_, part) in enumerate(steps):
         if part:
             return Fraction(deg, r)
     return OVERCUTOFF
 
 
 def verify_elimination(support: Mapping[Exp5, Fraction], chart_vertex: int,
-                       eliminated: int, elimination: TruncSeries) -> bool:
+                       eliminated: int, series: Series) -> bool:
     """Re-substituting the series into f leaves nothing below the cutoff."""
-    return not any(_resubstitute(support, chart_vertex, eliminated,
-                                 elimination))
+    return not any(_graded_substitute(
+        _reduce_to_chart(support, chart_vertex, eliminated), series.weights,
+        len(series.parts), series.parts))

@@ -15,7 +15,7 @@ import csv
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -36,7 +36,7 @@ METHOD_SYMBOLS = {
 _GREEK = re.compile(r"(alpha|beta|lambda|mu)(_\w)?")
 
 
-@lru_cache(maxsize=None)
+@cache
 def parse_monomials(text: str) -> tuple[Exp5, ...]:
     """Monomials of one table polynomial, e.g. 'z-alpha_i y^2' -> z, y^2.
 
@@ -284,15 +284,10 @@ def load(path: Optional[Path] = None) -> GoldenData:
     return GoldenData(tuple(fams), tuple(rows), notes)
 
 
-_cached: Optional[GoldenData] = None
-
-
+@cache
 def data() -> GoldenData:
     """The packaged dataset, loaded once."""
-    global _cached
-    if _cached is None:
-        _cached = load()
-    return _cached
+    return load()
 
 
 # ------------------------------------------------------- variant matching
@@ -345,9 +340,6 @@ def default_assignment(dataset: GoldenData, no: int,
     for name in atoms:
         assignment[name] = "I" if name == "type" else "nonzero"
     for name, value in variant.items():
-        if name == "special":
-            assignment[name] = value
-            continue
         if name not in atoms:
             raise UnknownVariantFlag(
                 f"family {no} has no condition flag {name!r}; "

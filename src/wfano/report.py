@@ -9,7 +9,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .census import QuotientSingularity, census, canonical_type
-from .golden import GoldenData, METHOD_SYMBOLS, match_rows
+from .golden import (GoldenData, METHOD_SYMBOLS, default_assignment,
+                     match_rows)
 from .rigidity import (Certificate, certify_row, curve_status,
                        smooth_point_status)
 from .wps import COORDS, anticanonical_degree
@@ -33,6 +34,9 @@ def build_report(no: int, variant: Optional[dict[str, str]],
                  dataset: GoldenData) -> dict:
     """Assemble the per-family report as a JSON-stable ordered dict."""
     rec = dataset.family(no)
+    variant = variant or {}
+    # rejects an unknown flag also at a family with no singular point
+    default_assignment(dataset, no, variant)
     f = rec.family
     cens = census(f)
     sps = smooth_point_status(f)
@@ -52,7 +56,6 @@ def build_report(no: int, variant: Optional[dict[str, str]],
     }
     if not cens.entries:
         report["note"] = "no singular points"
-    variant = variant or {}
     for point in dataset.points_of(no):
         rows = match_rows(dataset, no, point, variant)
         for row in rows:

@@ -60,6 +60,11 @@ def test_n(ctx: BlowupContext, c: int, m: int, k: int) -> tuple[bool, Fraction, 
     return lhs <= rhs, lhs, rhs
 
 
+# the inequality of methods (b) and (n), and the name of its check
+_INEQUALITIES = {"B": (test_b, "boundary inequality"),
+                 "N": (test_n, "nef-divisor inequality")}
+
+
 def test_p(f: Family, point: str = "Ot") -> tuple[bool, Optional[int]]:
     """Two-ray-game test for method (p): 2 a4 = 3 a3 + a_i, i in {1, 2}.
 
@@ -375,12 +380,13 @@ def _certify_exclusion(f: Family, row: GoldenRow, ctx: BlowupContext,
 
     ks = s_class_ks(ctx)
     inputs["k"] = ks
-    if row.method == "B":
-        results = {k: test_b(ctx, c, m, k) for k in ks}
-        passed = results[max(ks)][0]
+    if row.method in _INEQUALITIES:
+        test, name = _INEQUALITIES[row.method]
+        results = {k: test(ctx, c, m, k) for k in ks}
         detail = "; ".join(f"k={k}: {r[1]} <= {r[2]}: {r[0]}"
                            for k, r in results.items())
-        checks.append(Check("boundary inequality", passed, detail))
+        checks.append(Check(name, results[max(ks)][0], detail))
+    if row.method == "B":
         checks.append(Check(
             "1-cycle structure", True,
             "proportionality of the intersection cycle components is "
@@ -390,12 +396,6 @@ def _certify_exclusion(f: Family, row: GoldenRow, ctx: BlowupContext,
                 "boundary precondition", True,
                 f"note: c >= m fails ({c} < {m}); the table applies the "
                 f"method with the stronger divisor anyway"))
-    elif row.method == "N":
-        results = {k: test_n(ctx, c, m, k) for k in ks}
-        passed = results[max(ks)][0]
-        detail = "; ".join(f"k={k}: {r[1]} <= {r[2]}: {r[0]}"
-                           for k, r in results.items())
-        checks.append(Check("nef-divisor inequality", passed, detail))
     elif row.method == "P":
         ok, i = test_p(f, row.point)
         detail = (f"2*{f.w[4]} = 3*{f.w[3]} + {f.w[i]}" if ok

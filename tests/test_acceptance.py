@@ -15,7 +15,7 @@ from wfano.blowup import (BlowupContext, b_cubed, divisor_multiplicity,
                           monomial_order, proper_transform_class, s_class_ks)
 from wfano.census import (canonical_type, census, edge_point_count,
                           vertex_singularity)
-from wfano.exactmath import OVERCUTOFF, implicit_eliminate, parse_poly, series_order
+from wfano.exactmath import OVERCUTOFF, parse_poly, series_order
 from wfano.golden import match_rows
 from wfano.rigidity import (certify_row, curve_status, smooth_point_status,
                             super_rigid_families)
@@ -214,8 +214,6 @@ def test_criterion_08_orbifold_multiplicity_oracle():
                                  (ctx50, generic_member(f50), "50 O_t")):
         sing_ = ctx_.singularity
         vertex = sing_.location[1]
-        series = implicit_eliminate(member_, vertex, sing_.eliminated,
-                                    sing_.residues, 4 * sing_.r)
         w5 = ctx_.family.w
         finite = 0
         for _ in range(1000):
@@ -228,7 +226,8 @@ def test_criterion_08_orbifold_multiplicity_oracle():
             if not g:
                 continue
             naive = min(monomial_order(e, w5, sing_.r) for e in g)
-            got = series_order(g, vertex, sing_.eliminated, series, sing_.r)
+            got = series_order(g, member_, vertex, sing_.eliminated,
+                               sing_.residues, 4 * sing_.r, sing_.r)
             if got is OVERCUTOFF:
                 continue
             finite += 1

@@ -247,6 +247,8 @@ class TestErrorBoundary:
         ("search", "0,1,2,3"),
         ("order", "7", "--point", "Oz", "--poly", "x", "--variant", "special"),
         ("order", "23", "--point", "Oz", "--poly", "x", "--variant", "zz=0"),
+        ("report", "23", "--variant", "special"),
+        ("report", "1", "--variant", "special"),
         ("report", "95", "--golden", "{missing}"),
         ("report", "95", "--golden", "{unknown_method}"),
         ("check-tables", "--family", "0"),
@@ -256,7 +258,9 @@ class TestErrorBoundary:
         ("enumerate", "--max-weight", "-3"),
         ("enumerate", "--max-weight", str(MAX_ENUMERATE_WEIGHT + 1)),
     ], ids=["search-not-int", "search-zero-weight", "order-no-special-member",
-            "order-variant-flag", "report-missing-golden",
+            "order-variant-flag", "report-variant-special",
+            "report-variant-special-no-points",
+            "report-missing-golden",
             "report-golden-unknown-method", "check-family-0",
             "check-family-96", "search-weight-over-bound",
             "enumerate-max-weight-0", "enumerate-max-weight-negative",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wfano
-from wfano.exactmath import (NoEliminatingMonomial, OVERCUTOFF, TruncSeries,
+from wfano.exactmath import (NoEliminatingMonomial, OVERCUTOFF,
                              ZeroPolynomial, implicit_eliminate, parse_poly,
                              series_order, verify_elimination,
                              weighted_monomials)
@@ -118,7 +118,7 @@ class TestImplicitEliminate:
                                chart_vertex=2, eliminated=1,
                                local_weights=(1, 1, 2), cutoff=8)
         assert s.terms == {}
-        assert s.order() is None
+        assert s.parts == [{}] * 8
 
     def test_hand_substitution(self):
         # z*w + x^2 = 0 in the chart z = 1 gives w = -x^2
@@ -129,7 +129,7 @@ class TestImplicitEliminate:
 
     def test_special_member_lowest_term(self):
         s = implicit_eliminate(SPECIAL_23, cutoff=6, **CHART_23)
-        assert s.order() == 2
+        assert s.parts[:2] == [{}, {}] and s.parts[2]
         # leading term is -x*t in the local parameters (x, t, w)
         assert s.terms[(1, 1, 0)] == Fraction(-1)
 
@@ -173,43 +173,92 @@ class TestImplicitEliminate:
         if sum(c for e, c in support.items()
                if (e[0], e[1], e[3], e[4]) == (0, 0, 0, 1)) == 0:
             return
+        cutoff = 10
         series = implicit_eliminate(support, chart_vertex=2, eliminated=4,
-                                    local_weights=weights, cutoff=10)
+                                    local_weights=weights, cutoff=cutoff)
         assert verify_elimination(support, 2, 4, series)
+        assert len(series.parts) == cutoff and series.parts[0] == {}
+        for deg, part in enumerate(series.parts):
+            for exps, c in part.items():
+                assert sum(e * w for e, w in zip(exps, weights)) == deg
+                assert c != 0
 
-    def test_single_minimal_monomial_is_exact(self, elim):
+        # the one-pass order agrees with substituting the solved series
+        g = {}
+        for _ in range(data.draw(st.integers(0, 4), label="g_terms")):
+            exps = tuple(data.draw(st.integers(0, 3)) for _ in range(5))
+            g[exps] = g.get(exps, 0) + data.draw(st.integers(-9, 9))
+        if data.draw(st.booleans(), label="g_plus_member"):
+            for exps, c in support.items():
+                g[exps] = g.get(exps, 0) + c
+        g = {e: Fraction(c) for e, c in g.items() if c} or dict(support)
+        expected = substituted_order(g, series, cutoff)
+        got = series_order(g, support, 2, 4, weights, cutoff, r=1)
+        if expected is None:
+            assert got is OVERCUTOFF
+        else:
+            assert got == expected
+        if got is not OVERCUTOFF:
+            assert series_order(g, support, 2, 4, weights, 2 * cutoff,
+                                r=1) == got
+
+    def test_single_minimal_monomial_is_exact(self):
         # a unique minimal-order monomial in the local parameters cannot
         # cancel, so the naive residue bound is attained
         g = parse_poly("x*t + w^2 + x^5")      # orders 2, 4, 5
-        assert series_order(g, 2, 1, elim, r=3) == Fraction(2, 3)
+        assert order_23(g) == Fraction(2, 3)
 
 
-@pytest.fixture(scope="module")
-def elim():
-    return implicit_eliminate(SPECIAL_23, cutoff=12, **CHART_23)
+def substituted_order(g, series, cutoff):
+    """First surviving degree of g on the chart z = 1 with w := series,
+    expanded by plain truncated products; None if nothing survives."""
+    def degree(exps):
+        return sum(e * w for e, w in zip(exps, series.weights))
+
+    def times(p, q):
+        out = {}
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                if degree(e) < cutoff:
+                    out[e] = out.get(e, 0) + c1 * c2
+        return out
+
+    total = {}
+    for (ex, ey, _ez, et, ew), c in g.items():
+        term = {(ex, ey, et): c} if degree((ex, ey, et)) < cutoff else {}
+        for _ in range(ew):
+            term = times(term, series.terms)
+        for e, v in term.items():
+            total[e] = total.get(e, 0) + v
+    return min((degree(e) for e, v in total.items() if v), default=None)
+
+
+def order_23(g, cutoff=12):
+    """Order of g at O_z of the special member of No. 23, r = 3."""
+    return series_order(g, SPECIAL_23, cutoff=cutoff, r=3, **CHART_23)
 
 
 class TestSeriesOrder:
 
-    def test_order_of_y(self, elim):
-        assert series_order(parse_poly("y"), 2, 1, elim, r=3) == Fraction(2, 3)
+    def test_order_of_y(self):
+        assert order_23(parse_poly("y")) == Fraction(2, 3)
 
-    def test_order_with_cancellation(self, elim):
-        got = series_order(parse_poly("y*z + x*t"), 2, 1, elim, r=3)
-        assert got == Fraction(5, 3)
+    def test_order_with_cancellation(self):
+        assert order_23(parse_poly("y*z + x*t")) == Fraction(5, 3)
 
-    def test_order_of_local_parameter(self, elim):
-        assert series_order(parse_poly("x"), 2, 1, elim, r=3) == Fraction(1, 3)
-        assert series_order(parse_poly("w"), 2, 1, elim, r=3) == Fraction(2, 3)
+    def test_order_of_local_parameter(self):
+        assert order_23(parse_poly("x")) == Fraction(1, 3)
+        assert order_23(parse_poly("w")) == Fraction(2, 3)
 
-    def test_member_itself_cancels(self, elim):
-        assert series_order(SPECIAL_23, 2, 1, elim, r=3) is OVERCUTOFF
+    def test_member_itself_cancels(self):
+        assert order_23(SPECIAL_23) is OVERCUTOFF
 
-    def test_zero_polynomial(self, elim):
+    def test_zero_polynomial(self):
         with pytest.raises(ZeroPolynomial):
-            series_order({}, 2, 1, elim, r=3)
+            order_23({})
 
-    def test_naive_lower_bound(self, elim):
+    def test_naive_lower_bound(self):
         import random
         rng = random.Random(7)
         residues = {0: 1, 1: 2, 3: 1, 4: 2}  # weights mod 3, z excluded
@@ -222,28 +271,9 @@ class TestSeriesOrder:
             g = {m: Fraction(rng.randint(1, 9)) for m in monos}
             naive = min(sum(e * residues.get(i, 0) for i, e in enumerate(m))
                         for m in monos)
-            got = series_order(g, 2, 1, elim, r=3)
+            got = order_23(g)
             if got is not OVERCUTOFF:
                 assert Fraction(naive, 3) <= got
-
-
-class TestTruncSeries:
-    def test_rejects_zero_coefficients(self):
-        with pytest.raises(ValueError):
-            TruncSeries((1, 1, 2), 5, {(1, 0, 0): Fraction(0)})
-
-    def test_rejects_terms_at_cutoff(self):
-        with pytest.raises(ValueError):
-            TruncSeries((1, 1, 2), 3, {(1, 1, 1): Fraction(1)})
-
-    @given(st.integers(min_value=1, max_value=5),
-           st.integers(min_value=1, max_value=5),
-           st.integers(min_value=1, max_value=5))
-    @settings(max_examples=30)
-    def test_order_matches_degree(self, w1, w2, w3):
-        s = TruncSeries((w1, w2, w3), w1 + w2 + w3 + 1,
-                        {(1, 1, 1): Fraction(2)})
-        assert s.order() == w1 + w2 + w3
 
 
 INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
