@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import golden, report as report_mod
@@ -244,7 +245,10 @@ def cmd_search(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    `main` call in the process; it depends on no input."""
     p = argparse.ArgumentParser(
         prog="wfano",
         description="Arithmetic certificate checker for the 95 weighted "

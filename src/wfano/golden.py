@@ -209,19 +209,42 @@ class GoldenData:
         return names
 
 
+# The columns `load` reads from each file.
+_COLUMNS = {
+    "families.tsv": ("no", "weights", "A3", "superrigid", "printed_weights"),
+    "golden_tables.tsv": ("no", "point", "count", "type_raw", "method", "b3",
+                          "linsys", "surface", "vanishing", "condition",
+                          "witness"),
+    "golden_notes.tsv": ("no", "point", "kind", "field", "printed",
+                         "corrected", "note"),
+}
+
+
 def _read_tsv(name: str, path: Optional[Path]):
     if path is not None:
         text = Path(path, name).read_text(encoding="utf-8")
     else:
         text = (resources.files("wfano") / "data" / name).read_text("utf-8")
-    return list(csv.DictReader(text.splitlines(), delimiter="\t"))
+    reader = csv.DictReader(text.splitlines(), delimiter="\t")
+    for column in _COLUMNS[name]:
+        if column not in (reader.fieldnames or ()):
+            raise ValueError(f"{name}: missing column {column!r}")
+    rows = []
+    for row in reader:
+        if None in row.values():  # DictReader's filler for a short row
+            raise ValueError(f"{name}: line {reader.line_num} has fewer "
+                             f"cells than the header")
+        rows.append(row)
+    return rows
 
 
 def load(path: Optional[Path] = None) -> GoldenData:
     """Load the golden dataset, applying documented corrections.
 
     `path` overrides the packaged data directory; it must contain
-    families.tsv, golden_tables.tsv and golden_notes.tsv.
+    families.tsv, golden_tables.tsv and golden_notes.tsv.  Malformed data,
+    including a row or note of a family that families.tsv does not list,
+    raises ValueError naming the file.
     """
     notes = tuple(Note(int(r["no"]), r["point"], r["kind"], r["field"],
                        r["printed"], r["corrected"], r["note"])
@@ -235,6 +258,10 @@ def load(path: Optional[Path] = None) -> GoldenData:
     fams = []
     for rec in _read_tsv("families.tsv", path):
         w = tuple(int(x) for x in rec["weights"].split(","))
+        if len(w) != 5 or w[0] != 1:
+            raise ValueError(f"families.tsv: column 'weights' of family "
+                             f"{rec['no']} reads {rec['weights']!r}, "
+                             f"expected 1,a1,a2,a3,a4")
         fam = Family.of(*w[1:], entry_no=int(rec["no"]))
         fams.append(FamilyRecord(
             family=fam, A3=Fraction(rec["A3"]),
@@ -242,10 +269,24 @@ def load(path: Optional[Path] = None) -> GoldenData:
             printed_weights=tuple(int(x) for x in
                                   rec["printed_weights"].split(","))))
     fams.sort(key=lambda fr: fr.family.entry_no)
+    # `GoldenData.family(no)` indexes by entry number, and a row or note of
+    # a family that is not listed would never be checked
+    if [fr.family.entry_no for fr in fams] != list(range(1, len(fams) + 1)):
+        raise ValueError(f"families.tsv: column 'no' must number the "
+                         f"families 1..{len(fams)}, each once")
+    for n in notes:
+        if not 1 <= n.no <= len(fams):
+            raise ValueError(f"golden_notes.tsv: the {n.kind} note at "
+                             f"No. {n.no} {n.point} names no family of "
+                             f"families.tsv")
 
     rows = []
     for rec in _read_tsv("golden_tables.tsv", path):
         no, point = int(rec["no"]), rec["point"]
+        if not 1 <= no <= len(fams):
+            raise ValueError(f"golden_tables.tsv: the row No. {no} {point} "
+                             f"[{rec['condition']}] names no family of "
+                             f"families.tsv")
         if rec["method"] not in METHOD_SYMBOLS:
             raise ValueError(f"unknown method {rec['method']!r} "
                              f"(family {no}, {point})")

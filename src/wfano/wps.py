@@ -240,7 +240,9 @@ def _eliminating_monomials(f: Family) -> dict[Exp5, tuple[int, int]]:
     return out
 
 
-def normal_form_support(f: Family) -> set[Exp5]:
+def normal_form_support(f: Family,
+                        kept: Optional[dict[Exp5, tuple[int, int]]] = None
+                        ) -> set[Exp5]:
     """Support of the general member after the standard linear normalizations.
 
     Starts from all degree-d monomials.  At each singular vertex O_i the
@@ -248,9 +250,11 @@ def normal_form_support(f: Family) -> set[Exp5]:
     absorbs, via the change x_e -> x_e + h with h of degree a_e free of
     x_e, every other monomial x_i^k * m with deg(m) = a_e; those are
     removed, so the series order of x_e at O_i is the one the certificate
-    tables read off.
+    tables read off.  `kept` is `_eliminating_monomials(f)`, computed here
+    when not given.
     """
-    kept = _eliminating_monomials(f)
+    if kept is None:
+        kept = _eliminating_monomials(f)
     # x_i^k | M means M = x_i^k * m with deg(m) = a_e; m = x_e only for the
     # eliminating monomial itself, which stays
     absorbed = [(i, unit[i]) for unit, (i, _e) in kept.items()]
@@ -267,7 +271,7 @@ def generic_member(f: Family, seed: int = 0) -> Poly:
     units = _eliminating_monomials(f)
     rng = random.Random((f.d, f.w, seed).__repr__())
     return {exps: Fraction(1 if exps in units else rng.randint(1, 10**6))
-            for exps in sorted(normal_form_support(f))}
+            for exps in sorted(normal_form_support(f, units))}
 
 
 def special_member(f: Family, name: str) -> Poly:

@@ -3,13 +3,19 @@
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wfano
+from wfano import cli
 from wfano.cli import MAX_ENUMERATE_WEIGHT, main
 
 
@@ -17,6 +23,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of `main(argv)`, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_in_fresh_process(argv, code="import sys; from wfano.cli import main; "
+                                     "sys.exit(main(sys.argv[1:]))"):
+    """(exit code, stdout, stderr) of `code` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(wfano.__file__).parents[1]),
+               COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def golden_copy(tmp_path):
@@ -43,6 +70,51 @@ def golden_with_cell(tmp_path, no, point, column, old, new):
         raise AssertionError(f"no row {no} {point} with {column} {old!r}")
     path.write_text("\n".join(lines) + "\n")
     return tmp_path
+
+
+def golden_edited(tmp_path, name, edit):
+    """A `--golden` copy whose file `name` holds `edit(text)`."""
+    path = golden_copy(tmp_path) / name
+    text = path.read_text()
+    edited = edit(text)
+    assert edited != text, f"the edit left {name} unchanged"
+    path.write_text(edited)
+    return tmp_path
+
+
+NOTE_96 = "96\tOz\tcertificate_defect\tinequality\t-\t-\tnot a family\n"
+# Malformed `--golden` directories, each with the start of its message.
+BAD_GOLDEN = {
+    "unknown_method": (
+        lambda p: golden_with_cell(p, 95, "Oy", "method", "B", "Q"),
+        "unknown method 'Q'"),
+    "no_A3_column": (
+        lambda p: golden_edited(p, "families.tsv",
+                                lambda t: t.replace("\tA3\t", "\tA_3\t", 1)),
+        "families.tsv: missing column 'A3'"),
+    "short_weights": (
+        lambda p: golden_edited(p, "families.tsv",
+                                lambda t: t.replace("\n2\t5\t1,1,1,1,2\t",
+                                                    "\n2\t5\t1,1,1\t", 1)),
+        "families.tsv: column 'weights' of family 2"),
+    "short_row": (
+        lambda p: golden_edited(p, "families.tsv",
+                                lambda t: t.replace("\t5/2\t0\t", "\t", 1)),
+        "families.tsv: line 3 has fewer cells than the header"),
+    "family_numbers_gap": (
+        lambda p: golden_edited(p, "families.tsv",
+                                lambda t: t.replace("\n95\t", "\n97\t", 1)),
+        "families.tsv: column 'no' must number the families 1..95"),
+    # a copy of the last row (No. 95) renumbered 96
+    "orphan_row": (
+        lambda p: golden_edited(
+            p, "golden_tables.tsv",
+            lambda t: t + "96" + t.splitlines()[-1][len("95"):] + "\n"),
+        "golden_tables.tsv: the row No. 96 OzOt"),
+    "orphan_note": (
+        lambda p: golden_edited(p, "golden_notes.tsv", lambda t: t + NOTE_96),
+        "golden_notes.tsv: the certificate_defect note at No. 96 Oz"),
+}
 
 
 class TestEnumerate:
@@ -251,6 +323,12 @@ class TestErrorBoundary:
         ("report", "1", "--variant", "special"),
         ("report", "95", "--golden", "{missing}"),
         ("report", "95", "--golden", "{unknown_method}"),
+        ("report", "95", "--golden", "{no_A3_column}"),
+        ("report", "95", "--golden", "{short_weights}"),
+        ("report", "95", "--golden", "{short_row}"),
+        ("check-tables", "--golden", "{orphan_row}"),
+        ("check-tables", "--golden", "{orphan_note}"),
+        ("check-tables", "--golden", "{family_numbers_gap}"),
         ("check-tables", "--family", "0"),
         ("check-tables", "--family", "96"),
         ("search", "1,1,1,1000001"),
@@ -261,19 +339,34 @@ class TestErrorBoundary:
             "order-variant-flag", "report-variant-special",
             "report-variant-special-no-points",
             "report-missing-golden",
-            "report-golden-unknown-method", "check-family-0",
+            "report-golden-unknown-method", "report-golden-no-A3-column",
+            "report-golden-short-weights", "report-golden-short-row",
+            "check-golden-orphan-row",
+            "check-golden-orphan-note", "check-golden-family-numbers-gap",
+            "check-family-0",
             "check-family-96", "search-weight-over-bound",
             "enumerate-max-weight-0", "enumerate-max-weight-negative",
             "enumerate-max-weight-over-bound"])
     def test_usage_error_exits_2_in_one_line(self, capsys, tmp_path, argv):
-        if "{unknown_method}" in argv:
-            golden_with_cell(tmp_path, 95, "Oy", "method", "B", "Q")
-        argv = [a.format(missing=tmp_path / "missing", unknown_method=tmp_path)
+        for name, (make, _message) in BAD_GOLDEN.items():
+            if f"{{{name}}}" in argv:
+                make(tmp_path)
+        argv = [a.format(missing=tmp_path / "missing",
+                         **dict.fromkeys(BAD_GOLDEN, tmp_path))
                 for a in argv]
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", sorted(BAD_GOLDEN))
+    def test_bad_golden_data_is_named(self, capsys, tmp_path, name):
+        make, message = BAD_GOLDEN[name]
+        make(tmp_path)
+        code, out, err = run(capsys, "check-tables", "--golden", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot load --golden: {message}")
 
     def test_non_terminal_golden_family_is_a_mismatch(self, tmp_path, capsys):
         path = golden_copy(tmp_path) / "families.tsv"
@@ -285,6 +378,32 @@ class TestErrorBoundary:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestParserReuse:
+    def test_parser_is_built_once_and_lazily(self):
+        assert cli.build_parser() is cli.build_parser()
+        code, out, _ = run_in_fresh_process(
+            [], "import wfano.cli as c; print(c.build_parser.cache_info())")
+        assert code == 0 and "currsize=0" in out
+
+    def test_calls_in_one_process_match_fresh_processes(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage
+        sequence = [
+            ["report", "23", "--json"],
+            ["report", "23", "--no-such-flag"],   # argparse exits 2
+            ["check-tables", "--family", "0"],    # usage error, exit 2
+            ["order", "5", "--point", "Ow", "--poly", "z"],
+            ["report", "23", "--json"],
+        ]
+        results = [run_in_process(argv) for argv in sequence]
+        assert [code for code, _out, _err in results] == [0, 2, 2, 0, 0]
+        assert results[1][2].endswith(
+            "error: unrecognized arguments: --no-such-flag\n")
+        assert results[3][1] == "4/3\n"
+        assert results[0] == results[4]
+        for argv, got in zip(sequence[:4], results):
+            assert got == run_in_fresh_process(argv), argv
 
 
 JUNK = st.text("0123456789,-x", max_size=8)

@@ -99,17 +99,18 @@ class TestNegDefinite:
     @given(st.lists(st.integers(min_value=-9, max_value=9),
                     min_size=6, max_size=6))
     @settings(max_examples=100)
-    def test_float_eigenvalue_oracle(self, entries):
+    def test_characteristic_polynomial_oracle(self, entries):
         a, b, c, d, e, f = entries
         m = [[Fraction(a), Fraction(b), Fraction(c)],
              [Fraction(b), Fraction(d), Fraction(e)],
              [Fraction(c), Fraction(e), Fraction(f)]]
-        got = neg_definite(m)
-        # numeric cross-check on clearly non-degenerate matrices
-        import numpy as np
-        eig = np.linalg.eigvalsh(np.array(m, dtype=float))
-        if max(abs(x) for x in eig) > 0 and min(abs(x) for x in eig) > 1e-9:
-            assert got == bool(eig.max() < 0)
+        # det(lambda*I - M) = lambda^3 - tr*lambda^2 + minors*lambda - det
+        # has real roots, and they are all negative exactly when every
+        # coefficient is positive; singular matrices are included
+        trace = a + d + f
+        minors = (a * d - b * b) + (a * f - c * c) + (d * f - e * e)
+        det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+        assert neg_definite(m) == (-trace > 0 and minors > 0 and -det > 0)
 
 
 class TestK3SelfIntersection:
