@@ -3,9 +3,13 @@
 Every quantity in the engine is an integer or a `fractions.Fraction`; no
 floating point is used anywhere.  Polynomials in the five ambient
 coordinates x, y, z, t, w are sparse dictionaries mapping exponent tuples
-to rational coefficients:
+to exact coefficients:
 
-    Poly = dict[Exp5, Fraction]      Exp5 = (ex, ey, ez, et, ew)
+    Poly = dict[Exp5, int | Fraction]      Exp5 = (ex, ey, ez, et, ew)
+
+The members that orders are computed on carry `int` coefficients;
+`Fraction` enters only through `parse_poly` or a non-unit eliminating
+coefficient.
 
 The zero polynomial is the empty dict.  Weighted degree of a monomial is
 computed against a 5-vector of positive integer weights whose first entry
@@ -20,8 +24,8 @@ parts of the series and of its powers once each, from lower degrees only.
 A vanishing order solves the member and reads the divisor in one pass,
 degree by degree, so the series is built only as deep as the first degree
 that survives; the cutoff only caps the work.  Integral coefficients are
-kept as `int`, so a member whose eliminating monomial has coefficient 1
-keeps every series coefficient an `int`.
+kept as `int`, so an integer member whose eliminating monomial has
+coefficient 1 keeps every series coefficient an `int`.
 Orders of vanishing are exact rationals m/r; the integer grading is scaled
 by r internally and divided out only at the API boundary.
 """
@@ -29,15 +33,17 @@ by r internally and divided out only at the API boundary.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 Rat = Fraction
 
 Exp5 = tuple[int, int, int, int, int]
 Exp3 = tuple[int, int, int]
-Poly = dict[Exp5, Fraction]
 Coeff = int | Fraction
+Poly = dict[Exp5, Coeff]  # members: int; parse_poly: Fraction
 Part = dict[Exp3, Coeff]  # the terms of one weighted degree of a series
 
 COORDS = ("x", "y", "z", "t", "w")
@@ -128,20 +134,21 @@ class Series(NamedTuple):
         return {exps: c for part in self.parts for exps, c in part.items()}
 
 
-def _reduce_to_chart(support: Mapping[Exp5, Fraction], chart_vertex: int,
+def _reduce_to_chart(support: Mapping[Exp5, Coeff], chart_vertex: int,
                      eliminated: int) -> list[tuple[Coeff, Exp3, int]]:
     """Set the chart coordinate to 1: (coefficient, local exponents, y-degree).
 
     Integral coefficients come back as `int`, so that a member with integer
-    coefficients keeps the whole series computation on `int`.
+    coefficients keeps the whole series computation on `int`.  Two
+    monomials of a non-homogeneous polynomial can meet at one chart key,
+    so the coefficients there are summed.
     """
-    locals_ = [i for i in range(5) if i not in (chart_vertex, eliminated)]
+    l0, l1, l2 = [i for i in range(5) if i not in (chart_vertex, eliminated)]
     reduced: dict[tuple[Exp3, int], Coeff] = {}
     for exps, c in support.items():
-        loc = (exps[locals_[0]], exps[locals_[1]], exps[locals_[2]])
-        key = (loc, exps[eliminated])
+        key = ((exps[l0], exps[l1], exps[l2]), exps[eliminated])
         reduced[key] = reduced.get(key, 0) + c
-    return [(int(c) if c.denominator == 1 else c, loc, ey)
+    return [(c.numerator if c.denominator == 1 else c, loc, ey)
             for (loc, ey), c in reduced.items() if c]
 
 
@@ -169,24 +176,30 @@ def _graded_substitute(reduced, weights: Exp3, cutoff: int,
     `reduced` and appends parts[D] after degree D is yielded.  S^k has no
     part below degree k, as every local weight is at least 1, so a term
     whose local degree plus Y-degree reaches the cutoff is dropped and the
-    work does not grow with large exponents of Y.
+    work does not grow with large exponents of Y.  The other terms are
+    sorted by local degree once, so degree D reads only the prefix of
+    terms whose local degree is at most D.
     """
-    terms = [({loc: c}, ey, sum(e * w for e, w in zip(loc, weights)))
-             for c, loc, ey in reduced]
-    terms = [(mono, ey, base) for mono, ey, base in terms
-             if base + ey < cutoff]
-    max_ey = max((ey for _mono, ey, _base in terms), default=0)
+    w0, w1, w2 = weights
+    terms = [(l0 * w0 + l1 * w1 + l2 * w2, ey, {(l0, l1, l2): c})
+             for c, (l0, l1, l2), ey in reduced]
+    terms = sorted((term for term in terms if term[0] + term[1] < cutoff),
+                   key=itemgetter(0))
+    bases = [base for base, _ey, _mono in terms]
+    max_ey = max((ey for _base, ey, _mono in terms), default=0)
     powers = [[{(0, 0, 0): 1}] + [{}] * (cutoff - 1), parts]
     powers += [[] for _ in range(2, max_ey + 1)]
     for deg in range(cutoff):
         for k in range(2, max_ey + 1):
+            lower = powers[k - 1]
             powers[k].append(_sum_products(
-                (parts[j], powers[k - 1][deg - j]) for j in range(1, deg)))
-        yield _sum_products((mono, powers[ey][deg - base])
-                            for mono, ey, base in terms if base <= deg)
+                (parts[j], lower[deg - j]) for j in range(1, deg)
+                if parts[j] and lower[deg - j]))
+        yield _sum_products((mono, powers[ey][deg - base]) for base, ey, mono
+                            in terms[:bisect_right(bases, deg)])
 
 
-def _eliminate(support: Mapping[Exp5, Fraction], chart_vertex: int,
+def _eliminate(support: Mapping[Exp5, Coeff], chart_vertex: int,
                eliminated: int, weights: Exp3, cutoff: int,
                parts: list[Part]) -> Iterator[None]:
     """Solve f = 0 in the chart x_vertex = 1 for the eliminated coordinate.
@@ -224,7 +237,7 @@ def _eliminate(support: Mapping[Exp5, Fraction], chart_vertex: int,
         yield
 
 
-def implicit_eliminate(support: Mapping[Exp5, Fraction], chart_vertex: int,
+def implicit_eliminate(support: Mapping[Exp5, Coeff], chart_vertex: int,
                        eliminated: int, local_weights: Exp3,
                        cutoff: int) -> Series:
     """The unique series s with f(..., 1, ..., s, ...) = 0 modulo weighted
@@ -237,7 +250,7 @@ def implicit_eliminate(support: Mapping[Exp5, Fraction], chart_vertex: int,
     return Series(weights, parts)
 
 
-def series_order(g: Mapping[Exp5, Fraction], member: Mapping[Exp5, Fraction],
+def series_order(g: Mapping[Exp5, Coeff], member: Mapping[Exp5, Coeff],
                  chart_vertex: int, eliminated: int, local_weights: Exp3,
                  cutoff: int, r: int):
     """Vanishing order of g at the vertex of the member: (min surviving
@@ -264,7 +277,7 @@ def series_order(g: Mapping[Exp5, Fraction], member: Mapping[Exp5, Fraction],
     return OVERCUTOFF
 
 
-def verify_elimination(support: Mapping[Exp5, Fraction], chart_vertex: int,
+def verify_elimination(support: Mapping[Exp5, Coeff], chart_vertex: int,
                        eliminated: int, series: Series) -> bool:
     """Re-substituting the series into f leaves nothing below the cutoff."""
     return not any(_graded_substitute(

@@ -15,7 +15,7 @@ import csv
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -186,20 +186,25 @@ class GoldenData:
     rows: tuple[GoldenRow, ...]
     notes: tuple[Note, ...]
 
+    @cached_property
+    def _by_family(self) -> dict[int, list[GoldenRow]]:
+        """Family number -> its rows, in the order of `rows`."""
+        by_family: dict[int, list[GoldenRow]] = {}
+        for r in self.rows:
+            by_family.setdefault(r.family_no, []).append(r)
+        return by_family
+
     def family(self, no: int) -> FamilyRecord:
         return self.families[no - 1]
 
     def rows_for(self, no: int, point: Optional[str] = None
                  ) -> list[GoldenRow]:
-        return [r for r in self.rows
-                if r.family_no == no and (point is None or r.point == point)]
+        return [r for r in self._by_family.get(no, ())
+                if point is None or r.point == point]
 
     def points_of(self, no: int) -> list[str]:
-        seen: list[str] = []
-        for r in self.rows:
-            if r.family_no == no and r.point not in seen:
-                seen.append(r.point)
-        return seen
+        return list(dict.fromkeys(r.point
+                                  for r in self._by_family.get(no, ())))
 
     def atoms_for(self, no: int, point: Optional[str] = None
                   ) -> set[str]:
@@ -208,6 +213,9 @@ class GoldenData:
             names.update(name for name, _v in r.condition)
         return names
 
+
+# The note kinds that `load` applies to the rows at the note's point.
+_ROW_NOTES = ("type_typo", "surface_typo", "certificate_defect")
 
 # The columns `load` reads from each file.
 _COLUMNS = {
@@ -244,7 +252,8 @@ def load(path: Optional[Path] = None) -> GoldenData:
     `path` overrides the packaged data directory; it must contain
     families.tsv, golden_tables.tsv and golden_notes.tsv.  Malformed data,
     including a row or note of a family that families.tsv does not list,
-    raises ValueError naming the file.
+    or a correction or defect note at a point with no row, raises
+    ValueError naming the file.
     """
     notes = tuple(Note(int(r["no"]), r["point"], r["kind"], r["field"],
                        r["printed"], r["corrected"], r["note"])
@@ -322,6 +331,14 @@ def load(path: Optional[Path] = None) -> GoldenData:
             # that reads another method is not the documented one
             defect=(defects.get((no, point)) if rec["method"] == "N"
                     else None)))
+    # a note at a point with no row would be reported as documented while
+    # it corrects or excuses nothing
+    row_points = {(row.family_no, row.point) for row in rows}
+    for n in notes:
+        if n.kind in _ROW_NOTES and (n.no, n.point) not in row_points:
+            raise ValueError(f"golden_notes.tsv: the {n.kind} note at "
+                             f"No. {n.no} {n.point} has no row of "
+                             f"golden_tables.tsv at that point")
     return GoldenData(tuple(fams), tuple(rows), notes)
 
 

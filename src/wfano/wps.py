@@ -265,12 +265,15 @@ def normal_form_support(f: Family,
 def generic_member(f: Family, seed: int = 0) -> Poly:
     """A deterministic pseudo-random member on the normal-form support.
 
-    Each eliminating monomial x_i^k * x_e has coefficient 1, so the series
-    solved from it at O_i has integer coefficients.
+    Every coefficient is an `int`.  Each eliminating monomial x_i^k * x_e
+    has coefficient 1, so the series solved from it at O_i has integer
+    coefficients.  Every other monomial, in sorted order, draws
+    `getrandbits(20) + 1`, uniform in [1, 2^20], from a
+    `random.Random` seeded with the family and `seed`.
     """
     units = _eliminating_monomials(f)
-    rng = random.Random((f.d, f.w, seed).__repr__())
-    return {exps: Fraction(1 if exps in units else rng.randint(1, 10**6))
+    draw = random.Random((f.d, f.w, seed).__repr__()).getrandbits
+    return {exps: 1 if exps in units else draw(20) + 1
             for exps in sorted(normal_form_support(f, units))}
 
 

@@ -10,8 +10,10 @@ from wfano.blowup import (B, BlowupContext, E, NonIntegral, YClass, b_cubed,
                           divisor_multiplicity, monomial_order,
                           proper_transform_class, s_class, s_class_ks, triple,
                           vertex_chart)
-from wfano.census import edge_singularities, vertex_singularity
-from wfano.exactmath import (OVERCUTOFF, implicit_eliminate, parse_poly,
+from wfano.census import census, edge_singularities, vertex_singularity
+from wfano.exactmath import (COORDS, OVERCUTOFF, _graded_substitute,
+                             _reduce_to_chart, _sum_products,
+                             implicit_eliminate, parse_poly,
                              verify_elimination)
 from wfano.wps import generic_member, special_member
 
@@ -28,6 +30,24 @@ def vertex_ctx(no, i, eliminated=None):
 def edge_ctx(no, i, j):
     f = fam(no)
     return BlowupContext(f, edge_singularities(f, i, j))
+
+
+def scan_every_term(reduced, weights, cutoff, parts):
+    """`_graded_substitute` as a plain loop: every term is tested at every
+    degree, and every pair of parts is multiplied, empty or not."""
+    terms = [({loc: c}, ey, sum(e * w for e, w in zip(loc, weights)))
+             for c, loc, ey in reduced]
+    terms = [(mono, ey, base) for mono, ey, base in terms
+             if base + ey < cutoff]
+    max_ey = max((ey for _mono, ey, _base in terms), default=0)
+    powers = [[{(0, 0, 0): 1}] + [{}] * (cutoff - 1), parts]
+    powers += [[] for _ in range(2, max_ey + 1)]
+    for deg in range(cutoff):
+        for k in range(2, max_ey + 1):
+            powers[k].append(_sum_products(
+                (parts[j], powers[k - 1][deg - j]) for j in range(1, deg)))
+        yield _sum_products((mono, powers[ey][deg - base])
+                            for mono, ey, base in terms if base <= deg)
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -165,6 +185,49 @@ class TestDivisorMultiplicity:
         member = generic_member(fam(50))
         series = implicit_eliminate(member, vertex, eliminated, residues, 56)
         assert verify_elimination(member, vertex, eliminated, series)
+
+    def test_eliminated_order_is_the_same_at_three_seeds(self):
+        # at every eliminated vertex point the order of x_e is a property
+        # of the family, not of the pseudo-random coefficients
+        points = 0
+        for rec in golden.data().families:
+            f = rec.family
+            for sing in census(f).entries:
+                if sing.eliminated is None:
+                    continue
+                ctx = BlowupContext(f, sing)
+                x_e = {tuple(int(j == sing.eliminated) for j in range(5)): 1}
+                orders = {divisor_multiplicity(ctx, x_e, generic_member(f, s))
+                          for s in (0, 1, 2)}
+                assert len(orders) == 1 and OVERCUTOFF not in orders, (
+                    f, sing, orders)
+                points += 1
+        assert points == 139
+
+    @pytest.mark.parametrize("no,point", [
+        (50, "Ot"), (23, "Oz"), (73, "Ot"), (93, "Oz")])
+    def test_sorted_terms_substitute_as_the_full_scan(self, no, point):
+        ctx = vertex_ctx(no, COORDS.index(point[1]))
+        vertex, eliminated, residues = vertex_chart(ctx)
+        member = generic_member(fam(no))
+        wrapped = {exps: Fraction(c) for exps, c in member.items()}
+        cutoff = 4 * ctx.r
+        series = implicit_eliminate(member, vertex, eliminated, residues,
+                                    cutoff)
+        assert series.terms
+        assert implicit_eliminate(wrapped, vertex, eliminated, residues,
+                                  cutoff).parts == series.parts
+        assert verify_elimination(member, vertex, eliminated, series)
+        assert verify_elimination(wrapped, vertex, eliminated, series)
+        # f = Y + rest with rest(S) = -S, so the parts compared are nonzero
+        rest = [(c, loc, ey) for c, loc, ey
+                in _reduce_to_chart(member, vertex, eliminated)
+                if (loc, ey) != ((0, 0, 0), 1)]
+        got = list(_graded_substitute(rest, residues, cutoff, series.parts))
+        assert got == list(scan_every_term(rest, residues, cutoff,
+                                           series.parts))
+        assert got == [{e: -c for e, c in part.items()}
+                       for part in series.parts]
 
     def test_series_route_agrees_with_residue_route(self):
         """Dual-route check over all generic vertex rows.

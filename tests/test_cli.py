@@ -83,6 +83,7 @@ def golden_edited(tmp_path, name, edit):
 
 
 NOTE_96 = "96\tOz\tcertificate_defect\tinequality\t-\t-\tnot a family\n"
+NOTE_95_OX = "95\tOx\tcertificate_defect\tinequality\t-\t-\tnot a point\n"
 # Malformed `--golden` directories, each with the start of its message.
 BAD_GOLDEN = {
     "unknown_method": (
@@ -114,6 +115,22 @@ BAD_GOLDEN = {
     "orphan_note": (
         lambda p: golden_edited(p, "golden_notes.tsv", lambda t: t + NOTE_96),
         "golden_notes.tsv: the certificate_defect note at No. 96 Oz"),
+    # notes at a point of a listed family that has no row there
+    "orphan_point_note": (
+        lambda p: golden_edited(p, "golden_notes.tsv",
+                                lambda t: t + NOTE_95_OX),
+        "golden_notes.tsv: the certificate_defect note at No. 95 Ox has no "
+        "row of golden_tables.tsv"),
+    "orphan_type_note": (
+        lambda p: golden_edited(p, "golden_notes.tsv",
+                                lambda t: t.replace("\n35\tOzOw\t",
+                                                    "\n35\tOxOw\t")),
+        "golden_notes.tsv: the type_typo note at No. 35 OxOw has no row"),
+    "orphan_surface_note": (
+        lambda p: golden_edited(p, "golden_notes.tsv",
+                                lambda t: t.replace("\n40\tOz\tsurface_typo",
+                                                    "\n40\tOx\tsurface_typo")),
+        "golden_notes.tsv: the surface_typo note at No. 40 Ox has no row"),
 }
 
 
@@ -328,6 +345,7 @@ class TestErrorBoundary:
         ("report", "95", "--golden", "{short_row}"),
         ("check-tables", "--golden", "{orphan_row}"),
         ("check-tables", "--golden", "{orphan_note}"),
+        ("check-tables", "--golden", "{orphan_point_note}"),
         ("check-tables", "--golden", "{family_numbers_gap}"),
         ("check-tables", "--family", "0"),
         ("check-tables", "--family", "96"),
@@ -342,7 +360,8 @@ class TestErrorBoundary:
             "report-golden-unknown-method", "report-golden-no-A3-column",
             "report-golden-short-weights", "report-golden-short-row",
             "check-golden-orphan-row",
-            "check-golden-orphan-note", "check-golden-family-numbers-gap",
+            "check-golden-orphan-note", "check-golden-orphan-point-note",
+            "check-golden-family-numbers-gap",
             "check-family-0",
             "check-family-96", "search-weight-over-bound",
             "enumerate-max-weight-0", "enumerate-max-weight-negative",

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from wfano import golden
 from wfano.census import (is_terminal_family, vertex_conditions_hold,
                           vertex_singularity)
-from wfano.exactmath import weighted_monomials
+from wfano.exactmath import _reduce_to_chart, weighted_monomials
 from wfano.wps import (Family, UnknownSpecialMember, _semigroup_mask,
                        a4_candidates, anticanonical_degree,
                        admits_member_with_stratum, divisor_table,
@@ -201,6 +201,26 @@ class TestMembers:
         f = golden.data().family(23).family
         assert generic_member(f) == generic_member(f)
         assert generic_member(f, seed=1) != generic_member(f, seed=2)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_generic_member_is_integral(self, seed):
+        # int coefficients in [1, 2^20], and on every eliminated vertex
+        # chart the reduced member stays on int
+        charts = 0
+        for rec in golden.data().families:
+            f = rec.family
+            member = generic_member(f, seed)
+            assert all(type(c) is int and 1 <= c <= 2**20
+                       for c in member.values()), f
+            for i in range(1, 5):
+                sing = vertex_singularity(f, i)
+                if sing is None:
+                    continue
+                reduced = _reduce_to_chart(member, i, sing.eliminated)
+                assert reduced and all(type(c) is int and c
+                                       for c, _loc, _ey in reduced), (f, i)
+                charts += 1
+        assert charts == 139
 
     def test_special_member_support(self):
         f = golden.data().family(23).family
