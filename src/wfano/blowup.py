@@ -36,13 +36,6 @@ class YClass:
     def of(cls, beta_B, beta_E=0) -> "YClass":
         return cls(Fraction(beta_B), Fraction(beta_E))
 
-    def __add__(self, other: "YClass") -> "YClass":
-        return YClass(self.beta_B + other.beta_B, self.beta_E + other.beta_E)
-
-    def __rmul__(self, scalar) -> "YClass":
-        return YClass(Fraction(scalar) * self.beta_B,
-                      Fraction(scalar) * self.beta_E)
-
     def ae_coords(self, r: int) -> tuple[Fraction, Fraction]:
         """Coordinates (alpha_A, alpha_E) in the {A, E} basis."""
         return self.beta_B, self.beta_E - self.beta_B / r
@@ -86,10 +79,6 @@ class BlowupContext:
     @property
     def E3(self) -> Fraction:
         return Fraction(self.r * self.r, self.a * self.b)
-
-    def A(self) -> YClass:
-        """Pull-back of -K_X: A = B + (1/r)E."""
-        return YClass.of(1, Fraction(1, self.r))
 
 
 def triple(ctx: BlowupContext, c1: YClass, c2: YClass, c3: YClass) -> Fraction:

@@ -18,6 +18,14 @@ from .exactmath import NoEliminatingMonomial
 from .wps import COORDS, Family
 
 
+# The 4 vertices and 6 edges that carry quotient points, by name, as
+# `QuotientSingularity.point_id` writes them: "Oz" -> ("vertex", 2),
+# "OzOt" -> ("edge", 2, 3).
+LOCATIONS = {"O" + COORDS[i]: ("vertex", i) for i in range(1, 5)}
+LOCATIONS.update(("O" + COORDS[i] + "O" + COORDS[j], ("edge", i, j))
+                 for i in range(1, 5) for j in range(i + 1, 5))
+
+
 class NonTerminal(ValueError):
     """A quotient type that cannot be normalized to 1/r(1, a, r-a)."""
 
@@ -83,11 +91,6 @@ class QuotientSingularity:
 
     def point_id(self) -> str:
         return "".join("O" + COORDS[i] for i in self.location[1:])
-
-    def type_str(self) -> str:
-        inner = ",".join(f"{res}_{COORDS[i]}"
-                         for res, i in zip(self.residues, self.local_params))
-        return f"1/{self.r}({inner})"
 
     def __str__(self):
         mult = f"{self.count}x" if self.count > 1 else ""

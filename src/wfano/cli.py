@@ -14,11 +14,12 @@ from pathlib import Path
 from . import golden, report as report_mod
 from .blowup import DEFAULT_CUTOFF, BlowupContext, divisor_multiplicity
 from .census import census as compute_census
-from .census import (EdgeContained, NonTerminal, is_terminal_family,
-                     vertex_elimination_candidates, vertex_singularity)
+from .census import (LOCATIONS, EdgeContained, NonTerminal,
+                     is_terminal_family, vertex_elimination_candidates,
+                     vertex_singularity)
 from .exactmath import NoEliminatingMonomial, OVERCUTOFF, parse_poly
 from .golden import NoMatchingRow, UnknownVariantFlag, parse_variant
-from .wps import (COORDS, Family, UnknownSpecialMember, anticanonical_degree,
+from .wps import (Family, UnknownSpecialMember, anticanonical_degree,
                   eliminating_monomial, enumerate_families,
                   general_quasismooth, generic_member, is_wellformed,
                   special_member)
@@ -187,7 +188,8 @@ def cmd_order(args) -> int:
         raise UsageError(f"order takes no --variant but special, "
                          f"got {args.variant!r}")
     point = args.point
-    if not (len(point) == 2 and point[0] == "O" and point[1] in "yztw"):
+    location = LOCATIONS.get(point)
+    if location is None or location[0] != "vertex":
         raise UsageError("--point must be one of Oy, Oz, Ot, Ow")
     try:
         g = parse_poly(args.poly)
@@ -196,7 +198,7 @@ def cmd_order(args) -> int:
     if not g:
         raise UsageError("--poly is the zero polynomial, which has no order")
 
-    idx = COORDS.index(point[1])
+    idx = location[1]
     member = (special_member(f, "special") if variant
               else generic_member(f, seed=args.seed))
     sing = vertex_singularity(f, idx, _member_chart(f, idx, member))

@@ -7,8 +7,8 @@ to exact coefficients:
 
     Poly = dict[Exp5, int | Fraction]      Exp5 = (ex, ey, ez, et, ew)
 
-The members that orders are computed on carry `int` coefficients;
-`Fraction` enters only through `parse_poly` or a non-unit eliminating
+Parsed polynomials and the members that orders are computed on carry
+`int` coefficients; `Fraction` enters only through a non-unit eliminating
 coefficient.
 
 The zero polynomial is the empty dict.  Weighted degree of a monomial is
@@ -18,14 +18,14 @@ is always 1.
 The series machinery solves a quasi-homogeneous equation f = 0 locally at
 a coordinate vertex for one coordinate (the "eliminated" one) as a
 truncated power series in the three remaining local parameters, graded by
-their weight residues.  One degree-graded substitution serves elimination,
-vanishing orders and the re-substitution check: it builds the degree-D
-parts of the series and of its powers once each, from lower degrees only.
+their weight residues.  One degree-graded substitution serves elimination
+and vanishing orders: it builds the degree-D parts of the series and of
+its powers once each, from lower degrees only.
 A vanishing order solves the member and reads the divisor in one pass,
 degree by degree, so the series is built only as deep as the first degree
-that survives; the cutoff only caps the work.  Integral coefficients are
-kept as `int`, so an integer member whose eliminating monomial has
-coefficient 1 keeps every series coefficient an `int`.
+that survives; the cutoff only caps the work.  An integer member whose
+eliminating monomial has coefficient 1 keeps every series coefficient an
+`int`.
 Orders of vanishing are exact rationals m/r; the integer grading is scaled
 by r internally and divided out only at the API boundary.
 """
@@ -38,12 +38,10 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-Rat = Fraction
-
 Exp5 = tuple[int, int, int, int, int]
 Exp3 = tuple[int, int, int]
 Coeff = int | Fraction
-Poly = dict[Exp5, Coeff]  # members: int; parse_poly: Fraction
+Poly = dict[Exp5, Coeff]  # parse_poly and the members give int
 Part = dict[Exp3, Coeff]  # the terms of one weighted degree of a series
 
 COORDS = ("x", "y", "z", "t", "w")
@@ -93,7 +91,8 @@ def parse_poly(text: str) -> Poly:
     """Parse the CLI polynomial mini-grammar.
 
     Terms like ``3*x^2*y`` joined by ``+``/``-``; the ``*`` and ``^1`` are
-    optional, integer coefficients optional, whitespace ignored.
+    optional, integer coefficients optional, whitespace ignored.  The
+    coefficients are `int`.
     """
     poly: dict[Exp5, int] = {}
     pieces = _SIGN.split(text)  # term, sign, term, sign, ..., term
@@ -113,7 +112,7 @@ def parse_poly(text: str) -> Poly:
         key = tuple(exps)
         sign = -1 if i and pieces[i - 1] == "-" else 1
         poly[key] = poly.get(key, 0) + sign * int(num or 1)
-    return {k: Fraction(v) for k, v in poly.items() if v}
+    return {k: v for k, v in poly.items() if v}
 
 
 # ------------------------------------------------------------------ series
@@ -138,18 +137,15 @@ def _reduce_to_chart(support: Mapping[Exp5, Coeff], chart_vertex: int,
                      eliminated: int) -> list[tuple[Coeff, Exp3, int]]:
     """Set the chart coordinate to 1: (coefficient, local exponents, y-degree).
 
-    Integral coefficients come back as `int`, so that a member with integer
-    coefficients keeps the whole series computation on `int`.  Two
-    monomials of a non-homogeneous polynomial can meet at one chart key,
-    so the coefficients there are summed.
+    Two monomials of a non-homogeneous polynomial can meet at one chart
+    key, so the coefficients there are summed.
     """
     l0, l1, l2 = [i for i in range(5) if i not in (chart_vertex, eliminated)]
     reduced: dict[tuple[Exp3, int], Coeff] = {}
     for exps, c in support.items():
         key = ((exps[l0], exps[l1], exps[l2]), exps[eliminated])
         reduced[key] = reduced.get(key, 0) + c
-    return [(c.numerator if c.denominator == 1 else c, loc, ey)
-            for (loc, ey), c in reduced.items() if c]
+    return [(c, loc, ey) for (loc, ey), c in reduced.items() if c]
 
 
 def _sum_products(pairs: Iterable[tuple[Part, Part]]) -> Part:
@@ -276,10 +272,3 @@ def series_order(g: Mapping[Exp5, Coeff], member: Mapping[Exp5, Coeff],
             return Fraction(deg, r)
     return OVERCUTOFF
 
-
-def verify_elimination(support: Mapping[Exp5, Coeff], chart_vertex: int,
-                       eliminated: int, series: Series) -> bool:
-    """Re-substituting the series into f leaves nothing below the cutoff."""
-    return not any(_graded_substitute(
-        _reduce_to_chart(support, chart_vertex, eliminated), series.weights,
-        len(series.parts), series.parts))

@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .census import try_normalize_type
+from .census import LOCATIONS, try_normalize_type
 from .exactmath import COORD_INDEX, Exp5, parse_poly
 from .wps import Family
 
@@ -119,6 +119,7 @@ class GoldenRow:
 
     family_no: int
     point: str                       # e.g. "Oz", "OzOt"
+    location: tuple                  # ("vertex", i) or ("edge", i, j)
     count: int
     r: int
     type_raw: str                    # as printed
@@ -132,23 +133,17 @@ class GoldenRow:
     linsys: Optional[tuple[int, int]]
     surface_raw: str
     surface: tuple[tuple[Exp5, ...], ...]
-    vanishing_raw: str
     vanishing: tuple[Exp5, ...]
     condition_raw: str
     condition: frozenset[tuple[str, str]]
     witness_raw: str
+    witness: tuple[Exp5, ...]
     corrected: bool = False
     defect: Optional[Note] = None    # the documented certificate defect
 
     @property
     def kind(self) -> str:
         return "exclude" if self.method in EXCLUDE_METHODS else "untwist"
-
-    def location(self) -> tuple:
-        idxs = [COORD_INDEX[c] for c in re.findall(r"O([xyztw])", self.point)]
-        if len(idxs) == 1:
-            return ("vertex", idxs[0])
-        return ("edge", min(idxs), max(idxs))
 
     def row_local_params(self) -> Optional[tuple[int, int, int]]:
         """Local parameters read off the subscripts, when all are printed."""
@@ -219,10 +214,11 @@ _ROW_NOTES = ("type_typo", "surface_typo", "certificate_defect")
 
 # The columns `load` reads from each file.
 _COLUMNS = {
-    "families.tsv": ("no", "weights", "A3", "superrigid", "printed_weights"),
-    "golden_tables.tsv": ("no", "point", "count", "type_raw", "method", "b3",
-                          "linsys", "surface", "vanishing", "condition",
-                          "witness"),
+    "families.tsv": ("no", "d", "weights", "A3", "superrigid",
+                     "printed_weights"),
+    "golden_tables.tsv": ("no", "point", "count", "r", "type_raw", "method",
+                          "b3", "linsys", "surface", "vanishing",
+                          "condition", "witness"),
     "golden_notes.tsv": ("no", "point", "kind", "field", "printed",
                          "corrected", "note"),
 }
@@ -246,6 +242,50 @@ def _read_tsv(name: str, path: Optional[Path]):
     return rows
 
 
+def _golden_row(rec: dict[str, str], no: int, type_fix: Optional[Note],
+                surface_fix: Optional[Note], defect: Optional[Note]
+                ) -> GoldenRow:
+    """One row of golden_tables.tsv, every cell parsed, with the notes at
+    its point applied."""
+    point, method = rec["point"], rec["method"]
+    location = LOCATIONS.get(point)
+    if location is None:
+        raise ValueError(f"unknown point {point!r}")
+    type_raw = rec["type_raw"]
+    printed = parse_type(type_raw)
+    if rec["r"] != str(printed[0]):
+        raise ValueError(f"column 'r' reads {rec['r']!r}, but the printed "
+                         f"type {type_raw!r} has r = {printed[0]}")
+    type_str = type_fix.corrected if type_fix else type_raw
+    r, residues, subs = parse_type(type_str) if type_fix else printed
+    normalized = try_normalize_type(r, residues)
+    if normalized is None:
+        raise ValueError(f"non-terminal type {type_str!r}")
+    linsys = parse_linear_system(rec["linsys"]) if rec["linsys"] else None
+    surface_str = surface_fix.corrected if surface_fix else rec["surface"]
+    surface = tuple(parse_monomials(g)
+                    for g in surface_str.split(",") if g.strip())
+    vanishing = tuple(
+        mono for part in rec["vanishing"].split(" or ")
+        for v in part.split(",") for mono in parse_monomials(v))
+    if method in EXCLUDE_METHODS and not (linsys and vanishing):
+        raise ValueError("an exclusion row needs a 'linsys' and a "
+                         "'vanishing' cell")
+    return GoldenRow(
+        family_no=no, point=point, location=location,
+        count=int(rec["count"]), r=r, type_raw=type_raw, type_str=type_str,
+        residues=residues, subscripts=subs, normalized=normalized,
+        method=method, b3_sign=rec["b3"], linsys_raw=rec["linsys"],
+        linsys=linsys, surface_raw=rec["surface"], surface=surface,
+        vanishing=vanishing, condition_raw=rec["condition"],
+        condition=parse_condition(rec["condition"]),
+        witness_raw=rec["witness"], witness=parse_monomials(rec["witness"]),
+        corrected=type_fix is not None or surface_fix is not None,
+        # the defect note is about the printed (n) certificate; a row that
+        # reads another method is not the documented one
+        defect=defect if method == "N" else None)
+
+
 def load(path: Optional[Path] = None) -> GoldenData:
     """Load the golden dataset, applying documented corrections.
 
@@ -253,7 +293,8 @@ def load(path: Optional[Path] = None) -> GoldenData:
     families.tsv, golden_tables.tsv and golden_notes.tsv.  Malformed data,
     including a row or note of a family that families.tsv does not list,
     or a correction or defect note at a point with no row, raises
-    ValueError naming the file.
+    ValueError naming the file.  Every cell of golden_tables.tsv is parsed
+    here, and an error in a row names the row.
     """
     notes = tuple(Note(int(r["no"]), r["point"], r["kind"], r["field"],
                        r["printed"], r["corrected"], r["note"])
@@ -272,6 +313,10 @@ def load(path: Optional[Path] = None) -> GoldenData:
                              f"{rec['no']} reads {rec['weights']!r}, "
                              f"expected 1,a1,a2,a3,a4")
         fam = Family.of(*w[1:], entry_no=int(rec["no"]))
+        if rec["d"] != str(fam.d):
+            raise ValueError(f"families.tsv: column 'd' of family "
+                             f"{rec['no']} reads {rec['d']!r}, expected "
+                             f"a1+a2+a3+a4 = {fam.d}")
         fams.append(FamilyRecord(
             family=fam, A3=Fraction(rec["A3"]),
             superrigid=rec["superrigid"] == "1",
@@ -292,45 +337,20 @@ def load(path: Optional[Path] = None) -> GoldenData:
     rows = []
     for rec in _read_tsv("golden_tables.tsv", path):
         no, point = int(rec["no"]), rec["point"]
+        where = (f"golden_tables.tsv: the row No. {no} {point} "
+                 f"[{rec['condition']}]")
         if not 1 <= no <= len(fams):
-            raise ValueError(f"golden_tables.tsv: the row No. {no} {point} "
-                             f"[{rec['condition']}] names no family of "
-                             f"families.tsv")
+            raise ValueError(f"{where} names no family of families.tsv")
         if rec["method"] not in METHOD_SYMBOLS:
             raise ValueError(f"unknown method {rec['method']!r} "
                              f"(family {no}, {point})")
-        type_raw = rec["type_raw"]
-        fix = type_fixes.get((no, point))
-        type_str = fix.corrected if fix else type_raw
-        r, residues, subs = parse_type(type_str)
-        normalized = try_normalize_type(r, residues)
-        if normalized is None:
-            raise ValueError(f"non-terminal golden type {type_str!r} "
-                             f"(family {no}, {point})")
-        linsys = parse_linear_system(rec["linsys"]) if rec["linsys"] else None
-        surface_raw = rec["surface"]
-        sfix = surface_fixes.get((no, point, surface_raw))
-        surface_str = sfix.corrected if sfix else surface_raw
-        surface = tuple(parse_monomials(g)
-                        for g in surface_str.split(",") if g.strip())
-        vanishing = tuple(
-            mono for part in rec["vanishing"].split(" or ")
-            for v in part.split(",") for mono in parse_monomials(v))
-        rows.append(GoldenRow(
-            family_no=no, point=point, count=int(rec["count"]),
-            r=r, type_raw=type_raw, type_str=type_str, residues=residues,
-            subscripts=subs, normalized=normalized, method=rec["method"],
-            b3_sign=rec["b3"], linsys_raw=rec["linsys"], linsys=linsys,
-            surface_raw=surface_raw, surface=surface,
-            vanishing_raw=rec["vanishing"], vanishing=vanishing,
-            condition_raw=rec["condition"],
-            condition=parse_condition(rec["condition"]),
-            witness_raw=rec["witness"],
-            corrected=fix is not None or sfix is not None,
-            # the defect note is about the printed (n) certificate; a row
-            # that reads another method is not the documented one
-            defect=(defects.get((no, point)) if rec["method"] == "N"
-                    else None)))
+        try:
+            rows.append(_golden_row(
+                rec, no, type_fixes.get((no, point)),
+                surface_fixes.get((no, point, rec["surface"])),
+                defects.get((no, point))))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     # a note at a point with no row would be reported as documented while
     # it corrects or excuses nothing
     row_points = {(row.family_no, row.point) for row in rows}

@@ -12,7 +12,7 @@ from .census import QuotientSingularity, census, canonical_type
 from .golden import (GoldenData, METHOD_SYMBOLS, default_assignment,
                      match_rows)
 from .rigidity import (Certificate, certify_row, curve_status,
-                       smooth_point_status)
+                       smooth_point_status, super_rigid)
 from .wps import COORDS, anticanonical_degree
 
 
@@ -46,7 +46,7 @@ def build_report(no: int, variant: Optional[dict[str, str]],
         "degree": f.d,
         "weights": list(f.w),
         "anticanonical_degree": str(anticanonical_degree(f)),
-        "superrigid": rec.superrigid,
+        "superrigid": super_rigid(dataset, no),
         "smooth_points": {"kind": sps.kind, "case": sps.case,
                           "detail": sps.detail},
         "curves": {"kind": cs.kind, "max_degree": cs.max_degree},
@@ -220,6 +220,12 @@ def check_tables(dataset: GoldenData,
                 "family": no, "point": "-", "condition": "",
                 "reason": f"A^3 mismatch: computed "
                           f"{anticanonical_degree(f)}, stored {rec.A3}"})
+        if super_rigid(dataset, no) != rec.superrigid:
+            discrepancies.append({
+                "family": no, "point": "-", "condition": "",
+                "reason": f"super-rigidity mismatch: computed "
+                          f"{super_rigid(dataset, no)}, stored "
+                          f"{rec.superrigid}"})
 
         cens = census(f)
         cens_keys = {e.point_id(): (e.count, e.r, canonical_type(e.type_))
@@ -259,14 +265,11 @@ def check_tables(dataset: GoldenData,
             values = [("I", "II") if a == "type" else ("nonzero", "zero")
                       for a in atoms]
             for combo in itertools.product(*values):
-                assignment = dict(zip(atoms, combo))
-                hit = [r for r in dataset.rows_for(no, point)
-                       if all(assignment.get(nm, v) == v
-                              for nm, v in r.condition)]
-                if not hit:
+                variant = dict(zip(atoms, combo))
+                if not match_rows(dataset, no, point, variant):
                     discrepancies.append({
                         "family": no, "point": point,
-                        "condition": str(assignment),
+                        "condition": str(variant),
                         "reason": "variant combination not covered "
                                   "by any golden row"})
     return CheckResult(nfam, nrows, discrepancies, documented)

@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 
 from .blowup import (BlowupContext, NonIntegral, b_cubed,
                      monomial_order, proper_transform_class, s_class_ks)
-from .census import (QuotientSingularity, canonical_type, census,
+from .census import (LOCATIONS, QuotientSingularity, canonical_type, census,
                      edge_singularities, vertex_singularity)
-from .golden import GoldenData, GoldenRow, NoMatchingRow, parse_monomials
+from .golden import GoldenData, GoldenRow, NoMatchingRow
 from .wps import (COORDS, Family, admits_member_with_stratum,
                   anticanonical_degree, hat_lcms)
 
@@ -65,21 +65,12 @@ _INEQUALITIES = {"B": (test_b, "boundary inequality"),
                  "N": (test_n, "nef-divisor inequality")}
 
 
-def test_p(f: Family, point: str = "Ot") -> tuple[bool, Optional[int]]:
-    """Two-ray-game test for method (p): 2 a4 = 3 a3 + a_i, i in {1, 2}.
-
-    At O_z (used once, with z playing the role of t) the analogue
-    2 a4 = 3 a2 + a_i is tested instead.
-    """
+def test_p(f: Family) -> tuple[bool, Optional[int]]:
+    """Two-ray-game test for method (p) at O_t: 2 a4 = 3 a3 + a_i, i in
+    {1, 2}.  Every (p) row of the tables is at O_t."""
     a = f.w
-    if point == "Ot":
-        base = a[3]
-    elif point == "Oz":
-        base = a[2]
-    else:
-        return False, None
     for i in (1, 2):
-        if 2 * a[4] == 3 * base + a[i]:
+        if 2 * a[4] == 3 * a[3] + a[i]:
             return True, i
     return False, None
 
@@ -118,12 +109,6 @@ def _det(m: list[list[Fraction]]) -> Fraction:
             for cc in range(col, n):
                 m[r][cc] -= factor * m[col][cc]
     return det
-
-
-def k3_self_intersection(du_val: Sequence[int]) -> Fraction:
-    """Self-intersection on the K3 of a smooth rational curve through the
-    given A_n points: -2 + sum n/(n+1)."""
-    return Fraction(-2) + sum(Fraction(n, n + 1) for n in du_val)
 
 
 # the intersection matrices printed alongside the tables, used by the
@@ -241,9 +226,7 @@ def involution_case(f: Family, point: str,
     """
     variant = variant or {}
     w5, d = f.w, f.d
-    point_coords = [i for i in range(1, 5)
-                    if "O" + COORDS[i] in _split_point(point)]
-    for i4 in sorted(point_coords, key=lambda i: -w5[i]):
+    for i4 in sorted(LOCATIONS[point][1:], key=lambda i: -w5[i]):
         for i3 in sorted((j for j in range(5) if j != i4),
                          key=lambda j: (-w5[j], -j)):
             if w5[i3] + 2 * w5[i4] == d:
@@ -276,10 +259,6 @@ def involution_case(f: Family, point: str,
     raise NotApplicable(f"no involution pattern at family {no}, {point}")
 
 
-def _split_point(point: str) -> list[str]:
-    return ["O" + c for c in point if c in "xyztw"]
-
-
 # -------------------------------------------------------------- certificates
 
 @dataclass(frozen=True)
@@ -306,7 +285,7 @@ class Certificate:
 def _row_singularity(f: Family, row: GoldenRow) -> QuotientSingularity:
     """The quotient point the row refers to, honouring the row's own choice
     of local parameters (printed as subscripts) when it has one."""
-    loc = row.location()
+    loc = row.location
     if loc[0] == "vertex":
         subs = row.row_local_params()
         eliminated = None
@@ -397,9 +376,13 @@ def _certify_exclusion(f: Family, row: GoldenRow, ctx: BlowupContext,
                 f"note: c >= m fails ({c} < {m}); the table applies the "
                 f"method with the stronger divisor anyway"))
     elif row.method == "P":
-        ok, i = test_p(f, row.point)
-        detail = (f"2*{f.w[4]} = 3*{f.w[3]} + {f.w[i]}" if ok
-                  else f"2a4 = {2 * f.w[4]} has no 3a3 + a_i decomposition")
+        ok, i = test_p(f)
+        if row.point != "Ot":
+            ok, detail = False, f"the test is made at O_t, not {row.point}"
+        elif ok:
+            detail = f"2*{f.w[4]} = 3*{f.w[3]} + {f.w[i]}"
+        else:
+            detail = f"2a4 = {2 * f.w[4]} has no 3a3 + a_i decomposition"
         checks.append(Check("two-ray game", ok, detail))
     elif row.method == "S":
         fixture = FIXTURE_MATRICES.get((row.family_no, row.point))
@@ -429,8 +412,7 @@ def _certify_involution(f: Family, row: GoldenRow, inputs: dict,
     checks.append(Check("involution pattern", ok, detail))
 
     if row.witness_raw:
-        degs = {sum(e * w for e, w in zip(mono, f.w))
-                for mono in parse_monomials(row.witness_raw)}
+        degs = {sum(e * w for e, w in zip(mono, f.w)) for mono in row.witness}
         checks.append(Check(
             "witness degree", degs == {f.d},
             f"witness {row.witness_raw} has degrees {sorted(degs)}, "
@@ -438,20 +420,13 @@ def _certify_involution(f: Family, row: GoldenRow, inputs: dict,
         inputs["witness"] = row.witness_raw
 
 
-def super_rigid_families(dataset: GoldenData) -> set[int]:
-    """Families whose every golden row excludes its point.
+def super_rigid(dataset: GoldenData, no: int) -> bool:
+    """Whether every golden row of the family excludes its point.
 
     Families 1 and 3 have no singular points at all; their (super)rigidity
     is classical and they carry no table rows.
     """
-    out = set()
-    for rec in dataset.families:
-        no = rec.family.entry_no
-        rows = dataset.rows_for(no)
-        if not rows:
-            if not census(rec.family).entries:
-                out.add(no)
-            continue
-        if all(r.kind == "exclude" for r in rows):
-            out.add(no)
-    return out
+    rows = dataset.rows_for(no)
+    if not rows:
+        return not census(dataset.family(no).family).entries
+    return all(r.kind == "exclude" for r in rows)

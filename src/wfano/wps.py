@@ -16,8 +16,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Optional
 
-from .exactmath import (COORDS, Exp5, Poly, Fraction as Rat, parse_poly,
-                        weighted_monomials)
+from .exactmath import COORDS, Exp5, Poly, parse_poly, weighted_monomials
 
 
 @dataclass(frozen=True, order=True)
@@ -51,7 +50,7 @@ class Family:
         return f"{tag}X_{self.d} in P{self.w}"
 
 
-def anticanonical_degree(f: Family) -> Rat:
+def anticanonical_degree(f: Family) -> Fraction:
     """A^3 = -K^3 = d / (a1*a2*a3*a4)."""
     a = f.w
     return Fraction(f.d, a[1] * a[2] * a[3] * a[4])

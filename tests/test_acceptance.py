@@ -18,7 +18,7 @@ from wfano.census import (canonical_type, census, edge_point_count,
 from wfano.exactmath import OVERCUTOFF, parse_poly, series_order
 from wfano.golden import match_rows
 from wfano.rigidity import (certify_row, curve_status, smooth_point_status,
-                            super_rigid_families)
+                            super_rigid)
 from wfano.rigidity import test_b as ineq_b
 from wfano.rigidity import test_n as ineq_n
 from wfano.wps import (anticanonical_degree, enumerate_families,
@@ -243,7 +243,7 @@ def test_criterion_09_super_rigid_audit():
                 75, 77, 78, 80, 81, 82, 83, 84, 85, 86, 87, 88, 89, 90, 91,
                 92, 93, 94, 95}
     assert len(expected) == 50
-    got = super_rigid_families(DATA)
+    got = {no for no in range(1, 96) if super_rigid(DATA, no)}
     assert got == expected
     assert got == {rec.family.entry_no for rec in DATA.families
                    if rec.superrigid}

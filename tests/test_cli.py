@@ -131,6 +131,27 @@ BAD_GOLDEN = {
                                 lambda t: t.replace("\n40\tOz\tsurface_typo",
                                                     "\n40\tOx\tsurface_typo")),
         "golden_notes.tsv: the surface_typo note at No. 40 Ox has no row"),
+    # cells that were read only when a certificate ran, or not at all
+    "unknown_point": (
+        lambda p: golden_with_cell(p, 95, "OtOw", "point", "OtOw", "Oq"),
+        "golden_tables.tsv: the row No. 95 Oq []: unknown point 'Oq'"),
+    "bad_witness": (
+        lambda p: golden_with_cell(p, 2, "Ow", "witness", "tw^2", "tw^2+q"),
+        "golden_tables.tsv: the row No. 2 Ow []: cannot parse term 'q'"),
+    "exclusion_without_linsys": (
+        lambda p: golden_with_cell(p, 95, "OtOw", "linsys", "5B", ""),
+        "golden_tables.tsv: the row No. 95 OtOw []: an exclusion row needs"),
+    "exclusion_without_vanishing": (
+        lambda p: golden_with_cell(p, 95, "OtOw", "vanishing", "y", ""),
+        "golden_tables.tsv: the row No. 95 OtOw []: an exclusion row needs"),
+    "r_mismatch": (
+        lambda p: golden_with_cell(p, 95, "OtOw", "r", "11", "12"),
+        "golden_tables.tsv: the row No. 95 OtOw []: column 'r' reads '12'"),
+    "d_mismatch": (
+        lambda p: golden_edited(p, "families.tsv",
+                                lambda t: t.replace("\n95\t66\t",
+                                                    "\n95\t67\t")),
+        "families.tsv: column 'd' of family 95 reads '67'"),
 }
 
 
@@ -258,8 +279,10 @@ class TestCheckTables:
         (52, "Oz", "b3", "-", "+"),
         # and only on the (n) certificate that its note documents
         (52, "Oz", "method", "N", "B"),
+        # the two-ray game of No. 21 holds at O_t, not at this edge
+        (21, "OzOt", "method", "B", "P"),
     ], ids=["19-OzOt-b3", "52-Oz-documented-defect-b3",
-            "52-Oz-documented-defect-method"])
+            "52-Oz-documented-defect-method", "21-OzOt-method-P"])
     def test_fault_injection_names_the_row(self, tmp_path, capsys, no, point,
                                            column, old, new):
         golden_with_cell(tmp_path, no, point, column, old, new)
@@ -270,6 +293,22 @@ class TestCheckTables:
         assert len(payload["discrepancies"]) == 1
         d = payload["discrepancies"][0]
         assert d["family"] == no and d["point"] == point
+
+    def test_stored_superrigid_flag_is_checked(self, tmp_path, capsys):
+        # the report prints the computed flag, and check-tables names the
+        # stored one that disagrees
+        golden_edited(tmp_path, "families.tsv", lambda t: t.replace(
+            "\n95\t66\t1,5,6,22,33\t1/330\t1\t",
+            "\n95\t66\t1,5,6,22,33\t1/330\t0\t"))
+        code, out, _ = run(capsys, "report", "95", "--json",
+                           "--golden", str(tmp_path))
+        assert code == 0 and json.loads(out)["superrigid"] is True
+        code, out, _ = run(capsys, "check-tables", "--golden", str(tmp_path),
+                           "--json")
+        assert code == 1
+        (d,) = json.loads(out)["discrepancies"]
+        assert d["family"] == 95 and d["reason"] == (
+            "super-rigidity mismatch: computed True, stored False")
 
 
 class TestOrder:
@@ -386,6 +425,7 @@ class TestErrorBoundary:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: cannot load --golden: {message}")
+        assert err.count("\n") == 1
 
     def test_non_terminal_golden_family_is_a_mismatch(self, tmp_path, capsys):
         path = golden_copy(tmp_path) / "families.tsv"

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 import wfano
 from wfano.exactmath import (NoEliminatingMonomial, OVERCUTOFF,
                              ZeroPolynomial, implicit_eliminate, parse_poly,
-                             series_order, verify_elimination,
-                             weighted_monomials)
+                             series_order, weighted_monomials)
 
 
 def brute_monomials(weights, d, variables=None):
@@ -66,17 +65,16 @@ class TestWeightedMonomials:
 class TestParse:
     def test_basic(self):
         assert parse_poly("y*z+x*t") == {
-            (0, 1, 1, 0, 0): Fraction(1), (1, 0, 0, 1, 0): Fraction(1)}
+            (0, 1, 1, 0, 0): 1, (1, 0, 0, 1, 0): 1}
 
     def test_coefficients_and_powers(self):
         p = parse_poly("3x^2y - 2*w + 7")
-        assert p == {(2, 1, 0, 0, 0): Fraction(3),
-                     (0, 0, 0, 0, 1): Fraction(-2),
-                     (0, 0, 0, 0, 0): Fraction(7)}
-        assert all(type(c) is Fraction for c in p.values())
+        assert p == {(2, 1, 0, 0, 0): 3, (0, 0, 0, 0, 1): -2,
+                     (0, 0, 0, 0, 0): 7}
+        assert all(type(c) is int for c in p.values())
 
     def test_whitespace_and_caret_one(self):
-        assert parse_poly(" x^1 * w ") == {(1, 0, 0, 0, 1): Fraction(1)}
+        assert parse_poly(" x^1 * w ") == {(1, 0, 0, 0, 1): 1}
 
     def test_cancellation(self):
         assert parse_poly("x - x") == {}
@@ -135,8 +133,7 @@ class TestImplicitEliminate:
 
     def test_resubstitution_vanishes_below_cutoff(self):
         for cutoff in (6, 9, 12):
-            s = implicit_eliminate(SPECIAL_23, cutoff=cutoff, **CHART_23)
-            assert verify_elimination(SPECIAL_23, 2, 1, s)
+            assert order_23(SPECIAL_23, cutoff) is OVERCUTOFF
 
     def test_no_eliminating_monomial(self):
         with pytest.raises(NoEliminatingMonomial):
@@ -176,7 +173,9 @@ class TestImplicitEliminate:
         cutoff = 10
         series = implicit_eliminate(support, chart_vertex=2, eliminated=4,
                                     local_weights=weights, cutoff=cutoff)
-        assert verify_elimination(support, 2, 4, series)
+        assert substituted_order(support, series, cutoff) is None
+        assert series_order(support, support, 2, 4, weights, cutoff,
+                            r=1) is OVERCUTOFF
         assert len(series.parts) == cutoff and series.parts[0] == {}
         for deg, part in enumerate(series.parts):
             for exps, c in part.items():

@@ -121,6 +121,17 @@ class TestDataset:
             else:
                 assert row.kind == "untwist"
 
+    def test_point_and_witness_are_parsed_at_load(self):
+        from wfano.wps import COORDS
+        for row in DATA.rows:
+            assert "".join("O" + COORDS[i]
+                           for i in row.location[1:]) == row.point
+        assert DATA.rows_for(95, "Oy")[0].location == ("vertex", 1)
+        assert DATA.rows_for(95, "OtOw")[0].location == ("edge", 3, 4)
+        (row,) = DATA.rows_for(2, "Ow")
+        assert row.witness_raw == "tw^2"
+        assert row.witness == ((0, 0, 0, 1, 2),)
+
     def test_row_counts_by_method(self):
         from collections import Counter
         counts = Counter(r.method for r in DATA.rows)

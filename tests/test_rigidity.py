@@ -10,14 +10,12 @@ from wfano.blowup import BlowupContext
 from wfano.census import edge_singularities, vertex_singularity
 from wfano.golden import UnknownVariantFlag, match_rows
 from wfano.rigidity import (NotApplicable, NotSymmetric, certify_row,
-                            curve_status, involution_case,
-                            k3_self_intersection, neg_definite,
-                            smooth_point_status, super_rigid_families)
+                            curve_status, involution_case, neg_definite,
+                            smooth_point_status, super_rigid)
 # aliased so pytest does not collect the library operations as tests
 from wfano.rigidity import test_b as ineq_b
 from wfano.rigidity import test_n as ineq_n
 from wfano.rigidity import test_p as ineq_p
-from wfano.wps import Family
 
 DATA = golden.data()
 
@@ -75,11 +73,6 @@ class TestInequalities:
         assert not ineq_p(fam(7))[0]
         assert ineq_p(fam(62))[0]            # 2*13 = 3*7 + 5
 
-    def test_p_z_analogue(self):
-        # with z playing the role of t: 2 a4 = 3 a2 + a_i
-        assert ineq_p(Family.of(1, 5, 7, 13), "Oz") == (False, None)
-        assert ineq_p(Family.of(2, 4, 5, 7), "Oz") == (True, 1)
-
 
 class TestNegDefinite:
     def test_reference_matrices(self):
@@ -111,13 +104,6 @@ class TestNegDefinite:
         minors = (a * d - b * b) + (a * f - c * c) + (d * f - e * e)
         det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
         assert neg_definite(m) == (-trace > 0 and minors > 0 and -det > 0)
-
-
-class TestK3SelfIntersection:
-    def test_examples(self):
-        assert k3_self_intersection([3, 6]) == Fraction(-11, 28)
-        assert k3_self_intersection([1, 2]) == Fraction(-5, 6)
-        assert k3_self_intersection([]) == Fraction(-2)
 
 
 class TestSmoothPoints:
@@ -237,6 +223,6 @@ class TestSuperRigid:
                     72, 73, 75, 77, 78, 80, 81, 82, 83, 84, 85, 86, 87, 88,
                     89, 90, 91, 92, 93, 94, 95}
         assert len(expected) == 50
-        assert super_rigid_families(DATA) == expected
+        assert {no for no in range(1, 96) if super_rigid(DATA, no)} == expected
         assert expected == {rec.family.entry_no for rec in DATA.families
                             if rec.superrigid}
