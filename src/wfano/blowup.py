@@ -9,9 +9,8 @@ and A E^2 vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .census import QuotientSingularity
 from .exactmath import Poly, series_order
@@ -25,8 +24,7 @@ class NonIntegral(ValueError):
     """(c - m)/r is not an integer: inconsistent family/point/divisor data."""
 
 
-@dataclass(frozen=True)
-class YClass:
+class YClass(NamedTuple):
     """The divisor class beta_B * B + beta_E * E."""
 
     beta_B: Fraction
@@ -53,8 +51,7 @@ B = YClass.of(1, 0)
 E = YClass.of(0, 1)
 
 
-@dataclass(frozen=True)
-class BlowupContext:
+class BlowupContext(NamedTuple):
     """The weighted blow-up of the family member at one quotient point."""
 
     family: Family

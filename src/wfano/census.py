@@ -10,9 +10,8 @@ quasi-smoothness monomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactmath import NoEliminatingMonomial
 from .wps import COORDS, Family
@@ -69,8 +68,7 @@ def canonical_type(t: tuple[int, int, int]) -> tuple[int, int, int]:
     return (1, min(t[1], t[2]), max(t[1], t[2]))
 
 
-@dataclass(frozen=True)
-class QuotientSingularity:
+class QuotientSingularity(NamedTuple):
     """One cyclic quotient point (or orbit of identical points) on X."""
 
     r: int
@@ -97,8 +95,7 @@ class QuotientSingularity:
         return f"{self.point_id()} = {mult}1/{self.r}{self.type_}"
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     family: Family
     entries: tuple[QuotientSingularity, ...]
 

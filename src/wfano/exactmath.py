@@ -36,7 +36,7 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 Exp5 = tuple[int, int, int, int, int]
 Exp3 = tuple[int, int, int]
@@ -148,7 +148,7 @@ def _reduce_to_chart(support: Mapping[Exp5, Coeff], chart_vertex: int,
     return [(c, loc, ey) for (loc, ey), c in reduced.items() if c]
 
 
-def _sum_products(pairs: Iterable[tuple[Part, Part]]) -> Part:
+def _sum_products(pairs: list[tuple[Part, Part]]) -> Part:
     """The sum of p * q over the given pairs of sparse series parts."""
     acc: Part = {}
     for p, q in pairs:
@@ -174,7 +174,10 @@ def _graded_substitute(reduced, weights: Exp3, cutoff: int,
     whose local degree plus Y-degree reaches the cutoff is dropped and the
     work does not grow with large exponents of Y.  The other terms are
     sorted by local degree once, so degree D reads only the prefix of
-    terms whose local degree is at most D.
+    terms whose local degree is at most D.  A part of S^k (k >= 2) is
+    built at the first degree at which a term or S^(k+1) can read it (see
+    `lag`), not ahead of it for a caller that stops early, and a product
+    with no pair of non-empty parts is not formed.
     """
     w0, w1, w2 = weights
     terms = [(l0 * w0 + l1 * w1 + l2 * w2, ey, {(l0, l1, l2): c})
@@ -183,16 +186,27 @@ def _graded_substitute(reduced, weights: Exp3, cutoff: int,
                    key=itemgetter(0))
     bases = [base for base, _ey, _mono in terms]
     max_ey = max((ey for _base, ey, _mono in terms), default=0)
+    # At degree D, a term Y^k of local degree `base` reads S^k at degree
+    # D - base, and S^(k+1) at D - lag[k+1] reads S^k below that, so S^k is
+    # built up to degree D - lag[k]; `cutoff` stands for never.
+    lag = [cutoff] * (max_ey + 1)
+    for base, ey, _mono in terms:
+        lag[ey] = min(lag[ey], base)
+    for k in range(max_ey - 1, 1, -1):
+        lag[k] = min(lag[k], lag[k + 1] + 1)
     powers = [[{(0, 0, 0): 1}] + [{}] * (cutoff - 1), parts]
     powers += [[] for _ in range(2, max_ey + 1)]
     for deg in range(cutoff):
         for k in range(2, max_ey + 1):
-            lower = powers[k - 1]
-            powers[k].append(_sum_products(
-                (parts[j], lower[deg - j]) for j in range(1, deg)
-                if parts[j] and lower[deg - j]))
-        yield _sum_products((mono, powers[ey][deg - base]) for base, ey, mono
-                            in terms[:bisect_right(bases, deg)])
+            top = deg - lag[k]
+            if top >= 0:
+                lower = powers[k - 1]
+                pairs = [(parts[j], lower[top - j]) for j in range(1, top)
+                         if parts[j] and lower[top - j]]
+                powers[k].append(_sum_products(pairs) if pairs else {})
+        pairs = [(mono, powers[ey][deg - base]) for base, ey, mono
+                 in terms[:bisect_right(bases, deg)] if powers[ey][deg - base]]
+        yield _sum_products(pairs) if pairs else {}
 
 
 def _eliminate(support: Mapping[Exp5, Coeff], chart_vertex: int,

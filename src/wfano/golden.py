@@ -7,18 +7,20 @@ tables (singularity types keep their local-parameter subscripts, e.g.
 corrections: two weight-list typos, two singularity-type typos, and one
 certificate whose printed inequality data does not check out.  Corrections
 are applied at load time; both the printed and corrected strings are kept.
+Each row, family and note loads into an immutable named tuple (`GoldenRow`,
+`FamilyRecord`, `Note`); `GoldenData` holds the three tables and indexes
+the rows by family.
 """
 
 from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .census import LOCATIONS, try_normalize_type
 from .exactmath import COORD_INDEX, Exp5, parse_poly
@@ -34,6 +36,10 @@ METHOD_SYMBOLS = {
 # A coefficient symbol with at most a one-character subscript, as in
 # 'y-alpha_iz'; a longer pattern would swallow the monomial after it.
 _GREEK = re.compile(r"(alpha|beta|lambda|mu)(_\w)?")
+_TYPE = re.compile(r"1/([1-9]\d*)\((.*)\)")
+_RESIDUE = re.compile(r"(\d+)(?:_([xyztw]))?")
+_LINEAR_SYSTEM = re.compile(r"(\d*)B(?:([+-])(\d*)E)?")
+_CONDITION_SEPARATOR = re.compile(r"[,\s]+")
 
 
 @cache
@@ -47,16 +53,21 @@ def parse_monomials(text: str) -> tuple[Exp5, ...]:
     return tuple(parse_poly(_GREEK.sub(" ", text)))
 
 
+# The tables repeat their types, linear systems and conditions (300 rows hold
+# 111, 32 and 39 distinct ones), so each parser below reads a string once.
+# Their results are immutable and shared by every row that prints it.
+
+@cache
 def parse_type(text: str) -> tuple[int, tuple[int, int, int],
                                    tuple[Optional[int], ...]]:
     """'1/3(1_x,2_y,1_t)' -> (3, (1,2,1), (1,2,3)); subscripts optional."""
-    m = re.fullmatch(r"1/(\d+)\((.*)\)", text.replace(" ", ""))
+    m = _TYPE.fullmatch(text.replace(" ", ""))
     if not m:
         raise ValueError(f"cannot parse singularity type {text!r}")
     r = int(m.group(1))
     residues, subs = [], []
     for item in m.group(2).split(","):
-        mm = re.fullmatch(r"(\d+)(?:_([xyztw]))?", item)
+        mm = _RESIDUE.fullmatch(item)
         if not mm:
             raise ValueError(f"cannot parse residue {item!r} in {text!r}")
         residues.append(int(mm.group(1)))
@@ -66,9 +77,10 @@ def parse_type(text: str) -> tuple[int, tuple[int, int, int],
     return r, tuple(residues), tuple(subs)
 
 
+@cache
 def parse_linear_system(text: str) -> tuple[int, int]:
     """'5B+2E' -> (5, 2); 'B-E' -> (1, -1); 'B' -> (1, 0)."""
-    m = re.fullmatch(r"(\d*)B(?:([+-])(\d*)E)?", text.replace(" ", ""))
+    m = _LINEAR_SYSTEM.fullmatch(text.replace(" ", ""))
     if not m:
         raise ValueError(f"cannot parse linear system {text!r}")
     c = int(m.group(1) or 1)
@@ -78,6 +90,7 @@ def parse_linear_system(text: str) -> tuple[int, int]:
     return c, b
 
 
+@cache
 def parse_condition(text: str) -> frozenset[tuple[str, str]]:
     """Condition atoms: ('a1', 'zero'|'nonzero') or ('type', 'I'|'II').
 
@@ -88,9 +101,12 @@ def parse_condition(text: str) -> frozenset[tuple[str, str]]:
     if not text:
         return frozenset()
     if text.startswith("Type"):
-        return frozenset({("type", text.split()[1])})
+        words = text.split()
+        if len(words) != 2:
+            raise ValueError(f"cannot parse condition {text!r}")
+        return frozenset({("type", words[1])})
     atoms = set()
-    for token in re.split(r"[,\s]+", text):
+    for token in _CONDITION_SEPARATOR.split(text):
         if not token:
             continue
         if "!=" in token:
@@ -113,8 +129,7 @@ def canonical_atom(name: str) -> str:
     return name.replace("_", "").strip()
 
 
-@dataclass(frozen=True)
-class GoldenRow:
+class GoldenRow(NamedTuple):
     """One certificate-table row, with corrections applied."""
 
     family_no: int
@@ -152,8 +167,7 @@ class GoldenRow:
         return None
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(NamedTuple):
     family: Family
     A3: Fraction
     superrigid: bool
@@ -164,8 +178,7 @@ class FamilyRecord:
         return self.printed_weights != self.family.w
 
 
-@dataclass(frozen=True)
-class Note:
+class Note(NamedTuple):
     no: int
     point: str
     kind: str
@@ -175,19 +188,22 @@ class Note:
     note: str
 
 
-@dataclass(frozen=True)
 class GoldenData:
-    families: tuple[FamilyRecord, ...]
-    rows: tuple[GoldenRow, ...]
-    notes: tuple[Note, ...]
+    """The three tables, with the rows indexed by family number."""
 
-    @cached_property
-    def _by_family(self) -> dict[int, list[GoldenRow]]:
-        """Family number -> its rows, in the order of `rows`."""
-        by_family: dict[int, list[GoldenRow]] = {}
-        for r in self.rows:
-            by_family.setdefault(r.family_no, []).append(r)
-        return by_family
+    __slots__ = ("families", "rows", "notes", "_by_family")
+
+    def __init__(self, families: tuple[FamilyRecord, ...],
+                 rows: tuple[GoldenRow, ...], notes: tuple[Note, ...]):
+        self.families, self.rows, self.notes = families, rows, notes
+        # family number -> its rows, in the order of `rows`
+        self._by_family: dict[int, list[GoldenRow]] = {}
+        for r in rows:
+            self._by_family.setdefault(r.family_no, []).append(r)
+
+    def __repr__(self):
+        return (f"GoldenData(families={self.families!r}, rows={self.rows!r}, "
+                f"notes={self.notes!r})")
 
     def family(self, no: int) -> FamilyRecord:
         return self.families[no - 1]
@@ -224,7 +240,9 @@ _COLUMNS = {
 }
 
 
-def _read_tsv(name: str, path: Optional[Path]):
+def _read_tsv(name: str, path: Optional[Path]
+              ) -> list[tuple[int, dict[str, str]]]:
+    """(no, cells) for each row of the file, its `no` cell read as an int."""
     if path is not None:
         text = Path(path, name).read_text(encoding="utf-8")
     else:
@@ -238,8 +256,28 @@ def _read_tsv(name: str, path: Optional[Path]):
         if None in row.values():  # DictReader's filler for a short row
             raise ValueError(f"{name}: line {reader.line_num} has fewer "
                              f"cells than the header")
-        rows.append(row)
+        try:
+            rows.append((int(row["no"]), row))
+        except ValueError:
+            raise ValueError(f"{name}: column 'no' of line {reader.line_num} "
+                             f"reads {row['no']!r}, expected an integer"
+                             ) from None
     return rows
+
+
+def _integers(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
+def _family_cell(no: int, rec: dict[str, str], column: str, parse,
+                 expected: str):
+    """`parse` of one cell of families.tsv; an error names the cell."""
+    try:
+        return parse(rec[column])
+    except (ValueError, ZeroDivisionError):  # Fraction('1/0') divides
+        raise ValueError(f"families.tsv: column {column!r} of family {no} "
+                         f"reads {rec[column]!r}, expected {expected}"
+                         ) from None
 
 
 def _golden_row(rec: dict[str, str], no: int, type_fix: Optional[Note],
@@ -248,6 +286,8 @@ def _golden_row(rec: dict[str, str], no: int, type_fix: Optional[Note],
     """One row of golden_tables.tsv, every cell parsed, with the notes at
     its point applied."""
     point, method = rec["point"], rec["method"]
+    if method not in METHOD_SYMBOLS:
+        raise ValueError(f"unknown method {method!r}")
     location = LOCATIONS.get(point)
     if location is None:
         raise ValueError(f"unknown point {point!r}")
@@ -293,12 +333,12 @@ def load(path: Optional[Path] = None) -> GoldenData:
     families.tsv, golden_tables.tsv and golden_notes.tsv.  Malformed data,
     including a row or note of a family that families.tsv does not list,
     or a correction or defect note at a point with no row, raises
-    ValueError naming the file.  Every cell of golden_tables.tsv is parsed
-    here, and an error in a row names the row.
+    ValueError naming the file and the family, row or line.  Every cell of
+    golden_tables.tsv is parsed here.
     """
-    notes = tuple(Note(int(r["no"]), r["point"], r["kind"], r["field"],
-                       r["printed"], r["corrected"], r["note"])
-                  for r in _read_tsv("golden_notes.tsv", path))
+    notes = tuple(Note(no, r["point"], r["kind"], r["field"], r["printed"],
+                       r["corrected"], r["note"])
+                  for no, r in _read_tsv("golden_notes.tsv", path))
     type_fixes = {(n.no, n.point): n for n in notes if n.kind == "type_typo"}
     surface_fixes = {(n.no, n.point, n.printed): n for n in notes
                      if n.kind == "surface_typo"}
@@ -306,22 +346,19 @@ def load(path: Optional[Path] = None) -> GoldenData:
                if n.kind == "certificate_defect"}
 
     fams = []
-    for rec in _read_tsv("families.tsv", path):
-        w = tuple(int(x) for x in rec["weights"].split(","))
-        if len(w) != 5 or w[0] != 1:
-            raise ValueError(f"families.tsv: column 'weights' of family "
-                             f"{rec['no']} reads {rec['weights']!r}, "
-                             f"expected 1,a1,a2,a3,a4")
-        fam = Family.of(*w[1:], entry_no=int(rec["no"]))
+    for no, rec in _read_tsv("families.tsv", path):
+        fam = _family_cell(no, rec, "weights",
+                           lambda text: Family(_integers(text), no),
+                           "1,a1,a2,a3,a4 with 0 < a1 <= a2 <= a3 <= a4")
         if rec["d"] != str(fam.d):
             raise ValueError(f"families.tsv: column 'd' of family "
-                             f"{rec['no']} reads {rec['d']!r}, expected "
+                             f"{no} reads {rec['d']!r}, expected "
                              f"a1+a2+a3+a4 = {fam.d}")
         fams.append(FamilyRecord(
-            family=fam, A3=Fraction(rec["A3"]),
+            family=fam, A3=_family_cell(no, rec, "A3", Fraction, "a fraction"),
             superrigid=rec["superrigid"] == "1",
-            printed_weights=tuple(int(x) for x in
-                                  rec["printed_weights"].split(","))))
+            printed_weights=_family_cell(no, rec, "printed_weights", _integers,
+                                         "comma-separated integers")))
     fams.sort(key=lambda fr: fr.family.entry_no)
     # `GoldenData.family(no)` indexes by entry number, and a row or note of
     # a family that is not listed would never be checked
@@ -335,15 +372,12 @@ def load(path: Optional[Path] = None) -> GoldenData:
                              f"families.tsv")
 
     rows = []
-    for rec in _read_tsv("golden_tables.tsv", path):
-        no, point = int(rec["no"]), rec["point"]
+    for no, rec in _read_tsv("golden_tables.tsv", path):
+        point = rec["point"]
         where = (f"golden_tables.tsv: the row No. {no} {point} "
                  f"[{rec['condition']}]")
         if not 1 <= no <= len(fams):
             raise ValueError(f"{where} names no family of families.tsv")
-        if rec["method"] not in METHOD_SYMBOLS:
-            raise ValueError(f"unknown method {rec['method']!r} "
-                             f"(family {no}, {point})")
         try:
             rows.append(_golden_row(
                 rec, no, type_fixes.get((no, point)),

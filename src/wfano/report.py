@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .census import QuotientSingularity, census, canonical_type
 from .golden import (GoldenData, METHOD_SYMBOLS, default_assignment,
@@ -169,8 +168,7 @@ def render_text(report: dict) -> str:
 
 # --------------------------------------------------------------- the suite
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     families: int
     rows: int
     discrepancies: list[dict]

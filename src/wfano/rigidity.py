@@ -15,10 +15,9 @@ by the squared coordinate's partner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .blowup import (BlowupContext, NonIntegral, b_cubed,
                      monomial_order, proper_transform_class, s_class_ks)
@@ -39,8 +38,7 @@ class NotSymmetric(ValueError):
 
 # ------------------------------------------------------------ small tests
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -121,8 +119,7 @@ FIXTURE_MATRICES = {
 
 # ------------------------------------------------------ smooth points etc.
 
-@dataclass(frozen=True)
-class SmoothPointStatus:
+class SmoothPointStatus(NamedTuple):
     kind: str                      # LEMMA1 | LEMMA2 | MPIM_PAIR | SPECIAL
     vertex: Optional[int] = None   # the missed vertex for LEMMA1
     case: Optional[str] = None     # which per-family argument, for SPECIAL
@@ -178,8 +175,7 @@ def _is_combination(target: int, a1: int, a2: int) -> bool:
                for m1 in range(target // a1 + 1))
 
 
-@dataclass(frozen=True)
-class CurveStatus:
+class CurveStatus(NamedTuple):
     kind: str                      # NUMERIC | SPECIAL
     max_degree: Optional[int] = None
 
@@ -206,8 +202,7 @@ ELLIPTIC_POINTS = {
 }
 
 
-@dataclass(frozen=True)
-class InvolutionCase:
+class InvolutionCase(NamedTuple):
     label: str
     witness: str = ""
     note: str = ""
@@ -261,8 +256,7 @@ def involution_case(f: Family, point: str,
 
 # -------------------------------------------------------------- certificates
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """The checks recomputed on one golden row, and the values they used."""
 
     row: GoldenRow

@@ -1,8 +1,9 @@
 """Weighted projective spaces P(1,a1,a2,a3,a4) and their Fano hypersurfaces.
 
 A family is a weight quadruple a1 <= a2 <= a3 <= a4 together with the
-anticanonical degree d = a1+a2+a3+a4.  The module decides well-formedness
-and quasi-smoothness of the general member combinatorially, enumerates all
+anticanonical degree d = a1+a2+a3+a4, held in an immutable, ordered and
+hashable `Family`.  The module decides well-formedness and
+quasi-smoothness of the general member combinatorially, enumerates all
 families with terminal singularities, and builds concrete general members
 with deterministic pseudo-random coefficients for order computations.
 """
@@ -10,40 +11,71 @@ with deterministic pseudo-random coefficients for order computations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import gcd, lcm
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .exactmath import COORDS, Exp5, Poly, parse_poly, weighted_monomials
 
 
-@dataclass(frozen=True, order=True)
+# `Family.__init__` fills the slots that its own `__setattr__` refuses
+_set = object.__setattr__
+
+
+@total_ordering
 class Family:
     """An anticanonically embedded hypersurface family X_d in P(1,a1..a4).
 
     `w` is the 5-vector (1, a1, a2, a3, a4) with 0 < a1 <= a2 <= a3 <= a4,
-    and the degree d = a1+a2+a3+a4 is derived from it.
+    and the degree d = a1+a2+a3+a4 is derived from it.  Families are
+    immutable, and compare, sort and hash by (w, entry_no, d).
     """
 
-    w: tuple[int, int, int, int, int]
-    entry_no: Optional[int] = None
-    d: int = field(init=False)
+    __slots__ = ("w", "entry_no", "d")
 
-    def __post_init__(self):
-        w = self.w
+    def __init__(self, w: tuple[int, int, int, int, int],
+                 entry_no: Optional[int] = None):
         if len(w) != 5 or w[0] != 1:
             raise ValueError("weights must be (1, a1, a2, a3, a4)")
         if not 0 < w[1] <= w[2] <= w[3] <= w[4]:
             raise ValueError("weights must be positive and nondecreasing "
                              "from index 1")
-        object.__setattr__(self, "d", w[1] + w[2] + w[3] + w[4])
+        _set(self, "w", w)
+        _set(self, "entry_no", entry_no)
+        _set(self, "d", w[1] + w[2] + w[3] + w[4])
 
     @classmethod
     def of(cls, a1: int, a2: int, a3: int, a4: int,
            entry_no: Optional[int] = None) -> "Family":
         return cls((1, a1, a2, a3, a4), entry_no)
+
+    def _frozen(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def _key(self):
+        return self.w, self.entry_no, self.d
+
+    def __eq__(self, other):
+        if other.__class__ is not Family:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __lt__(self, other):
+        if other.__class__ is not Family:
+            return NotImplemented
+        return self._key() < other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return Family, (self.w, self.entry_no)
+
+    def __repr__(self):
+        return f"Family(w={self.w!r}, entry_no={self.entry_no!r}, d={self.d!r})"
 
     def __str__(self):
         tag = f"No. {self.entry_no}: " if self.entry_no else ""
@@ -87,8 +119,7 @@ def _semigroup_mask(weights: tuple[int, ...], bound: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class QuasiSmoothDiagnostics:
+class QuasiSmoothDiagnostics(NamedTuple):
     ok: bool
     failing_subset: Optional[tuple[int, ...]] = None
     detail: str = ""

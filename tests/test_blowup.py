@@ -229,6 +229,24 @@ class TestDivisorMultiplicity:
         assert got == [{e: -c for e, c in part.items()}
                        for part in series.parts]
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_substitute_matches_the_full_scan_on_any_series(self, data):
+        # a series with a degree-1 part and terms up to Y^4, which the
+        # members above need not have: every power part read must be built
+        weights = tuple(data.draw(st.lists(st.integers(1, 3), min_size=3,
+                                           max_size=3)))
+        cutoff = data.draw(st.integers(1, 9))
+        exps = st.tuples(*[st.integers(0, 2)] * 3)
+        coeffs = st.integers(-3, 3).filter(bool)
+        parts = [{}] + [data.draw(st.dictionaries(exps, coeffs, max_size=2))
+                        for _ in range(1, cutoff)]
+        reduced = data.draw(st.lists(st.tuples(coeffs, exps,
+                                               st.integers(0, 4)),
+                                     max_size=6))
+        assert list(_graded_substitute(reduced, weights, cutoff, parts)) == \
+            list(scan_every_term(reduced, weights, cutoff, parts))
+
     def test_series_route_agrees_with_residue_route(self):
         """Dual-route check over all generic vertex rows.
 

@@ -88,7 +88,7 @@ NOTE_95_OX = "95\tOx\tcertificate_defect\tinequality\t-\t-\tnot a point\n"
 BAD_GOLDEN = {
     "unknown_method": (
         lambda p: golden_with_cell(p, 95, "Oy", "method", "B", "Q"),
-        "unknown method 'Q'"),
+        "golden_tables.tsv: the row No. 95 Oy [a_1!=0]: unknown method 'Q'"),
     "no_A3_column": (
         lambda p: golden_edited(p, "families.tsv",
                                 lambda t: t.replace("\tA3\t", "\tA_3\t", 1)),
@@ -138,6 +138,15 @@ BAD_GOLDEN = {
     "bad_witness": (
         lambda p: golden_with_cell(p, 2, "Ow", "witness", "tw^2", "tw^2+q"),
         "golden_tables.tsv: the row No. 2 Ow []: cannot parse term 'q'"),
+    "type_order_zero": (
+        lambda p: golden_edited(p, "golden_tables.tsv", lambda t: t.replace(
+            "\n95\tOzOt\t1\t2\t1/2(", "\n95\tOzOt\t1\t0\t1/0(")),
+        "golden_tables.tsv: the row No. 95 OzOt []: cannot parse "
+        "singularity type '1/0(1_x,1_y,1_w)'"),
+    "type_condition_without_type": (
+        lambda p: golden_with_cell(p, 95, "OzOt", "condition", "", "Type"),
+        "golden_tables.tsv: the row No. 95 OzOt [Type]: cannot parse "
+        "condition 'Type'"),
     "exclusion_without_linsys": (
         lambda p: golden_with_cell(p, 95, "OtOw", "linsys", "5B", ""),
         "golden_tables.tsv: the row No. 95 OtOw []: an exclusion row needs"),
@@ -147,6 +156,37 @@ BAD_GOLDEN = {
     "r_mismatch": (
         lambda p: golden_with_cell(p, 95, "OtOw", "r", "11", "12"),
         "golden_tables.tsv: the row No. 95 OtOw []: column 'r' reads '12'"),
+    # cells that `load` reads outside a table row
+    "bad_A3": (
+        lambda p: golden_edited(p, "families.tsv", lambda t: t.replace(
+            "\n3\t6\t1,1,1,1,3\t2\t", "\n3\t6\t1,1,1,1,3\tx\t")),
+        "families.tsv: column 'A3' of family 3 reads 'x', expected a "
+        "fraction"),
+    "A3_over_zero": (
+        lambda p: golden_edited(p, "families.tsv", lambda t: t.replace(
+            "\n3\t6\t1,1,1,1,3\t2\t", "\n3\t6\t1,1,1,1,3\t1/0\t")),
+        "families.tsv: column 'A3' of family 3 reads '1/0'"),
+    "bad_printed_weights": (
+        lambda p: golden_edited(p, "families.tsv", lambda t: t.replace(
+            "\t2\t1\t1,1,1,1,3\n", "\t2\t1\t1,1,x,1,3\n")),
+        "families.tsv: column 'printed_weights' of family 3 reads "
+        "'1,1,x,1,3'"),
+    "unsorted_weights": (
+        lambda p: golden_edited(p, "families.tsv", lambda t: t.replace(
+            "\n3\t6\t1,1,1,1,3\t", "\n3\t6\t1,1,1,3,1\t")),
+        "families.tsv: column 'weights' of family 3 reads '1,1,1,3,1'"),
+    "families_bad_no": (
+        lambda p: golden_edited(p, "families.tsv", lambda t: t.replace(
+            "\n3\t6\t", "\n3x\t6\t")),
+        "families.tsv: column 'no' of line 4 reads '3x', expected an "
+        "integer"),
+    "tables_bad_no": (
+        lambda p: golden_with_cell(p, 95, "Oy", "no", "95", "9x"),
+        "golden_tables.tsv: column 'no' of line 297 reads '9x'"),
+    "notes_bad_no": (
+        lambda p: golden_edited(p, "golden_notes.tsv", lambda t: t.replace(
+            "\n93\t-\tlist_typo", "\n9x\t-\tlist_typo")),
+        "golden_notes.tsv: column 'no' of line 3 reads '9x'"),
     "d_mismatch": (
         lambda p: golden_edited(p, "families.tsv",
                                 lambda t: t.replace("\n95\t66\t",
@@ -463,6 +503,16 @@ class TestParserReuse:
         assert results[0] == results[4]
         for argv, got in zip(sequence[:4], results):
             assert got == run_in_fresh_process(argv), argv
+
+
+class TestStartup:
+    def test_setup_loads_neither_dataclasses_nor_inspect(self):
+        # every command pays for what `wfano.cli` and the golden load import
+        code, out, err = run_in_fresh_process([], (
+            "import sys, wfano.cli; wfano.golden.data(); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"))
+        assert code == 0, err
+        assert out == "[]\n"
 
 
 JUNK = st.text("0123456789,-x", max_size=8)

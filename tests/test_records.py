@@ -1,0 +1,93 @@
+"""The record types: immutable, ordered where they were, printed as before."""
+
+import functools
+import pickle
+
+import pytest
+
+from wfano import golden
+from wfano.blowup import B, E, BlowupContext, YClass
+from wfano.census import census
+from wfano.report import check_tables
+from wfano.rigidity import (certify_row, curve_status, involution_case,
+                            smooth_point_status)
+from wfano.wps import Family, general_quasismooth
+
+
+def test_family_orders_by_weights_then_entry_number():
+    fams = [rec.family for rec in golden.data().families]
+    assert sorted(fams[::-1]) == sorted(
+        fams, key=lambda f: (f.w, f.entry_no))
+    a, b = Family.of(2, 3, 4, 5, entry_no=1), Family.of(2, 3, 4, 5,
+                                                         entry_no=2)
+    assert a < b and a <= b and b > a and b >= a and not b < a
+    assert Family.of(1, 1, 1, 1) < Family.of(1, 1, 1, 2)
+
+
+def test_family_is_a_cache_key():
+    f = Family.of(2, 3, 4, 5, entry_no=23)
+    g = Family((1, 2, 3, 4, 5), 23)
+    assert f == g and hash(f) == hash(g) and f is not g
+    assert f != Family.of(2, 3, 4, 5) and f != (f.w, 23, 14)
+
+    @functools.lru_cache(maxsize=None)
+    def degree(family):
+        return family.d
+
+    assert degree(f) == degree(g) == 14
+    assert degree.cache_info().hits == 1
+    assert pickle.loads(pickle.dumps(f)) == f
+
+
+def _records():
+    """One record of each type, with a field to try to overwrite."""
+    data = golden.data()
+    f = data.family(95).family
+    cens = census(f)
+    row = data.rows_for(23, "Oz")[0]
+    cert = certify_row(data.family(23).family, row)
+    return [
+        (f, "w"), (data.family(95), "A3"), (data.notes[0], "note"),
+        (row, "method"), (cert, "checks"), (cert.checks[0], "passed"),
+        (cens, "entries"), (cens.entries[0], "r"),
+        (BlowupContext(f, cens.entries[0]), "family"), (B, "beta_B"),
+        (smooth_point_status(f), "kind"), (curve_status(f), "kind"),
+        (involution_case(data.family(23).family, "Oz",
+                         {"a1": "zero", "c": "zero"}), "label"),
+        (general_quasismooth(f), "ok"),
+        (check_tables(data, family_filter=95), "rows"),
+    ]
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("record,field", RECORDS,
+                         ids=[type(r).__name__ for r, _field in RECORDS])
+def test_records_are_immutable(record, field):
+    value = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, field) is value
+
+
+def test_str_and_repr_are_unchanged():
+    data = golden.data()
+    f95 = data.family(95).family
+    assert str(f95) == "No. 95: X_66 in P(1, 5, 6, 22, 33)"
+    assert str(Family.of(1, 1, 1, 1)) == "X_4 in P(1, 1, 1, 1, 1)"
+    assert repr(f95) == "Family(w=(1, 5, 6, 22, 33), entry_no=95, d=66)"
+    assert [str(e) for e in census(f95).entries] == [
+        "Oy = 1/5(1, 2, 3)", "OzOt = 1/2(1, 1, 1)", "OzOw = 1/3(1, 2, 1)",
+        "OtOw = 1/11(1, 5, 6)"]
+    assert [str(e) for e in census(data.family(7).family).entries] == [
+        "Ow = 1/3(1, 1, 2)", "OzOt = 4x1/2(1, 1, 1)"]
+    assert repr(census(f95).entries[0]) == (
+        "QuotientSingularity(r=5, type_=(1, 2, 3), location=('vertex', 1), "
+        "count=1, local_params=(0, 3, 4), residues=(1, 2, 3), eliminated=2)")
+    assert [str(c) for c in (B, E, YClass.of(1, -1), YClass.of(2, 3),
+                             YClass.of(3, -2), YClass.of(5),
+                             YClass.of(1, 1))] == [
+        "B", "0B+E", "B-E", "2B+3E", "3B-2E", "5B", "B+E"]

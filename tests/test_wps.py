@@ -24,6 +24,10 @@ class TestBasics:
             Family((2, 1, 1, 1, 1))
         with pytest.raises(ValueError):
             Family((1, 3, 2, 4, 5))
+        with pytest.raises(ValueError):
+            Family((1, 0, 1, 1, 1))
+        with pytest.raises(ValueError):
+            Family((1, 1, 1, 1))
 
     @pytest.mark.parametrize("w,expected", [
         ((1, 1, 1, 2), Fraction(5, 2)),     # No. 2
