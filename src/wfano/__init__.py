@@ -13,7 +13,7 @@ from .census import (Census, EdgeContained, NonTerminal, QuotientSingularity,
 from .exactmath import (NoEliminatingMonomial, OVERCUTOFF, Poly,
                         ZeroPolynomial, implicit_eliminate, parse_poly,
                         series_order, weighted_monomials)
-from .golden import GoldenData, GoldenRow, NoMatchingRow, UnknownVariantFlag
+from .golden import GoldenData, GoldenRow, UnknownVariantFlag
 from .rigidity import (Certificate, curve_status, involution_case,
                        neg_definite, smooth_point_status, super_rigid, test_b,
                        test_n, test_p)

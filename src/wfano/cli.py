@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -18,7 +19,7 @@ from .census import (LOCATIONS, EdgeContained, NonTerminal,
                      is_terminal_family, vertex_elimination_candidates,
                      vertex_singularity)
 from .exactmath import NoEliminatingMonomial, OVERCUTOFF, parse_poly
-from .golden import NoMatchingRow, UnknownVariantFlag, parse_variant
+from .golden import UnknownVariantFlag, parse_variant
 from .wps import (Family, UnknownSpecialMember, anticanonical_degree,
                   eliminating_monomial, enumerate_families,
                   general_quasismooth, generic_member, is_wellformed,
@@ -43,13 +44,12 @@ class UsageError(ValueError):
 
 # What `main` turns into an exit code and one `error:` line.  Anything else
 # is a defect in the program and keeps its traceback.
-USAGE_ERRORS = (UsageError, UnknownVariantFlag, NoMatchingRow,
-                UnknownSpecialMember)
+USAGE_ERRORS = (UsageError, UnknownVariantFlag, UnknownSpecialMember)
 MISMATCHES = (NonTerminal, EdgeContained, NoEliminatingMonomial)
 
 
 def _dataset(args):
-    if getattr(args, "golden", None):
+    if args.golden:
         try:
             return golden.load(Path(args.golden))
         except (OSError, ValueError) as exc:
@@ -220,6 +220,7 @@ def cmd_order(args) -> int:
 
 
 def cmd_search(args) -> int:
+    dataset = _dataset(args)
     f = Family.of(*_parse_weights(args.weights))
     info = {
         "weights": list(f.w), "degree": f.d,
@@ -235,7 +236,6 @@ def cmd_search(args) -> int:
         if info["terminal"]:
             info["census"] = [report_mod.census_record(e)
                               for e in compute_census(f).entries]
-            dataset = _dataset(args)
             match = next((rec.family.entry_no for rec in dataset.families
                           if rec.family.w == f.w), None)
             info["entry_no"] = match
@@ -257,36 +257,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "Fano threefold hypersurface families")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, golden_flag=True):
-        sp.add_argument("--json", action="store_true",
-                        help="emit JSON instead of text")
-        if golden_flag:
-            sp.add_argument("--golden", metavar="PATH",
-                            help="directory overriding the packaged dataset")
-
     sp = sub.add_parser("enumerate", help="rediscover the 95 families")
     sp.add_argument("--max-weight", type=int, default=33,
                     help=f"largest a4 scanned, 1..{MAX_ENUMERATE_WEIGHT}")
     sp.add_argument("--diff-paper", action="store_true",
                     help="show the documented source-list corrections")
-    add_common(sp)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("census", help="singular points of a family")
     sp.add_argument("family", help="entry number or a1,a2,a3,a4")
-    add_common(sp)
     sp.set_defaults(func=cmd_census)
 
     sp = sub.add_parser("report", help="full certificate report")
     sp.add_argument("family", help="entry number or a1,a2,a3,a4")
     sp.add_argument("--variant", help="condition flags, e.g. a1=0,c=0")
-    add_common(sp)
     sp.set_defaults(func=cmd_report)
 
     sp = sub.add_parser("check-tables", help="run the consistency suite")
     sp.add_argument("--family",
                     help="restrict to one family: entry number or a1,a2,a3,a4")
-    add_common(sp)
     sp.set_defaults(func=cmd_check_tables)
 
     sp = sub.add_parser("order", help="vanishing order at a vertex point")
@@ -301,25 +290,37 @@ def build_parser() -> argparse.ArgumentParser:
                          f"(default {DEFAULT_CUTOFF}r)")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for the generic member coefficients")
-    add_common(sp)
     sp.set_defaults(func=cmd_order)
 
     sp = sub.add_parser("search", help="probe a raw weight quadruple")
     sp.add_argument("weights", help="a1,a2,a3,a4")
-    add_common(sp)
     sp.set_defaults(func=cmd_search)
+
+    for name, sp in sub.choices.items():
+        if name != "order":  # `order` prints one number
+            sp.add_argument("--json", action="store_true",
+                            help="emit JSON instead of text")
+        sp.add_argument("--golden", metavar="PATH",
+                        help="directory overriding the packaged dataset")
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except MISMATCHES as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return MISMATCH
+    except BrokenPipeError:
+        # The reader closed stdout, as `wfano check-tables | head -1` does.
+        # Point stdout at devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return MISMATCH
 
 

@@ -6,7 +6,7 @@ tables (singularity types keep their local-parameter subscripts, e.g.
 ``1/3(1_x,2_y,1_t)``).  A companion notes file records the documented
 corrections: two weight-list typos, two singularity-type typos, and one
 certificate whose printed inequality data does not check out.  Corrections
-are applied at load time; both the printed and corrected strings are kept.
+are applied at load time; each note keeps the printed and corrected strings.
 Each row, family and note loads into an immutable named tuple (`GoldenRow`,
 `FamilyRecord`, `Note`); `GoldenData` holds the three tables and indexes
 the rows by family.
@@ -137,10 +137,11 @@ class GoldenRow(NamedTuple):
     location: tuple                  # ("vertex", i) or ("edge", i, j)
     count: int
     r: int
-    type_raw: str                    # as printed
     type_str: str                    # corrected when a documented typo applies
     residues: tuple[int, int, int]
-    subscripts: tuple[Optional[int], ...]
+    # the local parameters read off the type's subscripts, when all three
+    # are printed
+    local_params: Optional[tuple[int, int, int]]
     normalized: tuple[int, int, int]
     method: str
     b3_sign: str
@@ -159,12 +160,6 @@ class GoldenRow(NamedTuple):
     @property
     def kind(self) -> str:
         return "exclude" if self.method in EXCLUDE_METHODS else "untwist"
-
-    def row_local_params(self) -> Optional[tuple[int, int, int]]:
-        """Local parameters read off the subscripts, when all are printed."""
-        if all(s is not None for s in self.subscripts):
-            return tuple(self.subscripts)
-        return None
 
 
 class FamilyRecord(NamedTuple):
@@ -296,6 +291,9 @@ def _golden_row(rec: dict[str, str], no: int, type_fix: Optional[Note],
     if rec["r"] != str(printed[0]):
         raise ValueError(f"column 'r' reads {rec['r']!r}, but the printed "
                          f"type {type_raw!r} has r = {printed[0]}")
+    if type_fix and type_fix.printed != type_raw:
+        raise ValueError(f"the type_typo note corrects {type_fix.printed!r}, "
+                         f"but the row prints {type_raw!r}")
     type_str = type_fix.corrected if type_fix else type_raw
     r, residues, subs = parse_type(type_str) if type_fix else printed
     normalized = try_normalize_type(r, residues)
@@ -313,8 +311,8 @@ def _golden_row(rec: dict[str, str], no: int, type_fix: Optional[Note],
                          "'vanishing' cell")
     return GoldenRow(
         family_no=no, point=point, location=location,
-        count=int(rec["count"]), r=r, type_raw=type_raw, type_str=type_str,
-        residues=residues, subscripts=subs, normalized=normalized,
+        count=int(rec["count"]), r=r, type_str=type_str, residues=residues,
+        local_params=None if None in subs else subs, normalized=normalized,
         method=method, b3_sign=rec["b3"], linsys_raw=rec["linsys"],
         linsys=linsys, surface_raw=rec["surface"], surface=surface,
         vanishing=vanishing, condition_raw=rec["condition"],
@@ -356,7 +354,9 @@ def load(path: Optional[Path] = None) -> GoldenData:
                              f"a1+a2+a3+a4 = {fam.d}")
         fams.append(FamilyRecord(
             family=fam, A3=_family_cell(no, rec, "A3", Fraction, "a fraction"),
-            superrigid=rec["superrigid"] == "1",
+            superrigid=_family_cell(no, rec, "superrigid",
+                                    lambda text: bool(("0", "1").index(text)),
+                                    "0 or 1"),
             printed_weights=_family_cell(no, rec, "printed_weights", _integers,
                                          "comma-separated integers")))
     fams.sort(key=lambda fr: fr.family.entry_no)
@@ -405,10 +405,6 @@ def data() -> GoldenData:
 # ------------------------------------------------------- variant matching
 
 class UnknownVariantFlag(ValueError):
-    pass
-
-
-class NoMatchingRow(LookupError):
     pass
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .census import QuotientSingularity, census, canonical_type
@@ -81,13 +80,9 @@ def _point_entry(cert: Certificate) -> dict:
             for c in cert.checks
         ],
     }
-    for key in ("B3", "c", "m"):
-        if key in cert.inputs:
-            entry[key.lower()] = (str(cert.inputs[key])
-                                  if isinstance(cert.inputs[key], Fraction)
-                                  else cert.inputs[key])
-    if "k" in cert.inputs:
-        entry["k"] = list(cert.inputs["k"])
+    if cert.m is not None:  # an exclusion certificate that was computed
+        entry.update(b3=str(cert.B3), c=row.linsys[0], m=cert.m,
+                     k=list(cert.k))
     if row.b3_sign:
         entry["b3_sign"] = row.b3_sign
     if row.linsys_raw:
@@ -143,7 +138,8 @@ def render_text(report: dict) -> str:
             bits.append(f"B^3 = {p['b3']} ({p.get('b3_sign', '')})")
         if "linear_system" in p:
             bits.append(f"T in |{p['linear_system']}|"
-                        f" (c = {p.get('c')}, m = {p.get('m')})")
+                        + (f" (c = {p['c']}, m = {p['m']})" if "m" in p
+                           else ""))
         if "witness" in p:
             bits.append(f"witness {p['witness']}")
         status = "ok" if p["valid"] else (
@@ -196,6 +192,10 @@ def check_tables(dataset: GoldenData,
     nrows = 0
     nfam = 0
 
+    def discrepancy(no: int, point: str, reason: str, condition: str = ""):
+        discrepancies.append({"family": no, "point": point,
+                              "condition": condition, "reason": reason})
+
     for note in dataset.notes:
         if family_filter is not None and note.no != family_filter:
             continue
@@ -213,17 +213,14 @@ def check_tables(dataset: GoldenData,
         nfam += 1
         f = rec.family
 
-        if anticanonical_degree(f) != rec.A3:
-            discrepancies.append({
-                "family": no, "point": "-", "condition": "",
-                "reason": f"A^3 mismatch: computed "
-                          f"{anticanonical_degree(f)}, stored {rec.A3}"})
-        if super_rigid(dataset, no) != rec.superrigid:
-            discrepancies.append({
-                "family": no, "point": "-", "condition": "",
-                "reason": f"super-rigidity mismatch: computed "
-                          f"{super_rigid(dataset, no)}, stored "
-                          f"{rec.superrigid}"})
+        A3 = anticanonical_degree(f)
+        if A3 != rec.A3:
+            discrepancy(no, "-", f"A^3 mismatch: computed {A3}, "
+                                 f"stored {rec.A3}")
+        superrigid = super_rigid(dataset, no)
+        if superrigid != rec.superrigid:
+            discrepancy(no, "-", f"super-rigidity mismatch: computed "
+                                 f"{superrigid}, stored {rec.superrigid}")
 
         cens = census(f)
         cens_keys = {e.point_id(): (e.count, e.r, canonical_type(e.type_))
@@ -233,17 +230,13 @@ def check_tables(dataset: GoldenData,
             row_keys.setdefault(row.point, set()).add(
                 (row.count, row.r, canonical_type(row.normalized)))
         if set(cens_keys) != set(row_keys):
-            discrepancies.append({
-                "family": no, "point": "-", "condition": "",
-                "reason": f"census locations {sorted(cens_keys)} vs "
-                          f"table locations {sorted(row_keys)}"})
+            discrepancy(no, "-", f"census locations {sorted(cens_keys)} vs "
+                                 f"table locations {sorted(row_keys)}")
         else:
             for point, key in cens_keys.items():
                 if any(k != key for k in row_keys[point]):
-                    discrepancies.append({
-                        "family": no, "point": point, "condition": "",
-                        "reason": f"census {key} vs table "
-                                  f"{sorted(row_keys[point])}"})
+                    discrepancy(no, point, f"census {key} vs table "
+                                           f"{sorted(row_keys[point])}")
 
         for row in dataset.rows_for(no):
             nrows += 1
@@ -265,11 +258,8 @@ def check_tables(dataset: GoldenData,
             for combo in itertools.product(*values):
                 variant = dict(zip(atoms, combo))
                 if not match_rows(dataset, no, point, variant):
-                    discrepancies.append({
-                        "family": no, "point": point,
-                        "condition": str(variant),
-                        "reason": "variant combination not covered "
-                                  "by any golden row"})
+                    discrepancy(no, point, "variant combination not covered "
+                                           "by any golden row", str(variant))
     return CheckResult(nfam, nrows, discrepancies, documented)
 
 

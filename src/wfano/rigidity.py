@@ -23,7 +23,8 @@ from .blowup import (BlowupContext, NonIntegral, b_cubed,
                      monomial_order, proper_transform_class, s_class_ks)
 from .census import (LOCATIONS, QuotientSingularity, canonical_type, census,
                      edge_singularities, vertex_singularity)
-from .golden import GoldenData, GoldenRow, NoMatchingRow
+from .exactmath import NoEliminatingMonomial
+from .golden import GoldenData, GoldenRow
 from .wps import (COORDS, Family, admits_member_with_stratum,
                   anticanonical_degree, hat_lcms)
 
@@ -34,6 +35,10 @@ class NotApplicable(LookupError):
 
 class NotSymmetric(ValueError):
     pass
+
+
+class NoMatchingRow(LookupError):
+    """The census has no quotient point where the row puts one."""
 
 
 # ------------------------------------------------------------ small tests
@@ -257,11 +262,15 @@ def involution_case(f: Family, point: str,
 # -------------------------------------------------------------- certificates
 
 class Certificate(NamedTuple):
-    """The checks recomputed on one golden row, and the values they used."""
+    """The checks recomputed on one golden row, and the values an exclusion
+    certificate used: B^3, the multiplicity m of the key surface and the
+    k values of its class (None where no exclusion was computed)."""
 
     row: GoldenRow
-    inputs: dict
     checks: tuple[Check, ...]
+    B3: Optional[Fraction] = None
+    m: Optional[int] = None
+    k: Optional[tuple[int, ...]] = None
 
     @property
     def valid(self) -> bool:
@@ -281,7 +290,7 @@ def _row_singularity(f: Family, row: GoldenRow) -> QuotientSingularity:
     of local parameters (printed as subscripts) when it has one."""
     loc = row.location
     if loc[0] == "vertex":
-        subs = row.row_local_params()
+        subs = row.local_params
         eliminated = None
         if subs is not None:
             leftover = [j for j in range(5) if j != loc[1] and j not in subs]
@@ -298,20 +307,23 @@ def _row_singularity(f: Family, row: GoldenRow) -> QuotientSingularity:
 
 
 def certify_row(f: Family, row: GoldenRow) -> Certificate:
-    """Recompute every machine-checkable quantity on one golden row."""
-    checks: list[Check] = []
-    inputs: dict = {"r": row.r}
-    sing = _row_singularity(f, row)
-    ctx = BlowupContext(f, sing)
-    inputs.update(a=ctx.a, b=ctx.b, A3=ctx.A3)
+    """Recompute every machine-checkable quantity on one golden row.
 
-    checks.append(Check(
+    A row at a point where the census has no quotient point, or whose
+    subscripts name a coordinate that cannot be eliminated there, gets a
+    certificate whose one check, "quotient type", fails.
+    """
+    try:
+        sing = _row_singularity(f, row)
+    except (NoMatchingRow, NoEliminatingMonomial) as exc:
+        return Certificate(row, (Check("quotient type", False, str(exc)),))
+    checks = [Check(
         "quotient type",
         canonical_type(sing.type_) == canonical_type(row.normalized)
         and sing.r == row.r and sing.count == row.count,
         f"census {sing.count}x1/{sing.r}{sing.type_} vs "
-        f"row {row.count}x{row.type_str}"))
-    subs = row.row_local_params()
+        f"row {row.count}x{row.type_str}")]
+    subs = row.local_params
     if subs is not None:
         expected = tuple(f.w[i] % row.r for i in subs)
         checks.append(Check(
@@ -319,23 +331,19 @@ def certify_row(f: Family, row: GoldenRow) -> Certificate:
             f"weights of {''.join(COORDS[i] for i in subs)} mod {row.r} = "
             f"{expected} vs printed {row.residues}"))
 
-    if row.kind == "exclude":
-        _certify_exclusion(f, row, ctx, inputs, checks)
-    else:
-        _certify_involution(f, row, inputs, checks)
-    return Certificate(row, inputs, tuple(checks))
+    if row.kind == "untwist":
+        return _certify_involution(f, row, checks)
+    return _certify_exclusion(f, row, BlowupContext(f, sing), checks)
 
 
 def _certify_exclusion(f: Family, row: GoldenRow, ctx: BlowupContext,
-                       inputs: dict, checks: list[Check]) -> None:
+                       checks: list[Check]) -> Certificate:
     val, sign = b_cubed(ctx)
-    inputs["B3"] = val
     checks.append(Check("B^3 sign", sign == row.b3_sign,
                         f"B^3 = {val} ({sign}) vs table {row.b3_sign!r}"))
 
     c, b_coef = row.linsys
     m = min(monomial_order(v, f.w, row.r) for v in row.vanishing)
-    inputs.update(c=c, m=m)
     try:
         cls = proper_transform_class(ctx, c, Fraction(m, row.r))
         ok = (cls.beta_B, cls.beta_E) == (c, b_coef)
@@ -352,7 +360,6 @@ def _certify_exclusion(f: Family, row: GoldenRow, ctx: BlowupContext,
                         f"linear system expects {c}"))
 
     ks = s_class_ks(ctx)
-    inputs["k"] = ks
     if row.method in _INEQUALITIES:
         test, name = _INEQUALITIES[row.method]
         results = {k: test(ctx, c, m, k) for k in ks}
@@ -392,10 +399,11 @@ def _certify_exclusion(f: Family, row: GoldenRow, ctx: BlowupContext,
         checks.append(Check(
             "structural (f)", True,
             "one-dimensional family of trivial curves certified per family"))
+    return Certificate(row, tuple(checks), val, m, ks)
 
 
-def _certify_involution(f: Family, row: GoldenRow, inputs: dict,
-                        checks: list[Check]) -> None:
+def _certify_involution(f: Family, row: GoldenRow,
+                        checks: list[Check]) -> Certificate:
     variant = dict(row.condition)
     try:
         case = involution_case(f, row.point, variant)
@@ -411,7 +419,7 @@ def _certify_involution(f: Family, row: GoldenRow, inputs: dict,
             "witness degree", degs == {f.d},
             f"witness {row.witness_raw} has degrees {sorted(degs)}, "
             f"anticanonical degree is {f.d}"))
-        inputs["witness"] = row.witness_raw
+    return Certificate(row, tuple(checks))
 
 
 def super_rigid(dataset: GoldenData, no: int) -> bool:

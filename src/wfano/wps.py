@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional
 
@@ -102,7 +102,6 @@ def is_wellformed(w: Iterable[int]) -> bool:
 
 # ----------------------------------------------------- quasi-smoothness
 
-@lru_cache(maxsize=None)
 def _semigroup_mask(weights: tuple[int, ...], bound: int) -> int:
     """Bit t is set iff t is a nonnegative integer combination of weights.
 
@@ -142,7 +141,7 @@ def general_quasismooth(f: Family, exclude_pure: Optional[tuple[int, ...]] = Non
     banned = set(exclude_pure) if exclude_pure else None
     for bits in range(1, 32):
         subset = tuple(i for i in range(5) if bits >> i & 1)
-        mask = _semigroup_mask(tuple(sorted(w5[i] for i in subset)), d)
+        mask = _semigroup_mask(tuple(w5[i] for i in subset), d)
         if banned is not None and set(subset) <= banned:
             ok_a = False
         elif banned is not None:

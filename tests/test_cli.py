@@ -192,6 +192,19 @@ BAD_GOLDEN = {
                                 lambda t: t.replace("\n95\t66\t",
                                                     "\n95\t67\t")),
         "families.tsv: column 'd' of family 95 reads '67'"),
+    "superrigid_not_a_flag": (
+        lambda p: golden_edited(p, "families.tsv", lambda t: t.replace(
+            "\n2\t5\t1,1,1,1,2\t5/2\t0\t", "\n2\t5\t1,1,1,1,2\t5/2\tno\t")),
+        "families.tsv: column 'superrigid' of family 2 reads 'no', "
+        "expected 0 or 1"),
+    # a correction applies only to the type that its note says was printed
+    "type_note_mismatch": (
+        lambda p: golden_edited(p, "golden_notes.tsv", lambda t: t.replace(
+            "\ttype_typo\ttype\t1/2(1_x,1_y,1_t)\t",
+            "\ttype_typo\ttype\t1/7(1_x,2_y,5_t)\t")),
+        "golden_tables.tsv: the row No. 35 OzOw []: the type_typo note "
+        "corrects '1/7(1_x,2_y,5_t)', but the row prints "
+        "'1/2(1_x,1_y,1_t)'"),
 }
 
 
@@ -321,8 +334,11 @@ class TestCheckTables:
         (52, "Oz", "method", "N", "B"),
         # the two-ray game of No. 21 holds at O_t, not at this edge
         (21, "OzOt", "method", "B", "P"),
+        # subscripts that leave w, which O_y cannot eliminate, to the chart
+        (95, "Oy", "type_raw", "1/5(1_x,2_t,3_w)", "1/5(1_x,2_t,3_z)"),
     ], ids=["19-OzOt-b3", "52-Oz-documented-defect-b3",
-            "52-Oz-documented-defect-method", "21-OzOt-method-P"])
+            "52-Oz-documented-defect-method", "21-OzOt-method-P",
+            "95-Oy-subscripts"])
     def test_fault_injection_names_the_row(self, tmp_path, capsys, no, point,
                                            column, old, new):
         golden_with_cell(tmp_path, no, point, column, old, new)
@@ -333,6 +349,20 @@ class TestCheckTables:
         assert len(payload["discrepancies"]) == 1
         d = payload["discrepancies"][0]
         assert d["family"] == no and d["point"] == point
+
+    def test_row_at_a_point_the_census_lacks_is_a_discrepancy(
+            self, tmp_path, capsys):
+        golden_with_cell(tmp_path, 95, "OzOt", "point", "OzOt", "OyOz")
+        code, out, _ = run(capsys, "check-tables", "--golden", str(tmp_path),
+                           "--json")
+        assert code == 1
+        assert {"family": 95, "point": "OyOz", "condition": "",
+                "reason": "quotient type: no quotient points on edge OyOz",
+                "failed_checks": ["quotient type"]
+                } in json.loads(out)["discrepancies"]
+        code, out, _ = run(capsys, "report", "95", "--golden", str(tmp_path))
+        assert code == 1
+        assert "  OyOz (b) exclude  |  T in |5B+2E|  -> FAILED\n" in out
 
     def test_stored_superrigid_flag_is_checked(self, tmp_path, capsys):
         # the report prints the computed flag, and check-tables names the
@@ -409,6 +439,30 @@ class TestSearch:
         assert info["quasismooth"] is False
 
 
+def test_order_takes_no_json_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["order", "50", "--point", "Ot", "--poly", "y", "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # The read end is closed before the child starts, so its first write
+    # fails; a reader that took one line first would race with that write.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wfano.cli", "check-tables"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ,
+                     PYTHONPATH=str(Path(wfano.__file__).parents[1])))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Broken" not in proc.stderr
+
+
 class TestErrorBoundary:
     @pytest.mark.parametrize("argv", [
         ("search", "3,4,x"),
@@ -418,6 +472,7 @@ class TestErrorBoundary:
         ("report", "23", "--variant", "special"),
         ("report", "1", "--variant", "special"),
         ("report", "95", "--golden", "{missing}"),
+        ("search", "1,1,1,4", "--golden", "{missing}"),
         ("report", "95", "--golden", "{unknown_method}"),
         ("report", "95", "--golden", "{no_A3_column}"),
         ("report", "95", "--golden", "{short_weights}"),
@@ -435,7 +490,7 @@ class TestErrorBoundary:
     ], ids=["search-not-int", "search-zero-weight", "order-no-special-member",
             "order-variant-flag", "report-variant-special",
             "report-variant-special-no-points",
-            "report-missing-golden",
+            "report-missing-golden", "search-missing-golden",
             "report-golden-unknown-method", "report-golden-no-A3-column",
             "report-golden-short-weights", "report-golden-short-row",
             "check-golden-orphan-row",
@@ -543,7 +598,7 @@ def cli_argv(draw):
         if draw(st.booleans()):
             # at most the 4r default for every r >= 2, so no call runs long
             argv += ["--cutoff", str(draw(st.integers(-2, 8)))]
-    if draw(st.booleans()):
+    if command != "order" and draw(st.booleans()):
         argv.append("--json")
     return argv
 

@@ -92,7 +92,9 @@ class TestDataset:
 
     def test_type_corrections_applied(self):
         row35 = DATA.rows_for(35, "OzOw")[0]
-        assert row35.type_raw == "1/2(1_x,1_y,1_t)"
+        (note,) = [n for n in DATA.notes
+                   if (n.no, n.point, n.kind) == (35, "OzOw", "type_typo")]
+        assert note.printed == "1/2(1_x,1_y,1_t)"
         assert row35.type_str == "1/3(1_x,1_y,2_t)"
         assert row35.r == 3 and row35.corrected
         row74 = DATA.rows_for(74, "Ow")[0]

@@ -188,8 +188,8 @@ class TestClassifyPoint:
         cert = certify_row(fam(95), row)
         assert cert.row.method == "B" and cert.row.kind == "exclude"
         assert cert.valid
-        assert cert.inputs["c"] == 6 and cert.inputs["m"] == 6
-        assert cert.inputs["k"] == (1, 6)
+        assert cert.row.linsys[0] == 6 and cert.m == 6
+        assert cert.k == (1, 6)
 
     def test_no10_two_ray(self):
         (row,) = match_rows(DATA, 10, "Ot", {})
