@@ -151,8 +151,9 @@ def divisor_multiplicity(ctx: BlowupContext, g: Poly, member: Poly,
 
     Eliminates the chart coordinate from the member equation only as deep
     as the first surviving degree of g, at most to the given cutoff
-    (default DEFAULT_CUTOFF * r).  Returns OVERCUTOFF when every term of g
-    cancels below the cutoff.
+    (default DEFAULT_CUTOFF * r).  Returns OVERCUTOFF when no term of g
+    survives below the cutoff, cancelled or lying past it: the order is at
+    least cutoff/r.
     """
     if cutoff is None:
         cutoff = DEFAULT_CUTOFF * ctx.r

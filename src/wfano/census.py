@@ -107,16 +107,22 @@ def vertex_elimination_candidates(f: Family, i: int) -> list[int]:
             if j != i and (d - w5[j]) % w5[i] == 0 and (d - w5[j]) >= w5[i]]
 
 
-def vertex_conditions_hold(f: Family) -> bool:
-    """The singleton case of the quasi-smoothness test at O_y .. O_w.
+def vertex_conditions_hold(w: tuple[int, int, int, int, int]) -> bool:
+    """The singleton case of the quasi-smoothness test at O_y .. O_w, on
+    the bare weights w = (1, a1, a2, a3, a4).
 
-    For I = {i}, some x_i^k or x_i^k * x_j has degree d: a_i | d, or x_i
-    has an elimination candidate.  A necessary condition for
-    `wps.general_quasismooth`, and much cheaper; the enumeration uses it
-    as a filter.  O_t rejects the most candidates, so it is tested first.
+    For I = {i}, some x_i^k or x_i^k * x_j has degree d = a1+a2+a3+a4:
+    d = a_j mod a_i for some j, where j = i stands for x_i^k alone.  A
+    necessary condition for `wps.general_quasismooth`, and much cheaper;
+    the enumeration tests it before it builds a `Family`.  O_t rejects
+    the most candidates, so it is tested first.
     """
-    return all(f.d % f.w[i] == 0 or vertex_elimination_candidates(f, i)
-               for i in (3, 2, 1, 4))
+    _, a1, a2, a3, a4 = w
+    d = a1 + a2 + a3 + a4
+    for a in (a3, a2, a1, a4):
+        if d % a not in (1 % a, a1 % a, a2 % a, a3 % a, a4 % a):
+            return False
+    return True
 
 
 def vertex_singularity(f: Family, i: int,

@@ -56,8 +56,9 @@ class ZeroPolynomial(ValueError):
     """An identically zero polynomial has no vanishing order."""
 
 
-# The result of an order whose every term cancels below the series cutoff;
-# compare with `is`.
+# The result of an order that no term reaches below the series cutoff, so
+# the order is at least cutoff/r: the terms there cancel, or lie past it.
+# Compare with `is`.
 OVERCUTOFF = object()
 
 
@@ -269,8 +270,9 @@ def series_order(g: Mapping[Exp5, Coeff], member: Mapping[Exp5, Coeff],
     Solves the member for the eliminated coordinate and substitutes the
     series into g in one pass: degree D of g needs the series only up to
     degree D, so the series is built only as deep as the first degree of g
-    that survives.  Returns OVERCUTOFF when every term cancels below the
-    cutoff, which thereby caps the work.
+    that survives.  Returns OVERCUTOFF when no degree below the cutoff
+    survives, because its terms cancel or g has none there: the order is
+    then at least cutoff/r.  The cutoff thereby caps the work.
     """
     if not g or all(c == 0 for c in g.values()):
         raise ZeroPolynomial("vanishing order of the zero polynomial")

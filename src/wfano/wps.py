@@ -102,20 +102,24 @@ def is_wellformed(w: Iterable[int]) -> bool:
 
 # ----------------------------------------------------- quasi-smoothness
 
-def _semigroup_mask(weights: tuple[int, ...], bound: int) -> int:
-    """Bit t is set iff t is a nonnegative integer combination of weights.
+def _extend_mask(mask: int, a: int, bound: int) -> int:
+    """`mask` with the generator a added: bit t is set iff t - k*a is set in
+    `mask` for some k >= 0, for t <= bound.
 
-    Each weight a enters by doubling shifts: after the shifts by a, 2a, ...,
-    2^j a the mask holds every sum with up to 2^(j+1) - 1 more copies of a.
+    a enters by doubling shifts: after the shifts by a, 2a, ..., 2^j a the
+    mask holds every sum with up to 2^(j+1) - 1 more copies of a.
     """
-    m = 1
     full = (1 << (bound + 1)) - 1
-    for a in weights:
-        shift = a
-        while shift <= bound:
-            m |= (m << shift) & full
-            shift *= 2
-    return m
+    while a <= bound:
+        mask |= (mask << a) & full
+        a *= 2
+    return mask
+
+
+def _has_monomial_with(mask: int, t: int, coords: int, w5) -> bool:
+    """Whether degree t is reached, within the subset of `mask`, by a
+    monomial that contains some x_i with bit i set in `coords`."""
+    return any(coords >> i & 1 and mask >> (t - w5[i]) & 1 for i in range(5))
 
 
 class QuasiSmoothDiagnostics(NamedTuple):
@@ -135,32 +139,33 @@ def general_quasismooth(f: Family, exclude_pure: Optional[tuple[int, ...]] = Non
 
     `exclude_pure`, when given, removes from the support every monomial
     supported inside that coordinate set (used to probe members containing
-    the corresponding coordinate stratum, e.g. the t-w line).
+    the corresponding coordinate stratum, e.g. the t-w line); neither (a)
+    nor (b) may then rest on such a monomial.
+
+    Subsets are bit sets over the coordinates, walked in increasing order.
+    masks[I] has bit t set iff degree t is reached by monomials in I; it
+    extends the mask of I minus its lowest coordinate by that coordinate's
+    weight, and every I that holds x (weight 1) reaches all of 0..d.  Any
+    two weights sum to less than d, so no shift below is negative.
     """
     w5, d = f.w, f.d
-    banned = set(exclude_pure) if exclude_pure else None
+    banned = sum(1 << i for i in exclude_pure) if exclude_pure else 0
+    full = (1 << (d + 1)) - 1
+    masks = [1] * 32
     for bits in range(1, 32):
-        subset = tuple(i for i in range(5) if bits >> i & 1)
-        mask = _semigroup_mask(tuple(w5[i] for i in subset), d)
-        if banned is not None and set(subset) <= banned:
-            ok_a = False
-        elif banned is not None:
-            non_banned = [i for i in subset if i not in banned]
-            ok_a = any((mask >> (d - w5[i])) & 1
-                       for i in non_banned if w5[i] <= d)
-        else:
-            ok_a = bool((mask >> d) & 1)
-        if ok_a:
+        rest = bits & (bits - 1)
+        mask = masks[bits] = full if bits & 1 else _extend_mask(
+            masks[rest], w5[(bits ^ rest).bit_length() - 1], d)
+        free = bits & ~banned
+        if (_has_monomial_with(mask, d, free, w5) if banned
+                else mask >> d & 1):
             continue
-        externals = 0
-        for e in range(5):
-            if e in subset or w5[e] > d:
-                continue
-            if not (mask >> (d - w5[e])) & 1:
-                continue
-            if banned is not None and set(subset) | {e} <= banned:
-                continue
-            externals += 1
+        subset = tuple(i for i in range(5) if bits >> i & 1)
+        # an excluded x_e needs a cofactor that leaves the excluded set
+        externals = sum(
+            1 for e in range(5) if not bits >> e & 1
+            and (_has_monomial_with(mask, d - w5[e], free, w5)
+                 if banned >> e & 1 else mask >> (d - w5[e]) & 1))
         if externals < len(subset):
             names = "".join(COORDS[i] for i in subset)
             return QuasiSmoothDiagnostics(
@@ -213,9 +218,10 @@ def enumerate_families(max_weight: int = 33) -> list[Family]:
     with weighted complete intersections") needs x_w^k or x_w^k * x_j of
     degree d = s + a4, so a4 divides d - a_j for some coordinate j, with
     j = w for x_w^k alone.  Candidates that fail the same singleton test
-    at another vertex are dropped before the full `general_quasismooth`
-    and `is_terminal_family` run; the filter is only a necessary
-    condition, so both still decide every family.
+    at another vertex are dropped on their bare weights, before a `Family`
+    is built and the full `general_quasismooth` and `is_terminal_family`
+    run; the filter is only a necessary condition, so both still decide
+    every family.
     """
     # lazy: census imports COORDS and Family from this module
     from .census import is_terminal_family, vertex_conditions_hold
@@ -228,9 +234,10 @@ def enumerate_families(max_weight: int = 33) -> list[Family]:
                 for a4 in a4_candidates(a1, a2, a3, max_weight, divisors):
                     if gcd(gcd(a1, a2), gcd(a3, a4)) != 1:
                         continue
-                    fam = Family.of(a1, a2, a3, a4)
-                    if not vertex_conditions_hold(fam):
+                    w = (1, a1, a2, a3, a4)
+                    if not vertex_conditions_hold(w):
                         continue
+                    fam = Family(w)
                     if not general_quasismooth(fam).ok:
                         continue
                     if not is_terminal_family(fam):

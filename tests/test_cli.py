@@ -233,6 +233,25 @@ class TestEnumerate:
         assert code == 0
         assert len(out.strip().splitlines()) == 95
 
+    @pytest.mark.parametrize("max_weight", range(1, 34))
+    def test_lower_bound_keeps_the_list_numbers(self, capsys, max_weight):
+        # the families with a4 <= max_weight, under their entry numbers
+        from wfano import golden
+        expected = [rec.family for rec in golden.data().families
+                    if rec.family.w[4] <= max_weight]
+        code, out, err = run(capsys, "enumerate", "--max-weight",
+                             str(max_weight), "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [
+            {"no": f.entry_no, "degree": f.d, "weights": list(f.w)}
+            for f in expected]
+        code, out, err = run(capsys, "enumerate", "--max-weight",
+                             str(max_weight))
+        assert (code, err) == (0, "")
+        assert [line.split("  ")[:2] for line in out.splitlines()] == [
+            [f"No. {f.entry_no:02d}",
+             f"X_{f.d} in P({','.join(map(str, f.w))})"] for f in expected]
+
 
 class TestCensus:
     def test_family_95(self, capsys):
@@ -418,6 +437,14 @@ class TestOrder:
                            "--poly", "x")
         assert code == 2
         assert "no quotient point" in err
+
+    def test_order_past_the_cutoff(self, capsys):
+        # x^99999 cancels nowhere: its only term lies past the cutoff 4r
+        code, out, err = run(capsys, "order", "2", "--point", "Ow",
+                             "--poly", "x^99999")
+        assert (code, out) == (1, "")
+        assert err == ("the order is at least cutoff/r = 8/2: no term of "
+                       "--poly survives below the cutoff; raise --cutoff\n")
 
 
 class TestSearch:

@@ -7,7 +7,10 @@ them breaks traced benchmark runs; these checks catch it in seconds.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 from wfano import golden
 from wfano.exactmath import implicit_eliminate, parse_poly
@@ -23,6 +26,29 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def installed_tracer():
+    """A tracer wrapped around the library, unwrapped again afterwards."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    saved = {name: dict(vars(module)) for name, module in sys.modules.items()
+             if name == "wfano" or name.startswith("wfano.")}
+    tracing.install(tracer)
+    yield tracer
+    for name, namespace in saved.items():
+        vars(sys.modules[name]).update(namespace)
+
+
+def test_enumeration_counts_every_quasismoothness_test(installed_tracer):
+    # an inlined test would leave the per-layer counts at 0
+    wps = sys.modules["wfano.wps"]
+    assert len(wps.enumerate_families(33)) == 95
+    taken = installed_tracer.take()
+    assert taken["layers"]["wps.general_quasismooth"][0] == 617
+    assert taken["counters"]["wps.qs_passed"] == 209
+    assert taken["layers"]["census.is_terminal_family"][0] == 209
 
 
 def test_every_traced_function_exists():

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from wfano import golden
 from wfano.census import (is_terminal_family, vertex_conditions_hold,
-                          vertex_singularity)
-from wfano.exactmath import _reduce_to_chart, weighted_monomials
-from wfano.wps import (Family, UnknownSpecialMember, _semigroup_mask,
+                          vertex_elimination_candidates, vertex_singularity)
+from wfano.exactmath import COORDS, _reduce_to_chart, weighted_monomials
+from wfano.wps import (Family, UnknownSpecialMember, _extend_mask,
                        a4_candidates, anticanonical_degree,
                        admits_member_with_stratum, divisor_table,
                        eliminating_monomial, enumerate_families,
@@ -51,18 +51,59 @@ class TestBasics:
         assert is_wellformed(w) is expected
 
 
+def quasismooth_oracle(f, exclude_pure=None):
+    """The coordinate-subset test read off the degree-d monomials, with
+    every monomial supported inside `exclude_pure` removed."""
+    banned = set(exclude_pure or ())
+    support = []
+    for m in weighted_monomials(f.w, f.d):
+        used = {i for i in range(5) if m[i]}
+        if not used <= banned:
+            support.append((m, used))
+    for bits in range(1, 32):
+        subset = {i for i in range(5) if bits >> i & 1}
+        if any(used <= subset for _m, used in support):
+            continue
+        externals = {e for m, used in support for e in used - subset
+                     if m[e] == 1 and used - {e} <= subset}
+        if len(externals) < len(subset):
+            names = "".join(COORDS[i] for i in sorted(subset))
+            return (False, tuple(sorted(subset)),
+                    f"subset {{{names}}}: no pure degree-{f.d} monomial and "
+                    f"only {len(externals)} external eliminations (need "
+                    f"{len(subset)})")
+    return (True, None, "")
+
+
 class TestQuasiSmooth:
-    @given(st.lists(st.integers(1, 12), min_size=1, max_size=5),
-           st.integers(0, 80))
+    @given(st.sets(st.integers(0, 80), min_size=1),
+           st.lists(st.integers(1, 12), max_size=5), st.integers(0, 80))
     @settings(max_examples=300, deadline=None)
-    def test_semigroup_mask_matches_brute_force(self, weights, bound):
-        reachable = {0}
+    def test_extend_mask_matches_brute_force(self, start, weights, bound):
+        reachable = {t for t in start if t <= bound}
+        mask = sum(1 << t for t in reachable)
         for a in weights:
             reachable = {s + k * a for s in reachable
                          for k in range((bound - s) // a + 1)}
-        mask = _semigroup_mask(tuple(sorted(weights)), bound)
+            mask = _extend_mask(mask, a, bound)
         assert {t for t in range(bound + 1) if mask >> t & 1} == reachable
         assert mask >> (bound + 1) == 0
+
+    # in the first three, an excluded x_e has cofactors in I only inside
+    # the excluded set, so the member has no monomial that eliminates it
+    @example((2, 4, 5, 10), (2, 3))
+    @example((2, 6, 8, 9), (3, 4))
+    @example((6, 7, 8, 10), (1, 2))
+    @example((2, 2, 2, 3), None)
+    @given(st.lists(st.integers(1, 12), min_size=4, max_size=4)
+           .map(sorted).filter(lambda w: sum(w) <= 40),
+           st.none() | st.sampled_from([(3, 4), (0, 4), (1, 2)])
+           | st.sets(st.integers(0, 4), min_size=1).map(sorted).map(tuple))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_monomial_oracle(self, w, exclude_pure):
+        f = Family.of(*w)
+        assert tuple(general_quasismooth(f, exclude_pure)) == \
+            quasismooth_oracle(f, exclude_pure)
 
     def test_family_7(self):
         assert general_quasismooth(Family.of(1, 2, 2, 3)).ok
@@ -167,7 +208,18 @@ class TestEnumeration:
             a1, a2, a3, a4 = w
             assert a4 in a4_candidates(a1, a2, a3, a4,
                                        divisor_table(a1 + a2 + a3))
-            assert vertex_conditions_hold(f)
+            assert vertex_conditions_hold(f.w)
+
+    def test_vertex_conditions_read_the_elimination_candidates(self):
+        for a1 in range(1, 16):
+            for a2 in range(a1, 16):
+                for a3 in range(a2, 16):
+                    for a4 in range(a3, 16):
+                        f = Family.of(a1, a2, a3, a4)
+                        assert vertex_conditions_hold(f.w) == all(
+                            f.d % f.w[i] == 0
+                            or vertex_elimination_candidates(f, i)
+                            for i in range(1, 5)), f
 
     def test_matches_four_loop_scan(self):
         assert [(f.d, *f.w[1:]) for f in enumerate_families(20)] == \
