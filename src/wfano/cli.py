@@ -119,9 +119,9 @@ def cmd_enumerate(args) -> int:
             w = ",".join(str(x) for x in f.w)
             print(f"No. {f.entry_no:02d}  X_{f.d} in P({w})  "
                   f"A^3 = {anticanonical_degree(f)}")
-    if args.diff_paper:
+    if args.diff_paper:  # only the families the scan could reach
         for rec in dataset.families:
-            if rec.list_typo:
+            if rec.list_typo and rec.family.w[4] <= args.max_weight:
                 print(f"list correction: No. {rec.family.entry_no} printed "
                       f"as P{rec.printed_weights}, actual "
                       f"P{rec.family.w}", file=sys.stderr)

@@ -181,18 +181,23 @@ def _graded_substitute(reduced, weights: Exp3, cutoff: int,
     with no pair of non-empty parts is not formed.
     """
     w0, w1, w2 = weights
-    terms = [(l0 * w0 + l1 * w1 + l2 * w2, ey, {(l0, l1, l2): c})
-             for c, (l0, l1, l2), ey in reduced]
-    terms = sorted((term for term in terms if term[0] + term[1] < cutoff),
-                   key=itemgetter(0))
+    terms = []
+    max_ey = 0
+    for c, loc, ey in reduced:
+        base = loc[0] * w0 + loc[1] * w1 + loc[2] * w2
+        if base + ey < cutoff:
+            terms.append((base, ey, {loc: c}))
+            if ey > max_ey:
+                max_ey = ey
+    terms.sort(key=itemgetter(0))
     bases = [base for base, _ey, _mono in terms]
-    max_ey = max((ey for _base, ey, _mono in terms), default=0)
     # At degree D, a term Y^k of local degree `base` reads S^k at degree
     # D - base, and S^(k+1) at D - lag[k+1] reads S^k below that, so S^k is
     # built up to degree D - lag[k]; `cutoff` stands for never.
     lag = [cutoff] * (max_ey + 1)
     for base, ey, _mono in terms:
-        lag[ey] = min(lag[ey], base)
+        if base < lag[ey]:
+            lag[ey] = base
     for k in range(max_ey - 1, 1, -1):
         lag[k] = min(lag[k], lag[k + 1] + 1)
     powers = [[{(0, 0, 0): 1}] + [{}] * (cutoff - 1), parts]
@@ -230,18 +235,26 @@ def _eliminate(support: Mapping[Exp5, Coeff], chart_vertex: int,
         raise ValueError("cutoff must be positive")
     if len(weights) != 3 or any(w <= 0 for w in weights):
         raise ValueError("local_weights must be three positive integers")
-    reduced = _reduce_to_chart(support, chart_vertex, eliminated)
-    linear = [c for c, loc, ey in reduced if loc == (0, 0, 0) and ey == 1]
-    if not linear:
+    # split off the linear unit u and the constant term, if any; chart
+    # keys are distinct, so each occurs at most once
+    unit = None
+    constant = False
+    rest = []
+    for term in _reduce_to_chart(support, chart_vertex, eliminated):
+        c, loc, ey = term
+        if ey > 1 or loc != (0, 0, 0):
+            rest.append(term)
+        elif ey:
+            unit = c
+        else:
+            constant = True
+    if unit is None:
         raise NoEliminatingMonomial(
             f"no monomial linear in {COORDS[eliminated]} over pure "
             f"{COORDS[chart_vertex]} powers")
-    if any(loc == (0, 0, 0) and ey == 0 for _c, loc, ey in reduced):
+    if constant:
         raise ValueError("chart vertex lies off the hypersurface "
                          "(constant term in the chart)")
-    unit = linear[0]
-    rest = [(c, loc, ey) for c, loc, ey in reduced
-            if not (loc == (0, 0, 0) and ey == 1)]
     for defect in _graded_substitute(rest, weights, cutoff, parts):
         parts.append({exps: -c if unit == 1 else Fraction(-c, unit)
                       for exps, c in defect.items()})

@@ -409,7 +409,11 @@ class UnknownVariantFlag(ValueError):
 
 
 def parse_variant(text: str) -> dict[str, str]:
-    """CLI variant syntax: 'a1=0,c=nonzero,type=II' (or the name 'special')."""
+    """CLI variant syntax: 'a1=0,c=nonzero,type=II' (or the name 'special').
+
+    A flag given twice, also under two spellings that `canonical_atom`
+    folds to one name, is an error.
+    """
     out: dict[str, str] = {}
     if not text:
         return out
@@ -418,23 +422,27 @@ def parse_variant(text: str) -> dict[str, str]:
         if not tok:
             continue
         if tok == "special":
-            out["special"] = "yes"
-            continue
-        if "=" not in tok:
+            name, value = "special", "yes"
+        elif "=" not in tok:
             raise UnknownVariantFlag(f"bad variant flag {tok!r}")
-        name, value = tok.split("=", 1)
-        name = canonical_atom(name)
-        value = value.strip()
-        if name == "type":
-            if value not in ("I", "II"):
-                raise UnknownVariantFlag(f"type must be I or II, got {value!r}")
-        elif value in ("0", "zero"):
-            value = "zero"
-        elif value in ("nz", "nonzero"):
-            value = "nonzero"
         else:
+            name, value = tok.split("=", 1)
+            name = canonical_atom(name)
+            value = value.strip()
+            if name == "type":
+                if value not in ("I", "II"):
+                    raise UnknownVariantFlag(
+                        f"type must be I or II, got {value!r}")
+            elif value in ("0", "zero"):
+                value = "zero"
+            elif value in ("nz", "nonzero"):
+                value = "nonzero"
+            else:
+                raise UnknownVariantFlag(
+                    f"variant value must be 0 or nonzero, got {tok!r}")
+        if name in out:
             raise UnknownVariantFlag(
-                f"variant value must be 0 or nonzero, got {tok!r}")
+                f"variant flag {name!r} given twice in {text!r}")
         out[name] = value
     return out
 

@@ -16,7 +16,7 @@ from functools import total_ordering
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional
 
-from .exactmath import COORDS, Exp5, Poly, parse_poly, weighted_monomials
+from .exactmath import COORDS, Exp5, Poly, parse_poly
 
 
 # `Family.__init__` fills the slots that its own `__setattr__` refuses
@@ -182,26 +182,25 @@ def admits_member_with_stratum(f: Family, coords: tuple[int, ...]) -> bool:
 
 # ----------------------------------------------------------- enumeration
 
-def divisor_table(n: int) -> list[list[int]]:
-    """divisors[m] lists the divisors of m in increasing order, 1 <= m <= n."""
-    divisors: list[list[int]] = [[] for _ in range(n + 1)]
-    for k in range(1, n + 1):
-        for m in range(k, n + 1, k):
-            divisors[m].append(k)
-    return divisors
+def large_divisor_table(n: int) -> list[list[int]]:
+    """large[m] lists those of m/3, m/2 and m that are integers, in
+    increasing order, for 1 <= m <= n."""
+    return [[m // q for q in (3, 2, 1) if m % q == 0] for m in range(n + 1)]
 
 
 def a4_candidates(a1: int, a2: int, a3: int, max_weight: int,
-                  divisors: list[list[int]]) -> list[int]:
+                  large: list[list[int]]) -> list[int]:
     """The a4 in [a3, max_weight] that pass the singleton test at O_w.
 
     With s = a1+a2+a3 and d = s + a4, x_w^k has degree d iff a4 | s, and
     x_w^k * x_j has degree d for some k >= 1 iff a4 | s - a_j (a0 = 1), so
-    a4 divides one of s, s-1, s-a1, s-a2, s-a3.  `divisors` must cover s.
+    a4 divides one of s, s-1, s-a1, s-a2, s-a3.  Each such n is at most s,
+    and a4 >= a3 >= s/3 >= n/3, so a4 is n, n/2 or n/3: `large` is
+    `large_divisor_table(m)` for some m >= s.
     """
     s = a1 + a2 + a3
     return sorted({k for n in (s, s - 1, s - a1, s - a2, s - a3)
-                   for k in divisors[n] if a3 <= k <= max_weight})
+                   for k in large[n] if a3 <= k <= max_weight})
 
 
 def enumerate_families(max_weight: int = 33) -> list[Family]:
@@ -226,12 +225,12 @@ def enumerate_families(max_weight: int = 33) -> list[Family]:
     # lazy: census imports COORDS and Family from this module
     from .census import is_terminal_family, vertex_conditions_hold
 
-    divisors = divisor_table(3 * max_weight)
+    large = large_divisor_table(3 * max_weight)
     found = []
     for a1 in range(1, max_weight + 1):
         for a2 in range(a1, max_weight + 1):
             for a3 in range(a2, max_weight + 1):
-                for a4 in a4_candidates(a1, a2, a3, max_weight, divisors):
+                for a4 in a4_candidates(a1, a2, a3, max_weight, large):
                     if gcd(gcd(a1, a2), gcd(a3, a4)) != 1:
                         continue
                     w = (1, a1, a2, a3, a4)
@@ -281,21 +280,39 @@ def normal_form_support(f: Family,
                         ) -> set[Exp5]:
     """Support of the general member after the standard linear normalizations.
 
-    Starts from all degree-d monomials.  At each singular vertex O_i the
-    coordinate x_e eliminated there (largest weight, then largest index)
-    absorbs, via the change x_e -> x_e + h with h of degree a_e free of
-    x_e, every other monomial x_i^k * m with deg(m) = a_e; those are
-    removed, so the series order of x_e at O_i is the one the certificate
-    tables read off.  `kept` is `_eliminating_monomials(f)`, computed here
-    when not given.
+    At each singular vertex O_i the coordinate x_e eliminated there
+    (largest weight, then largest index) absorbs, via the change
+    x_e -> x_e + h with h of degree a_e free of x_e, every other monomial
+    x_i^k * m with deg(m) = a_e, where x_i^k * x_e is the eliminating
+    monomial.  Those are left out, so the series order of x_e at O_i is the
+    one the certificate tables read off.  `kept` is
+    `_eliminating_monomials(f)`, computed here when not given.
+
+    A degree-d monomial is x_i^k * m with deg(m) = a_e exactly when its
+    exponent of x_i is at least k, so the support is every degree-d
+    monomial whose exponent of x_i stays below k at each such O_i, plus the
+    eliminating monomials.  It is filled from the heaviest coordinate down,
+    as `weighted_monomials` does, with x (weight 1) taking what is left.
     """
     if kept is None:
         kept = _eliminating_monomials(f)
-    # x_i^k | M means M = x_i^k * m with deg(m) = a_e; m = x_e only for the
-    # eliminating monomial itself, which stays
-    absorbed = [(i, unit[i]) for unit, (i, _e) in kept.items()]
-    return {m for m in weighted_monomials(f.w, f.d)
-            if not any(m[i] >= k for i, k in absorbed)} | kept.keys()
+    _, a1, a2, a3, a4 = f.w
+    d = f.d
+    caps = [d] * 5
+    for unit, (i, _e) in kept.items():
+        caps[i] = unit[i] - 1
+    _, cap1, cap2, cap3, cap4 = caps
+    support = set(kept)
+    add = support.add
+    for ew in range(min(d // a4, cap4) + 1):
+        r4 = d - ew * a4
+        for et in range(min(r4 // a3, cap3) + 1):
+            r3 = r4 - et * a3
+            for ez in range(min(r3 // a2, cap2) + 1):
+                r2 = r3 - ez * a2
+                for ey in range(min(r2 // a1, cap1) + 1):
+                    add((r2 - ey * a1, ey, ez, et, ew))
+    return support
 
 
 def generic_member(f: Family, seed: int = 0) -> Poly:

@@ -228,6 +228,20 @@ class TestEnumerate:
         assert err.count("list correction") == 2
         assert "No. 45" in err and "No. 93" in err
 
+    @pytest.mark.parametrize("max_weight,named", [
+        (5, []), (8, ["No. 45"]), (24, ["No. 45"]),
+        (25, ["No. 45", "No. 93"])])
+    def test_diff_paper_names_only_reached_families(self, capsys, max_weight,
+                                                    named):
+        # No. 45 has a4 = 8 and No. 93 has a4 = 25
+        code, _, err = run(capsys, "enumerate", "--max-weight",
+                           str(max_weight), "--diff-paper")
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == len(named)
+        assert all(line.startswith(f"list correction: {no} ")
+                   for line, no in zip(lines, named))
+
     def test_stable_at_higher_bound(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--max-weight", "50")
         assert code == 0
@@ -498,6 +512,8 @@ class TestErrorBoundary:
         ("order", "23", "--point", "Oz", "--poly", "x", "--variant", "zz=0"),
         ("report", "23", "--variant", "special"),
         ("report", "1", "--variant", "special"),
+        ("report", "95", "--variant", "a1=0,a1=nonzero"),
+        ("report", "95", "--variant", "a1=0,a_1=0"),
         ("report", "95", "--golden", "{missing}"),
         ("search", "1,1,1,4", "--golden", "{missing}"),
         ("report", "95", "--golden", "{unknown_method}"),
@@ -517,6 +533,7 @@ class TestErrorBoundary:
     ], ids=["search-not-int", "search-zero-weight", "order-no-special-member",
             "order-variant-flag", "report-variant-special",
             "report-variant-special-no-points",
+            "report-variant-repeated", "report-variant-repeated-alias",
             "report-missing-golden", "search-missing-golden",
             "report-golden-unknown-method", "report-golden-no-A3-column",
             "report-golden-short-weights", "report-golden-short-row",

@@ -147,6 +147,14 @@ class TestImplicitEliminate:
                                chart_vertex=2, eliminated=4,
                                local_weights=(1, 1, 1), cutoff=4)
 
+    def test_missing_linear_term_outranks_constant_term(self):
+        # z^3 is a constant on the chart z = 1, but the missing z^k*w is
+        # reported first
+        with pytest.raises(NoEliminatingMonomial):
+            implicit_eliminate(parse_poly("z^3 + z^2*w^2 + x^4"),
+                               chart_vertex=2, eliminated=4,
+                               local_weights=(1, 1, 1), cutoff=4)
+
     @given(st.data())
     @settings(max_examples=120, deadline=None)
     def test_random_supports_resubstitute_to_zero(self, data):
