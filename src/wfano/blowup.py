@@ -39,12 +39,17 @@ class YClass(NamedTuple):
         return self.beta_B, self.beta_E - self.beta_B / r
 
     def __str__(self):
-        b, e = self.beta_B, self.beta_E
-        if e == 0:
-            return f"{b}B" if b != 1 else "B"
-        bs = "B" if b == 1 else f"{b}B"
-        es = "E" if abs(e) == 1 else f"{abs(e)}E"
-        return f"{bs}{'+' if e > 0 else '-'}{es}"
+        return format_class(self.beta_B, self.beta_E)
+
+
+def format_class(b, e) -> str:
+    """The class b*B + e*E as `YClass` prints it, e.g. "2B-E"; b and e may
+    be `int`s or `Fraction`s, which print alike at integer values."""
+    if e == 0:
+        return f"{b}B" if b != 1 else "B"
+    bs = "B" if b == 1 else f"{b}B"
+    es = "E" if abs(e) == 1 else f"{abs(e)}E"
+    return f"{bs}{'+' if e > 0 else '-'}{es}"
 
 
 B = YClass.of(1, 0)
@@ -87,10 +92,24 @@ def triple(ctx: BlowupContext, c1: YClass, c2: YClass, c3: YClass) -> Fraction:
 
 
 def b_cubed(ctx: BlowupContext) -> tuple[Fraction, str]:
-    """B^3 = A^3 - 1/(r a (r-a)) with its sign tag."""
-    val = triple(ctx, B, B, B)
-    assert val == ctx.A3 - Fraction(1, ctx.r * ctx.a * ctx.b)
-    return val, ("+" if val > 0 else ("0" if val == 0 else "-"))
+    """B^3 = A^3 - 1/(r a (r-a)) with its sign tag.
+
+    With P = a1 a2 a3 a4 and A^3 = d/P this is (d r a b - P)/(P r a b),
+    b = r - a, so the sign is that of the integer numerator.  The value is
+    checked against the trilinear product B.B.B on every call.
+    """
+    w = ctx.family.w
+    prod = w[1] * w[2] * w[3] * w[4]
+    rab = ctx.r * ctx.a * ctx.b
+    num = ctx.family.d * rab - prod
+    val = Fraction(num, prod * rab)
+    assert val == triple(ctx, B, B, B)
+    return val, ("+" if num > 0 else ("0" if num == 0 else "-"))
+
+
+def _s_class_ambiguous(ctx: BlowupContext) -> bool:
+    """Whether the surface {x = 0} may be B - E: a1 > 1 and r | d - 1."""
+    return ctx.family.w[1] != 1 and (ctx.family.d - 1) % ctx.r == 0
 
 
 def s_class(ctx: BlowupContext) -> tuple[YClass, ...]:
@@ -99,15 +118,12 @@ def s_class(ctx: BlowupContext) -> tuple[YClass, ...]:
     Exactly B when a1 = 1 or r does not divide d-1; otherwise B or B - E
     depending on the member, returned as a two-element possibility set.
     """
-    a1 = ctx.family.w[1]
-    if a1 == 1 or (ctx.family.d - 1) % ctx.r != 0:
-        return (B,)
-    return (B, YClass.of(1, -1))
+    return (B, YClass.of(1, -1)) if _s_class_ambiguous(ctx) else (B,)
 
 
 def s_class_ks(ctx: BlowupContext) -> tuple[int, ...]:
     """The k values (1 for S ~ B, r+1 for S ~ B-E) matching s_class."""
-    return (1,) if len(s_class(ctx)) == 1 else (1, ctx.r + 1)
+    return (1, ctx.r + 1) if _s_class_ambiguous(ctx) else (1,)
 
 
 def monomial_order(exps, weights5, r: int) -> int:
@@ -121,20 +137,24 @@ def monomial_order(exps, weights5, r: int) -> int:
     return sum(e * (w % r) for e, w in zip(exps, weights5))
 
 
+def transform_beta_E(r: int, c: int, m: int) -> int:
+    """(c - m)/r, the E-coefficient of the transform class of a degree-c
+    divisor of vanishing order m/r; it must be an integer because B and E
+    generate the class group of Y."""
+    if (c - m) % r != 0:
+        raise NonIntegral(f"(c - m)/r = ({c} - {m})/{r} is not an integer")
+    return (c - m) // r
+
+
 def proper_transform_class(ctx: BlowupContext, c: int, mult: Fraction) -> YClass:
     """Class c*B + ((c-m)/r)E of the transform of a degree-c divisor.
 
-    `mult` is the vanishing order m/r at the point; (c - m)/r must be an
-    integer because B and E generate the class group of Y.
+    `mult` is the vanishing order m/r at the point.
     """
     m = mult * ctx.r
     if m.denominator != 1:
         raise NonIntegral(f"multiplicity {mult} is not of the form m/{ctx.r}")
-    m = int(m)
-    if (c - m) % ctx.r != 0:
-        raise NonIntegral(
-            f"(c - m)/r = ({c} - {m})/{ctx.r} is not an integer")
-    return YClass.of(c, (c - m) // ctx.r)
+    return YClass.of(c, transform_beta_E(ctx.r, c, int(m)))
 
 
 def vertex_chart(ctx: BlowupContext):

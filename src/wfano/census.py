@@ -125,18 +125,14 @@ def vertex_conditions_hold(w: tuple[int, int, int, int, int]) -> bool:
     return True
 
 
-def vertex_singularity(f: Family, i: int,
-                       eliminated: Optional[int] = None
-                       ) -> Optional[QuotientSingularity]:
-    """The quotient point at the vertex O_i of the general member.
+def default_eliminated(f: Family, i: int) -> Optional[int]:
+    """The coordinate eliminated at the quotient point O_i by default.
 
     None when a_i = 1 (smooth point) or a_i | d (the general member misses
-    the vertex).  The eliminated coordinate defaults to the candidate of
-    largest weight (largest index on ties), matching the normal form of
-    the defining equation; variant members may override it.
+    the vertex).  Otherwise the candidate of largest weight, largest index
+    on ties, which matches the normal form of the defining equation: the
+    weights never decrease along the coordinates, so it is the last one.
     """
-    if i not in (1, 2, 3, 4):
-        raise ValueError("vertex index must be 1..4")
     w5, d = f.w, f.d
     r = w5[i]
     if r == 1 or d % r == 0:
@@ -146,11 +142,29 @@ def vertex_singularity(f: Family, i: int,
         raise NoEliminatingMonomial(
             f"no monomial x_{COORDS[i]}^k*x_j of degree {d}: "
             f"family not quasi-smooth at O_{COORDS[i]}")
+    return cands[-1]
+
+
+def vertex_singularity(f: Family, i: int,
+                       eliminated: Optional[int] = None
+                       ) -> Optional[QuotientSingularity]:
+    """The quotient point at the vertex O_i of the general member.
+
+    None when a_i = 1 (smooth point) or a_i | d (the general member misses
+    the vertex).  The eliminated coordinate defaults to
+    `default_eliminated`; variant members may override it.
+    """
+    if i not in (1, 2, 3, 4):
+        raise ValueError("vertex index must be 1..4")
+    default = default_eliminated(f, i)
+    if default is None:
+        return None
     if eliminated is None:
-        eliminated = max(cands, key=lambda j: (w5[j], j))
-    elif eliminated not in cands:
+        eliminated = default
+    elif eliminated not in vertex_elimination_candidates(f, i):
         raise NoEliminatingMonomial(
             f"{COORDS[eliminated]} cannot be eliminated at O_{COORDS[i]}")
+    w5, r = f.w, f.w[i]
     locs = tuple(j for j in range(5) if j not in (i, eliminated))
     residues = tuple(w5[j] % r for j in locs)
     return QuotientSingularity(

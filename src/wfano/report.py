@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple, Optional
 
 from .census import QuotientSingularity, census, canonical_type
@@ -57,7 +57,7 @@ def build_report(no: int, variant: Optional[dict[str, str]],
     for point in dataset.points_of(no):
         rows = match_rows(dataset, no, point, variant)
         for row in rows:
-            cert = certify_row(f, row)
+            cert = certify_row(f, row, cens.entries)
             report["points"].append(_point_entry(cert))
             if cert.undocumented_failures:
                 report["discrepancies"].append(
@@ -240,7 +240,7 @@ def check_tables(dataset: GoldenData,
 
         for row in dataset.rows_for(no):
             nrows += 1
-            cert = certify_row(f, row)
+            cert = certify_row(f, row, cens.entries)
             failures = cert.undocumented_failures
             if failures:
                 discrepancies.append(_discrepancy(
@@ -264,4 +264,57 @@ def check_tables(dataset: GoldenData,
 
 
 def to_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False)
+    """`json.dumps(obj, indent=2)` for the payloads the CLI prints.
+
+    The stdlib takes its pure-Python encoder whenever `indent` is set; this
+    writer gives the same text for dicts with `str` keys, lists, tuples,
+    strings (ASCII-escaped), ints, bools and None.  Any other type, a float
+    among them, raises `TypeError`.
+    """
+    parts: list[str] = []
+    _write_json(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(obj, newline: str, out) -> None:
+    """Append the JSON text of obj, whose own line starts at `newline`."""
+    if isinstance(obj, str):
+        out(_quote(obj))
+    elif obj is None:
+        out("null")
+    elif obj is True:
+        out("true")
+    elif obj is False:
+        out("false")
+    elif isinstance(obj, int):
+        out(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not "
+                                f"{type(key).__name__}")
+            out(sep)
+            out(_quote(key))
+            out(": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out(sep)
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not "
+                        f"JSON serializable")

@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .blowup import (BlowupContext, NonIntegral, b_cubed,
-                     monomial_order, proper_transform_class, s_class_ks)
+from .blowup import (BlowupContext, NonIntegral, b_cubed, format_class,
+                     monomial_order, s_class_ks, transform_beta_E)
 from .census import (LOCATIONS, QuotientSingularity, canonical_type, census,
                      edge_singularities, vertex_singularity)
 from .exactmath import NoEliminatingMonomial
@@ -63,9 +63,21 @@ def test_n(ctx: BlowupContext, c: int, m: int, k: int) -> tuple[bool, Fraction, 
     return lhs <= rhs, lhs, rhs
 
 
-# the inequality of methods (b) and (n), and the name of its check
-_INEQUALITIES = {"B": (test_b, "boundary inequality"),
-                 "N": (test_n, "nef-divisor inequality")}
+def inequality_holds(ctx: BlowupContext, power: int, c: int, m: int,
+                     k: int) -> bool:
+    """r*a*(r-a)*c^power*A^3 <= k*m^power, the test of method (b) (power 2)
+    or (n) (power 1), decided on integers: with A^3 = d/P, P = a1a2a3a4,
+    it reads r*a*(r-a)*c^power*d <= k*m^power*P.  `test_b` and `test_n`
+    decide the same with both sides as `Fraction`s."""
+    w = ctx.family.w
+    return (ctx.r * ctx.a * ctx.b * c ** power * ctx.family.d
+            <= k * m ** power * (w[1] * w[2] * w[3] * w[4]))
+
+
+# the power of c and m in the inequality of methods (b) and (n), and the
+# name of its check
+_INEQUALITIES = {"B": (2, "boundary inequality"),
+                 "N": (1, "nef-divisor inequality")}
 
 
 def test_p(f: Family) -> tuple[bool, Optional[int]]:
@@ -285,18 +297,33 @@ class Certificate(NamedTuple):
                 and not (defect and c.name.endswith(defect.field))]
 
 
+def _subscript_chart(row: GoldenRow) -> Optional[int]:
+    """The coordinate a vertex row's subscripts leave to be eliminated, when
+    they name three local parameters besides the vertex; else None."""
+    subs = row.local_params
+    if subs is None or row.location[0] != "vertex":
+        return None
+    leftover = [j for j in range(5) if j != row.location[1] and j not in subs]
+    return leftover[0] if len(leftover) == 1 else None
+
+
+def _census_point(row: GoldenRow, entries: Sequence[QuotientSingularity]
+                  ) -> Optional[QuotientSingularity]:
+    """The census entry at the row's point, or None when there is none or
+    the row's subscripts pick another chart there."""
+    chart = _subscript_chart(row)
+    for e in entries:
+        if e.location == row.location:
+            return e if chart is None or chart == e.eliminated else None
+    return None
+
+
 def _row_singularity(f: Family, row: GoldenRow) -> QuotientSingularity:
     """The quotient point the row refers to, honouring the row's own choice
     of local parameters (printed as subscripts) when it has one."""
     loc = row.location
     if loc[0] == "vertex":
-        subs = row.local_params
-        eliminated = None
-        if subs is not None:
-            leftover = [j for j in range(5) if j != loc[1] and j not in subs]
-            if len(leftover) == 1:
-                eliminated = leftover[0]
-        sing = vertex_singularity(f, loc[1], eliminated=eliminated)
+        sing = vertex_singularity(f, loc[1], eliminated=_subscript_chart(row))
         if sing is None:
             raise NoMatchingRow(f"general member misses O_{COORDS[loc[1]]}")
         return sing
@@ -306,17 +333,26 @@ def _row_singularity(f: Family, row: GoldenRow) -> QuotientSingularity:
     return sing
 
 
-def certify_row(f: Family, row: GoldenRow) -> Certificate:
+def certify_row(f: Family, row: GoldenRow,
+                entries: Optional[Sequence[QuotientSingularity]] = None
+                ) -> Certificate:
     """Recompute every machine-checkable quantity on one golden row.
+
+    `entries` is the family's census, when the caller has it: the row then
+    takes its point from there, and the point is charted again only where
+    the row's subscripts pick another chart.  The certificate is the same
+    either way.
 
     A row at a point where the census has no quotient point, or whose
     subscripts name a coordinate that cannot be eliminated there, gets a
     certificate whose one check, "quotient type", fails.
     """
-    try:
-        sing = _row_singularity(f, row)
-    except (NoMatchingRow, NoEliminatingMonomial) as exc:
-        return Certificate(row, (Check("quotient type", False, str(exc)),))
+    sing = None if entries is None else _census_point(row, entries)
+    if sing is None:
+        try:
+            sing = _row_singularity(f, row)
+        except (NoMatchingRow, NoEliminatingMonomial) as exc:
+            return Certificate(row, (Check("quotient type", False, str(exc)),))
     checks = [Check(
         "quotient type",
         canonical_type(sing.type_) == canonical_type(row.normalized)
@@ -345,9 +381,10 @@ def _certify_exclusion(f: Family, row: GoldenRow, ctx: BlowupContext,
     c, b_coef = row.linsys
     m = min(monomial_order(v, f.w, row.r) for v in row.vanishing)
     try:
-        cls = proper_transform_class(ctx, c, Fraction(m, row.r))
-        ok = (cls.beta_B, cls.beta_E) == (c, b_coef)
-        detail = f"{c}B+({c}-{m})/{row.r}E = {cls} vs table {row.linsys_raw}"
+        beta_E = transform_beta_E(row.r, c, m)
+        ok = beta_E == b_coef
+        detail = (f"{c}B+({c}-{m})/{row.r}E = {format_class(c, beta_E)} "
+                  f"vs table {row.linsys_raw}")
     except NonIntegral as exc:
         ok, detail = False, str(exc)
     checks.append(Check("transform class", ok, detail))
@@ -361,11 +398,12 @@ def _certify_exclusion(f: Family, row: GoldenRow, ctx: BlowupContext,
 
     ks = s_class_ks(ctx)
     if row.method in _INEQUALITIES:
-        test, name = _INEQUALITIES[row.method]
-        results = {k: test(ctx, c, m, k) for k in ks}
-        detail = "; ".join(f"k={k}: {r[1]} <= {r[2]}: {r[0]}"
-                           for k, r in results.items())
-        checks.append(Check(name, results[max(ks)][0], detail))
+        power, name = _INEQUALITIES[row.method]
+        lhs = ctx.r * ctx.a * ctx.b * c ** power * ctx.A3
+        results = [(k, inequality_holds(ctx, power, c, m, k)) for k in ks]
+        detail = "; ".join(f"k={k}: {lhs} <= {k * m ** power}: {ok}"
+                           for k, ok in results)
+        checks.append(Check(name, results[-1][1], detail))
     if row.method == "B":
         checks.append(Check(
             "1-cycle structure", True,

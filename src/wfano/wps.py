@@ -264,13 +264,12 @@ def eliminating_monomial(f: Family, i: int, e: int) -> Exp5:
 def _eliminating_monomials(f: Family) -> dict[Exp5, tuple[int, int]]:
     """x_i^k * x_e -> (i, e) for each quotient point O_i of the general
     member, where x_e is the coordinate the census eliminates there."""
-    from .census import vertex_singularity
+    from .census import default_eliminated
 
     out = {}
     for i in range(1, 5):
-        sing = vertex_singularity(f, i)
-        if sing is not None:
-            e = sing.eliminated
+        e = default_eliminated(f, i)
+        if e is not None:
             out[eliminating_monomial(f, i, e)] = i, e
     return out
 

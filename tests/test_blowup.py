@@ -10,7 +10,8 @@ from wfano.blowup import (B, BlowupContext, E, NonIntegral, YClass, b_cubed,
                           divisor_multiplicity, monomial_order,
                           proper_transform_class, s_class, s_class_ks, triple,
                           vertex_chart)
-from wfano.census import census, edge_singularities, vertex_singularity
+from wfano.census import (census, default_eliminated, edge_singularities,
+                          vertex_singularity)
 from wfano.exactmath import (COORDS, OVERCUTOFF, _graded_substitute,
                              _reduce_to_chart, _sum_products,
                              implicit_eliminate, parse_poly, series_order)
@@ -29,6 +30,33 @@ def vertex_ctx(no, i, eliminated=None):
 def edge_ctx(no, i, j):
     f = fam(no)
     return BlowupContext(f, edge_singularities(f, i, j))
+
+
+def census_contexts():
+    """The blow-up at each of the 248 census points of the 95 families."""
+    ctxs = [BlowupContext(rec.family, sing)
+            for rec in golden.data().families
+            for sing in census(rec.family).entries]
+    assert len(ctxs) == 248
+    return ctxs
+
+
+def recharted_rows():
+    """(family, row) for the 31 vertex rows whose subscripts leave a
+    coordinate other than the census's to be eliminated."""
+    out = []
+    data = golden.data()
+    for rec in data.families:
+        f = rec.family
+        for row in data.rows_for(f.entry_no):
+            if row.location[0] != "vertex" or row.local_params is None:
+                continue
+            i = row.location[1]
+            if set(range(5)) - {i, *row.local_params} != {
+                    default_eliminated(f, i)}:
+                out.append((f, row))
+    assert len(out) == 31
+    return out
 
 
 def scan_every_term(reduced, weights, cutoff, parts):
@@ -78,9 +106,15 @@ class TestTriple:
         assert triple(ctx, c4, c2, c3) == t + triple(ctx, c2, c2, c3)
 
     def test_b_cubed_is_triple_of_B(self):
-        for no, i in ((10, 3), (23, 2), (95, 1)):
-            ctx = vertex_ctx(no, i)
-            assert b_cubed(ctx)[0] == triple(ctx, B, B, B)
+        # at every census point and at the chart of every re-charted row
+        from wfano.rigidity import _row_singularity
+        ctxs = census_contexts() + [BlowupContext(f, _row_singularity(f, row))
+                                    for f, row in recharted_rows()]
+        for ctx in ctxs:
+            val, sign = b_cubed(ctx)
+            assert val == triple(ctx, B, B, B), ctx
+            assert val == ctx.A3 - Fraction(1, ctx.r * ctx.a * ctx.b), ctx
+            assert sign == ("+" if val > 0 else "0" if val == 0 else "-")
 
     @given(rationals, rationals)
     @settings(max_examples=40)
@@ -142,6 +176,22 @@ class TestMonomialOrder:
         assert monomial_order((0, 0, 0, 0, 2), w5, 7) == 8   # w^2 at O_t
         assert monomial_order((0, 1, 0, 0, 0), w5, 7) == 1   # y
         assert monomial_order((0, 0, 0, 3, 0), w5, 7) == 0   # t^3 at its vertex
+
+    def test_local_parameters_carry_the_kawamata_weights(self):
+        # `monomial_order` reads the raw weight residues as the blow-up
+        # weights (1, a, r-a)/r, with no unit rescaling: pinned at every
+        # census point and at the chart of every subscripted exclusion row
+        from wfano.rigidity import _row_singularity
+        charts = [ctx.singularity for ctx in census_contexts()]
+        data = golden.data()
+        rows = [(rec.family, row) for rec in data.families
+                for row in data.rows_for(rec.family.entry_no)
+                if row.local_params is not None and row.kind == "exclude"]
+        assert len(rows) == 228
+        charts += [_row_singularity(f, row) for f, row in rows]
+        for sing in charts:
+            assert sorted(sing.residues) == sorted(
+                (1, sing.a, sing.r - sing.a)), sing
 
 
 class TestDivisorMultiplicity:

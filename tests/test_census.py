@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from wfano import golden
 from wfano.census import (EdgeContained, NonTerminal, canonical_type, census,
-                          edge_point_count, edge_singularities,
-                          is_terminal_family, normalize_type,
-                          try_normalize_type, vertex_singularity)
+                          default_eliminated, edge_point_count,
+                          edge_singularities, is_terminal_family,
+                          normalize_type, try_normalize_type,
+                          vertex_elimination_candidates, vertex_singularity)
 from wfano.exactmath import NoEliminatingMonomial
 from wfano.wps import Family
 
@@ -88,6 +89,26 @@ class TestVertex:
     def test_not_quasismooth_raises(self):
         with pytest.raises(NoEliminatingMonomial):
             vertex_singularity(Family.of(1, 1, 1, 4), 4)
+        with pytest.raises(NoEliminatingMonomial):
+            default_eliminated(Family.of(1, 1, 1, 4), 4)
+
+    def test_default_chart_is_the_heaviest_candidate(self):
+        # the candidate of largest weight, largest index on ties, at all
+        # 139 vertex quotient points of the 95 families
+        points = 0
+        for rec in golden.data().families:
+            f = rec.family
+            for i in range(1, 5):
+                e = default_eliminated(f, i)
+                sing = vertex_singularity(f, i)
+                assert (e is None) == (sing is None), (f, i)
+                if e is None:
+                    continue
+                assert e == sing.eliminated == max(
+                    vertex_elimination_candidates(f, i),
+                    key=lambda j: (f.w[j], j)), (f, i)
+                points += 1
+        assert points == 139
 
 
 class TestEdges:

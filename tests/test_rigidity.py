@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfano import golden
+from wfano import golden, report, rigidity
 from wfano.blowup import BlowupContext
-from wfano.census import edge_singularities, vertex_singularity
+from wfano.census import census, edge_singularities, vertex_singularity
 from wfano.golden import UnknownVariantFlag, match_rows
 from wfano.rigidity import (NotApplicable, NotSymmetric, certify_row,
-                            curve_status, involution_case, neg_definite,
-                            smooth_point_status, super_rigid)
+                            curve_status, inequality_holds, involution_case,
+                            neg_definite, smooth_point_status, super_rigid)
 # aliased so pytest does not collect the library operations as tests
 from wfano.rigidity import test_b as ineq_b
 from wfano.rigidity import test_n as ineq_n
@@ -32,6 +32,11 @@ def vertex_ctx(no, i):
 def edge_ctx(no, i, j):
     f = fam(no)
     return BlowupContext(f, edge_singularities(f, i, j))
+
+
+# the blow-up at each of the 248 census points of the 95 families
+CENSUS_CONTEXTS = [BlowupContext(rec.family, sing) for rec in DATA.families
+                   for sing in census(rec.family).entries]
 
 
 class TestInequalities:
@@ -66,6 +71,20 @@ class TestInequalities:
         small = ineq_b(edge_ctx(95, 2, 3), c=1, m=1, k=1)
         assert small[1] < big[1]
         assert big[0] and small[0]
+
+    @given(st.sampled_from(CENSUS_CONTEXTS), st.integers(1, 40),
+           st.integers(0, 60), st.integers(0, 40), st.integers(-1, 1))
+    @settings(max_examples=300)
+    def test_integer_decisions_match_fractions(self, ctx, c, m, k, step):
+        # at a drawn k, and at the k nearest the boundary of each test
+        for power, test in ((2, ineq_b), (1, ineq_n)):
+            lhs = test(ctx, c, m, 1)[1]
+            ks = [k]
+            if m:
+                ks.append(max(0, -(-lhs // m ** power) + step))
+            for kk in ks:
+                assert inequality_holds(ctx, power, c, m, kk) == \
+                    test(ctx, c, m, kk)[0], (ctx, power, c, m, kk)
 
     def test_p_examples(self):
         assert ineq_p(fam(10))[0]            # 2*5 = 3*3 + 1
@@ -214,6 +233,38 @@ class TestClassifyPoint:
 
     def test_no_matching_row(self):
         assert match_rows(DATA, 23, "Oy", {}) == []  # not a singular point
+
+    def test_census_entries_give_the_same_certificate(self):
+        # every row, details included, and a row the census cannot place
+        rows = 0
+        for rec in DATA.families:
+            f = rec.family
+            entries = census(f).entries
+            for row in DATA.rows_for(f.entry_no):
+                assert certify_row(f, row, entries) == certify_row(f, row), row
+                rows += 1
+        assert rows == 300
+        (row,) = match_rows(DATA, 95, "Oy", {})
+        misplaced = certify_row(fam(1), row, census(fam(1)).entries)
+        assert misplaced == certify_row(fam(1), row)
+        assert not misplaced.valid
+
+    def test_check_tables_charts_only_the_recharted_rows(self, monkeypatch):
+        # the census places 269 of the 300 rows; the other 31 name, by
+        # their subscripts, a coordinate other than the census's to
+        # eliminate at their vertex
+        charted = []
+        row_singularity = rigidity._row_singularity
+
+        def counting(f, row):
+            charted.append(row)
+            return row_singularity(f, row)
+
+        monkeypatch.setattr(rigidity, "_row_singularity", counting)
+        assert report.check_tables(DATA).clean
+        assert len(charted) == 31
+        assert all(row.location[0] == "vertex" and row.local_params
+                   for row in charted)
 
 
 class TestSuperRigid:
