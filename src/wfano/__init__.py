@@ -3,8 +3,8 @@ hypersurface families: enumeration, singularity census, blow-up intersection
 numbers, and per-point exclusion/untwisting certificates verified against
 the reference tables."""
 
-from .blowup import (B, BlowupContext, E, NonIntegral, YClass, b_cubed,
-                     divisor_multiplicity, monomial_order,
+from .blowup import (B, BlowupContext, CrossCheckFailed, E, NonIntegral,
+                     YClass, b_cubed, divisor_multiplicity, monomial_order,
                      proper_transform_class, s_class, triple)
 from .census import (Census, EdgeContained, NonTerminal, QuotientSingularity,
                      canonical_type, census, edge_point_count,

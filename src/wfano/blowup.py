@@ -24,6 +24,10 @@ class NonIntegral(ValueError):
     """(c - m)/r is not an integer: inconsistent family/point/divisor data."""
 
 
+class CrossCheckFailed(ArithmeticError):
+    """The closed form of B^3 disagrees with the trilinear product B.B.B."""
+
+
 class YClass(NamedTuple):
     """The divisor class beta_B * B + beta_E * E."""
 
@@ -33,10 +37,6 @@ class YClass(NamedTuple):
     @classmethod
     def of(cls, beta_B, beta_E=0) -> "YClass":
         return cls(Fraction(beta_B), Fraction(beta_E))
-
-    def ae_coords(self, r: int) -> tuple[Fraction, Fraction]:
-        """Coordinates (alpha_A, alpha_E) in the {A, E} basis."""
-        return self.beta_B, self.beta_E - self.beta_B / r
 
     def __str__(self):
         return format_class(self.beta_B, self.beta_E)
@@ -78,17 +78,31 @@ class BlowupContext(NamedTuple):
     def A3(self) -> Fraction:
         return anticanonical_degree(self.family)
 
-    @property
-    def E3(self) -> Fraction:
-        return Fraction(self.r * self.r, self.a * self.b)
-
 
 def triple(ctx: BlowupContext, c1: YClass, c2: YClass, c3: YClass) -> Fraction:
-    """Trilinear product of three classes on Y."""
-    a1, e1 = c1.ae_coords(ctx.r)
-    a2, e2 = c2.ae_coords(ctx.r)
-    a3, e3 = c3.ae_coords(ctx.r)
-    return a1 * a2 * a3 * ctx.A3 + e1 * e2 * e3 * ctx.E3
+    """Trilinear product of three classes on Y, on integer numerators.
+
+    The class b*B + e*E is b*A + (f/r)*E with f = r*e - b, so with
+    A^3 = d/P (P = a1 a2 a3 a4) and E^3 = r^2/(a b) the product is
+    b1 b2 b3 d/P + f1 f2 f3/(r a b).  Each coefficient is read as its
+    numerator over its denominator (`int`s and `Fraction`s alike), the sum
+    is taken over one common denominator and one `Fraction` is built.
+    """
+    r = ctx.r
+    w = ctx.family.w
+    prod = w[1] * w[2] * w[3] * w[4]
+    rab = r * ctx.a * ctx.b
+    # Over den_i = db_i * de_i, b_i = nb_i * de_i / den_i and
+    # f_i = (r * ne_i * db_i - nb_i * de_i) / den_i; bn, fn and den are the
+    # products over the three classes.
+    bn = fn = den = 1
+    for beta_B, beta_E in (c1, c2, c3):
+        nb, db = beta_B.numerator, beta_B.denominator
+        ne, de = beta_E.numerator, beta_E.denominator
+        bn *= nb * de
+        fn *= r * ne * db - nb * de
+        den *= db * de
+    return Fraction(bn * ctx.family.d * rab + fn * prod, den * prod * rab)
 
 
 def b_cubed(ctx: BlowupContext) -> tuple[Fraction, str]:
@@ -96,14 +110,19 @@ def b_cubed(ctx: BlowupContext) -> tuple[Fraction, str]:
 
     With P = a1 a2 a3 a4 and A^3 = d/P this is (d r a b - P)/(P r a b),
     b = r - a, so the sign is that of the integer numerator.  The value is
-    checked against the trilinear product B.B.B on every call.
+    checked against the trilinear product B.B.B on every call, under
+    `python -O` too: a disagreement raises `CrossCheckFailed`.
     """
     w = ctx.family.w
     prod = w[1] * w[2] * w[3] * w[4]
     rab = ctx.r * ctx.a * ctx.b
     num = ctx.family.d * rab - prod
     val = Fraction(num, prod * rab)
-    assert val == triple(ctx, B, B, B)
+    cross = triple(ctx, B, B, B)
+    if val != cross:
+        raise CrossCheckFailed(
+            f"No. {ctx.family.entry_no} {ctx.singularity}: B^3 = {val} by "
+            f"its closed form but {cross} as B.B.B")
     return val, ("+" if num > 0 else ("0" if num == 0 else "-"))
 
 

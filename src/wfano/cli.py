@@ -13,7 +13,8 @@ from functools import cache
 from pathlib import Path
 
 from . import golden, report as report_mod
-from .blowup import DEFAULT_CUTOFF, BlowupContext, divisor_multiplicity
+from .blowup import (DEFAULT_CUTOFF, BlowupContext, CrossCheckFailed,
+                     divisor_multiplicity)
 from .census import census as compute_census
 from .census import (LOCATIONS, EdgeContained, NonTerminal,
                      is_terminal_family, vertex_elimination_candidates,
@@ -45,7 +46,8 @@ class UsageError(ValueError):
 # What `main` turns into an exit code and one `error:` line.  Anything else
 # is a defect in the program and keeps its traceback.
 USAGE_ERRORS = (UsageError, UnknownVariantFlag, UnknownSpecialMember)
-MISMATCHES = (NonTerminal, EdgeContained, NoEliminatingMonomial)
+MISMATCHES = (NonTerminal, EdgeContained, NoEliminatingMonomial,
+              CrossCheckFailed)
 
 
 def _dataset(args):

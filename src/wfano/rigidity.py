@@ -399,7 +399,9 @@ def _certify_exclusion(f: Family, row: GoldenRow, ctx: BlowupContext,
     ks = s_class_ks(ctx)
     if row.method in _INEQUALITIES:
         power, name = _INEQUALITIES[row.method]
-        lhs = ctx.r * ctx.a * ctx.b * c ** power * ctx.A3
+        w = f.w
+        lhs = Fraction(ctx.r * ctx.a * ctx.b * c ** power * f.d,
+                       w[1] * w[2] * w[3] * w[4])
         results = [(k, inequality_holds(ctx, power, c, m, k)) for k in ks]
         detail = "; ".join(f"k={k}: {lhs} <= {k * m ** power}: {ok}"
                            for k, ok in results)

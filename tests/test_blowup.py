@@ -1,6 +1,7 @@
 """Intersection numbers on the Kawamata blow-up."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,6 +81,26 @@ def scan_every_term(reduced, weights, cutoff, parts):
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
+@pytest.fixture(scope="module")
+def blowup_contexts():
+    """The blow-up at every census point and at the chart of every
+    re-charted row: 248 + 31 contexts."""
+    from wfano.rigidity import _row_singularity
+    return census_contexts() + [BlowupContext(f, _row_singularity(f, row))
+                                for f, row in recharted_rows()]
+
+
+def triple_in_ae_basis(ctx, c1, c2, c3):
+    """`triple` by its textbook formula, on `Fraction`s: the class
+    b*B + e*E is b*A + (e - b/r)*E in the {A, E} basis, and only A^3 and
+    E^3 = r^2/(a b) are nonzero."""
+    (a1, e1), (a2, e2), (a3, e3) = (
+        (Fraction(c.beta_B), c.beta_E - Fraction(c.beta_B) / ctx.r)
+        for c in (c1, c2, c3))
+    return (a1 * a2 * a3 * ctx.A3
+            + e1 * e2 * e3 * Fraction(ctx.r ** 2, ctx.a * ctx.b))
+
+
 class TestTriple:
     def test_pullback_cubed(self):
         ctx = vertex_ctx(23, 2)
@@ -105,25 +126,34 @@ class TestTriple:
         c4 = YClass(b1 + b2, e1 + e2)
         assert triple(ctx, c4, c2, c3) == t + triple(ctx, c2, c2, c3)
 
-    def test_b_cubed_is_triple_of_B(self):
-        # at every census point and at the chart of every re-charted row
-        from wfano.rigidity import _row_singularity
-        ctxs = census_contexts() + [BlowupContext(f, _row_singularity(f, row))
-                                    for f, row in recharted_rows()]
-        for ctx in ctxs:
+    def test_b_cubed_is_triple_of_B(self, blowup_contexts):
+        for ctx in blowup_contexts:
             val, sign = b_cubed(ctx)
             assert val == triple(ctx, B, B, B), ctx
             assert val == ctx.A3 - Fraction(1, ctx.r * ctx.a * ctx.b), ctx
             assert sign == ("+" if val > 0 else "0" if val == 0 else "-")
 
-    @given(rationals, rationals)
-    @settings(max_examples=40)
-    def test_basis_conversion_is_involutive(self, bb, be):
-        ctx = vertex_ctx(23, 2)
-        cls = YClass(bb, be)
-        aa, ae = cls.ae_coords(ctx.r)
-        # back to the {B, E} basis: beta_B = alpha_A, beta_E = alpha_E + alpha_A/r
-        assert (aa, ae + aa / ctx.r) == (cls.beta_B, cls.beta_E)
+    def test_matches_the_ae_basis_formula(self, blowup_contexts):
+        # B, E, B - E, the pull-back A, and classes with plain `int` and
+        # mixed coefficients, in every unordered triple
+        for ctx in blowup_contexts:
+            A = YClass.of(1, Fraction(1, ctx.r))
+            classes = (B, E, YClass.of(1, -1), A, YClass(2, -1),
+                       YClass(-3, Fraction(2, 7)))
+            for c1, c2, c3 in combinations_with_replacement(classes, 3):
+                got = triple(ctx, c1, c2, c3)
+                assert type(got) is Fraction
+                assert got == triple_in_ae_basis(ctx, c1, c2, c3), (
+                    ctx, c1, c2, c3)
+
+    @given(st.data(), rationals, rationals, rationals, rationals, rationals,
+           rationals)
+    @settings(max_examples=100)
+    def test_matches_the_ae_basis_formula_on_rational_classes(
+            self, blowup_contexts, data, b1, e1, b2, e2, b3, e3):
+        ctx = data.draw(st.sampled_from(blowup_contexts))
+        c1, c2, c3 = YClass(b1, e1), YClass(b2, e2), YClass(b3, e3)
+        assert triple(ctx, c1, c2, c3) == triple_in_ae_basis(ctx, c1, c2, c3)
 
 
 class TestBCubed:

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wfano
-from wfano import cli
+from wfano import blowup, cli
+from wfano.census import vertex_singularity
 from wfano.cli import MAX_ENUMERATE_WEIGHT, main
 
 
@@ -576,6 +577,27 @@ class TestErrorBoundary:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_failed_b_cubed_cross_check_is_a_mismatch(self, capsys,
+                                                      monkeypatch):
+        # a wrong B.B.B stops the run, also under `python -O`
+        real = blowup.triple
+        monkeypatch.setattr(blowup, "triple",
+                            lambda ctx, *classes: real(ctx, *classes) + 1)
+        f = wfano.golden.data().family(23).family
+        ctx = blowup.BlowupContext(f, vertex_singularity(f, 2))
+        with pytest.raises(blowup.CrossCheckFailed):
+            blowup.b_cubed(ctx)
+        code, out, err = run(capsys, "check-tables")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: No. ") and err.count("\n") == 1
+        monkeypatch.setenv("PYTHONOPTIMIZE", "1")
+        code, out, err = run_in_fresh_process(["check-tables"], (
+            "import sys, wfano.blowup as b; real = b.triple; "
+            "b.triple = lambda ctx, *cs: real(ctx, *cs) + 1; "
+            "from wfano.cli import main; sys.exit(main(sys.argv[1:]))"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: No. ") and err.count("\n") == 1
 
 
 class TestParserReuse:

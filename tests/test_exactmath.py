@@ -302,3 +302,14 @@ def test_source_has_no_floating_point():
                 assert "math" not in {a.name for a in node.names}, where
             elif isinstance(node, ast.ImportFrom) and node.module == "math":
                 assert {a.name for a in node.names} <= INTEGER_MATH, where
+
+
+def test_source_has_no_assert_statement():
+    """Every check in the package raises a named exception: `python -O`
+    strips `assert` statements, and the check with them."""
+    sources = sorted(Path(wfano.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    found = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
