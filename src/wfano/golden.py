@@ -10,15 +10,24 @@ are applied at load time; each note keeps the printed and corrected strings.
 Each row, family and note loads into an immutable named tuple (`GoldenRow`,
 `FamilyRecord`, `Note`); `GoldenData` holds the three tables and indexes
 the rows by family.
+
+File format: UTF-8 text, a leading byte-order mark allowed.  The first
+line is a header that names the columns.  Each later line holds one row,
+its cells separated by tabs, exactly one cell per column.  Empty lines are
+skipped.  Lines are split as `str.splitlines` splits them, so ``\r\n``
+endings read like ``\n``.  There is no quoting: a ``"`` is read as part of
+its cell.
 """
 
-from __future__ import annotations
-
-import csv
+# No `from __future__ import annotations` here: under it, `NamedTuple`
+# compiles each field's annotation string when its class is made, which
+# for the 33 fields below cost every command a few tenths of a millisecond
+# of start-up.
 import re
 from fractions import Fraction
 from functools import cache
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -37,9 +46,7 @@ METHOD_SYMBOLS = {
 # 'y-alpha_iz'; a longer pattern would swallow the monomial after it.
 _GREEK = re.compile(r"(alpha|beta|lambda|mu)(_\w)?")
 _TYPE = re.compile(r"1/([1-9]\d*)\((.*)\)")
-_RESIDUE = re.compile(r"(\d+)(?:_([xyztw]))?")
 _LINEAR_SYSTEM = re.compile(r"(\d*)B(?:([+-])(\d*)E)?")
-_CONDITION_SEPARATOR = re.compile(r"[,\s]+")
 
 
 @cache
@@ -53,25 +60,21 @@ def parse_monomials(text: str) -> tuple[Exp5, ...]:
     return tuple(parse_poly(_GREEK.sub(" ", text)))
 
 
-# The tables repeat their types, linear systems and conditions (300 rows hold
-# 111, 32 and 39 distinct ones), so each parser below reads a string once.
-# Their results are immutable and shared by every row that prints it.
-
-@cache
 def parse_type(text: str) -> tuple[int, tuple[int, int, int],
                                    tuple[Optional[int], ...]]:
-    """'1/3(1_x,2_y,1_t)' -> (3, (1,2,1), (1,2,3)); subscripts optional."""
+    """'1/3(1_x,2_y,1_t)' -> (3, (1,2,1), (0,1,3)); subscripts optional."""
     m = _TYPE.fullmatch(text.replace(" ", ""))
     if not m:
         raise ValueError(f"cannot parse singularity type {text!r}")
     r = int(m.group(1))
     residues, subs = [], []
     for item in m.group(2).split(","):
-        mm = _RESIDUE.fullmatch(item)
-        if not mm:
+        # digits, then optionally '_' and a coordinate
+        digits, subscripted, coord = item.partition("_")
+        if not digits.isdecimal() or subscripted and coord not in COORD_INDEX:
             raise ValueError(f"cannot parse residue {item!r} in {text!r}")
-        residues.append(int(mm.group(1)))
-        subs.append(COORD_INDEX[mm.group(2)] if mm.group(2) else None)
+        residues.append(int(digits))
+        subs.append(COORD_INDEX[coord] if subscripted else None)
     if len(residues) != 3:
         raise ValueError(f"expected three residues in {text!r}")
     return r, tuple(residues), tuple(subs)
@@ -106,9 +109,7 @@ def parse_condition(text: str) -> frozenset[tuple[str, str]]:
             raise ValueError(f"cannot parse condition {text!r}")
         return frozenset({("type", words[1])})
     atoms = set()
-    for token in _CONDITION_SEPARATOR.split(text):
-        if not token:
-            continue
+    for token in text.replace(",", " ").split():
         if "!=" in token:
             name, rest = token.split("!=", 1)
             if rest != "0":
@@ -127,6 +128,16 @@ def parse_condition(text: str) -> frozenset[tuple[str, str]]:
 
 def canonical_atom(name: str) -> str:
     return name.replace("_", "").strip()
+
+
+class Note(NamedTuple):
+    no: int
+    point: str
+    kind: str
+    field: str
+    printed: str
+    corrected: str
+    note: str
 
 
 class GoldenRow(NamedTuple):
@@ -173,16 +184,6 @@ class FamilyRecord(NamedTuple):
         return self.printed_weights != self.family.w
 
 
-class Note(NamedTuple):
-    no: int
-    point: str
-    kind: str
-    field: str
-    printed: str
-    corrected: str
-    note: str
-
-
 class GoldenData:
     """The three tables, with the rows indexed by family number."""
 
@@ -223,7 +224,8 @@ class GoldenData:
 # The note kinds that `load` applies to the rows at the note's point.
 _ROW_NOTES = ("type_typo", "surface_typo", "certificate_defect")
 
-# The columns `load` reads from each file.
+# The columns `load` reads from each file, `no` first.  `_read_tsv` returns
+# the others in this order.
 _COLUMNS = {
     "families.tsv": ("no", "d", "weights", "A3", "superrigid",
                      "printed_weights"),
@@ -235,108 +237,157 @@ _COLUMNS = {
 }
 
 
-def _read_tsv(name: str, path: Optional[Path]
-              ) -> list[tuple[int, dict[str, str]]]:
-    """(no, cells) for each row of the file, its `no` cell read as an int."""
-    if path is not None:
-        text = Path(path, name).read_text(encoding="utf-8")
-    else:
-        text = (resources.files("wfano") / "data" / name).read_text("utf-8")
-    reader = csv.DictReader(text.splitlines(), delimiter="\t")
+def _read_tsv(directory: Path, name: str
+              ) -> list[tuple[int, tuple[str, ...]]]:
+    """(no, cells) for each row of the file: its `no` cell read as an int,
+    and its other `_COLUMNS` cells in that order.
+
+    The file is in the module docstring's format.  Its header may name more
+    columns than `load` reads, in any order.
+    """
+    # decoding as utf-8 and dropping a leading byte-order mark is what the
+    # 'utf-8-sig' codec does, without importing it
+    text = (directory / name).read_text("utf-8").removeprefix("\ufeff")
+    lines = text.splitlines()
+    header = lines[0].split("\t") if lines else []
+    index = {column: i for i, column in enumerate(header)}
     for column in _COLUMNS[name]:
-        if column not in (reader.fieldnames or ()):
+        if column not in index:
             raise ValueError(f"{name}: missing column {column!r}")
+    width, at_no = len(header), index["no"]
+    pick = itemgetter(*(index[column] for column in _COLUMNS[name][1:]))
     rows = []
-    for row in reader:
-        if None in row.values():  # DictReader's filler for a short row
-            raise ValueError(f"{name}: line {reader.line_num} has fewer "
+    for line_no, line in enumerate(lines[1:], 2):
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) != width:
+            raise ValueError(f"{name}: line {line_no} has "
+                             f"{'fewer' if len(cells) < width else 'more'} "
                              f"cells than the header")
         try:
-            rows.append((int(row["no"]), row))
+            rows.append((int(cells[at_no]), pick(cells)))
         except ValueError:
-            raise ValueError(f"{name}: column 'no' of line {reader.line_num} "
-                             f"reads {row['no']!r}, expected an integer"
+            raise ValueError(f"{name}: column 'no' of line {line_no} reads "
+                             f"{cells[at_no]!r}, expected an integer"
                              ) from None
     return rows
 
 
 def _integers(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    return tuple(map(int, text.split(",")))
 
 
-def _family_cell(no: int, rec: dict[str, str], column: str, parse,
-                 expected: str):
-    """`parse` of one cell of families.tsv; an error names the cell."""
+def _flag(text: str) -> bool:
+    return bool(("0", "1").index(text))
+
+
+def _family_cell(no: int, column: str, text: str, parse, expected: str):
+    """`parse(text)` of one cell of families.tsv; an error names the cell."""
     try:
-        return parse(rec[column])
+        return parse(text)
     except (ValueError, ZeroDivisionError):  # Fraction('1/0') divides
         raise ValueError(f"families.tsv: column {column!r} of family {no} "
-                         f"reads {rec[column]!r}, expected {expected}"
-                         ) from None
+                         f"reads {text!r}, expected {expected}") from None
 
 
-def _golden_row(rec: dict[str, str], no: int, type_fix: Optional[Note],
-                surface_fix: Optional[Note], defect: Optional[Note]
+# The tables repeat their cells (300 rows hold 111 distinct types, 32 linear
+# systems, 39 conditions and 58 monomial strings), so `load` parses each
+# distinct text once: through the caches below and those of
+# `parse_linear_system`, `parse_condition` and `parse_monomials`.  Each
+# result is immutable and shared by every row that prints the text.
+
+@cache
+def _type_cell(text: str) -> tuple[int, tuple[int, int, int],
+                                   Optional[tuple[int, int, int]],
+                                   Optional[tuple[int, int, int]]]:
+    """(r, residues, local params or None, normalized residues or None if
+    the type is not terminal) of a singularity type."""
+    r, residues, subs = parse_type(text)
+    return (r, residues, None if None in subs else subs,
+            try_normalize_type(r, residues))
+
+
+@cache
+def _surface_cell(text: str) -> tuple[tuple[Exp5, ...], ...]:
+    return tuple(parse_monomials(g) for g in text.split(",") if g.strip())
+
+
+@cache
+def _vanishing_cell(text: str) -> tuple[Exp5, ...]:
+    return tuple(mono for part in text.split(" or ")
+                 for v in part.split(",") for mono in parse_monomials(v))
+
+
+def _golden_row(no: int, point: str, count: str, r_cell: str, type_raw: str,
+                method: str, b3: str, linsys_raw: str, surface_raw: str,
+                vanishing_raw: str, condition_raw: str, witness_raw: str,
+                type_fixes: dict, surface_fixes: dict, defects: dict
                 ) -> GoldenRow:
     """One row of golden_tables.tsv, every cell parsed, with the notes at
-    its point applied."""
-    point, method = rec["point"], rec["method"]
+    its point applied: `load` keys each kind of note by where it applies."""
+    type_fix = type_fixes.get((no, point))
+    surface_fix = surface_fixes.get((no, point, surface_raw))
     if method not in METHOD_SYMBOLS:
         raise ValueError(f"unknown method {method!r}")
     location = LOCATIONS.get(point)
     if location is None:
         raise ValueError(f"unknown point {point!r}")
-    type_raw = rec["type_raw"]
-    printed = parse_type(type_raw)
-    if rec["r"] != str(printed[0]):
-        raise ValueError(f"column 'r' reads {rec['r']!r}, but the printed "
-                         f"type {type_raw!r} has r = {printed[0]}")
-    if type_fix and type_fix.printed != type_raw:
-        raise ValueError(f"the type_typo note corrects {type_fix.printed!r}, "
-                         f"but the row prints {type_raw!r}")
-    type_str = type_fix.corrected if type_fix else type_raw
-    r, residues, subs = parse_type(type_str) if type_fix else printed
-    normalized = try_normalize_type(r, residues)
+    parsed = _type_cell(type_raw)
+    if r_cell != str(parsed[0]):
+        raise ValueError(f"column 'r' reads {r_cell!r}, but the printed "
+                         f"type {type_raw!r} has r = {parsed[0]}")
+    type_str = type_raw
+    if type_fix:
+        if type_fix.printed != type_raw:
+            raise ValueError(f"the type_typo note corrects "
+                             f"{type_fix.printed!r}, but the row prints "
+                             f"{type_raw!r}")
+        type_str = type_fix.corrected
+        parsed = _type_cell(type_str)
+    r, residues, local_params, normalized = parsed
     if normalized is None:
         raise ValueError(f"non-terminal type {type_str!r}")
-    linsys = parse_linear_system(rec["linsys"]) if rec["linsys"] else None
-    surface_str = surface_fix.corrected if surface_fix else rec["surface"]
-    surface = tuple(parse_monomials(g)
-                    for g in surface_str.split(",") if g.strip())
-    vanishing = tuple(
-        mono for part in rec["vanishing"].split(" or ")
-        for v in part.split(",") for mono in parse_monomials(v))
+    linsys = parse_linear_system(linsys_raw) if linsys_raw else None
+    surface = _surface_cell(surface_fix.corrected if surface_fix
+                            else surface_raw)
+    vanishing = _vanishing_cell(vanishing_raw)
     if method in EXCLUDE_METHODS and not (linsys and vanishing):
         raise ValueError("an exclusion row needs a 'linsys' and a "
                          "'vanishing' cell")
     return GoldenRow(
-        family_no=no, point=point, location=location,
-        count=int(rec["count"]), r=r, type_str=type_str, residues=residues,
-        local_params=None if None in subs else subs, normalized=normalized,
-        method=method, b3_sign=rec["b3"], linsys_raw=rec["linsys"],
-        linsys=linsys, surface_raw=rec["surface"], surface=surface,
-        vanishing=vanishing, condition_raw=rec["condition"],
-        condition=parse_condition(rec["condition"]),
-        witness_raw=rec["witness"], witness=parse_monomials(rec["witness"]),
-        corrected=type_fix is not None or surface_fix is not None,
+        no, point, location, int(count), r, type_str, residues, local_params,
+        normalized, method, b3, linsys_raw, linsys, surface_raw, surface,
+        vanishing, condition_raw, parse_condition(condition_raw),
+        witness_raw, parse_monomials(witness_raw),
+        type_fix is not None or surface_fix is not None,
         # the defect note is about the printed (n) certificate; a row that
         # reads another method is not the documented one
-        defect=defect if method == "N" else None)
+        defects.get((no, point)) if method == "N" else None)
+
+
+def _row_name(no: int, cells: tuple[str, ...]) -> str:
+    """How an error names a row of golden_tables.tsv: its family, point
+    and condition (the first and tenth cell after `no` in `_COLUMNS`)."""
+    return f"golden_tables.tsv: the row No. {no} {cells[0]} [{cells[9]}]"
 
 
 def load(path: Optional[Path] = None) -> GoldenData:
     """Load the golden dataset, applying documented corrections.
 
     `path` overrides the packaged data directory; it must contain
-    families.tsv, golden_tables.tsv and golden_notes.tsv.  Malformed data,
-    including a row or note of a family that families.tsv does not list,
-    or a correction or defect note at a point with no row, raises
-    ValueError naming the file and the family, row or line.  Every cell of
-    golden_tables.tsv is parsed here.
+    families.tsv, golden_tables.tsv and golden_notes.tsv.  Each is a
+    tab-separated table under a header line, without quoting, in the format
+    the module docstring gives.  Malformed data, including a line with more
+    or fewer cells than its header, a row or note of a family that
+    families.tsv does not list, or a correction or defect note at a point
+    with no row, raises ValueError naming the file and the family, row or
+    line.  Every cell of golden_tables.tsv is parsed here.
     """
-    notes = tuple(Note(no, r["point"], r["kind"], r["field"], r["printed"],
-                       r["corrected"], r["note"])
-                  for no, r in _read_tsv("golden_notes.tsv", path))
+    directory = (resources.files("wfano") / "data" if path is None
+                 else Path(path))
+    notes = tuple(Note(no, *cells)
+                  for no, cells in _read_tsv(directory, "golden_notes.tsv"))
     type_fixes = {(n.no, n.point): n for n in notes if n.kind == "type_typo"}
     surface_fixes = {(n.no, n.point, n.printed): n for n in notes
                      if n.kind == "surface_typo"}
@@ -344,21 +395,20 @@ def load(path: Optional[Path] = None) -> GoldenData:
                if n.kind == "certificate_defect"}
 
     fams = []
-    for no, rec in _read_tsv("families.tsv", path):
-        fam = _family_cell(no, rec, "weights",
+    for no, (d, weights, A3, superrigid, printed_weights) in _read_tsv(
+            directory, "families.tsv"):
+        fam = _family_cell(no, "weights", weights,
                            lambda text: Family(_integers(text), no),
                            "1,a1,a2,a3,a4 with 0 < a1 <= a2 <= a3 <= a4")
-        if rec["d"] != str(fam.d):
+        if d != str(fam.d):
             raise ValueError(f"families.tsv: column 'd' of family "
-                             f"{no} reads {rec['d']!r}, expected "
+                             f"{no} reads {d!r}, expected "
                              f"a1+a2+a3+a4 = {fam.d}")
         fams.append(FamilyRecord(
-            family=fam, A3=_family_cell(no, rec, "A3", Fraction, "a fraction"),
-            superrigid=_family_cell(no, rec, "superrigid",
-                                    lambda text: bool(("0", "1").index(text)),
-                                    "0 or 1"),
-            printed_weights=_family_cell(no, rec, "printed_weights", _integers,
-                                         "comma-separated integers")))
+            fam, _family_cell(no, "A3", A3, Fraction, "a fraction"),
+            _family_cell(no, "superrigid", superrigid, _flag, "0 or 1"),
+            _family_cell(no, "printed_weights", printed_weights, _integers,
+                         "comma-separated integers")))
     fams.sort(key=lambda fr: fr.family.entry_no)
     # `GoldenData.family(no)` indexes by entry number, and a row or note of
     # a family that is not listed would never be checked
@@ -372,19 +422,15 @@ def load(path: Optional[Path] = None) -> GoldenData:
                              f"families.tsv")
 
     rows = []
-    for no, rec in _read_tsv("golden_tables.tsv", path):
-        point = rec["point"]
-        where = (f"golden_tables.tsv: the row No. {no} {point} "
-                 f"[{rec['condition']}]")
+    for no, cells in _read_tsv(directory, "golden_tables.tsv"):
         if not 1 <= no <= len(fams):
-            raise ValueError(f"{where} names no family of families.tsv")
+            raise ValueError(f"{_row_name(no, cells)} names no family of "
+                             f"families.tsv")
         try:
-            rows.append(_golden_row(
-                rec, no, type_fixes.get((no, point)),
-                surface_fixes.get((no, point, rec["surface"])),
-                defects.get((no, point))))
+            rows.append(_golden_row(no, *cells, type_fixes, surface_fixes,
+                                    defects))
         except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+            raise ValueError(f"{_row_name(no, cells)}: {exc}") from None
     # a note at a point with no row would be reported as documented while
     # it corrects or excuses nothing
     row_points = {(row.family_no, row.point) for row in rows}

@@ -83,6 +83,15 @@ def golden_edited(tmp_path, name, edit):
     return tmp_path
 
 
+def stray_cell(line_no):
+    """An edit that appends one cell to line `line_no` (1-based) of a file."""
+    def edit(text):
+        lines = text.split("\n")
+        lines[line_no - 1] += "\tstray"
+        return "\n".join(lines)
+    return edit
+
+
 NOTE_96 = "96\tOz\tcertificate_defect\tinequality\t-\t-\tnot a family\n"
 NOTE_95_OX = "95\tOx\tcertificate_defect\tinequality\t-\t-\tnot a point\n"
 # Malformed `--golden` directories, each with the start of its message.
@@ -103,6 +112,16 @@ BAD_GOLDEN = {
         lambda p: golden_edited(p, "families.tsv",
                                 lambda t: t.replace("\t5/2\t0\t", "\t", 1)),
         "families.tsv: line 3 has fewer cells than the header"),
+    # a line with a cell more than its header names, in each file
+    "long_family_row": (
+        lambda p: golden_edited(p, "families.tsv", stray_cell(3)),
+        "families.tsv: line 3 has more cells than the header"),
+    "long_table_row": (
+        lambda p: golden_edited(p, "golden_tables.tsv", stray_cell(6)),
+        "golden_tables.tsv: line 6 has more cells than the header"),
+    "long_note": (
+        lambda p: golden_edited(p, "golden_notes.tsv", stray_cell(4)),
+        "golden_notes.tsv: line 4 has more cells than the header"),
     "family_numbers_gap": (
         lambda p: golden_edited(p, "families.tsv",
                                 lambda t: t.replace("\n95\t", "\n97\t", 1)),
@@ -634,6 +653,13 @@ class TestStartup:
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"))
         assert code == 0, err
         assert out == "[]\n"
+
+    def test_setup_does_not_import_csv(self):
+        code, out, err = run_in_fresh_process([], (
+            "import sys, wfano.cli; wfano.golden.data(); "
+            "print('csv' in sys.modules)"))
+        assert code == 0, err
+        assert out == "False\n"
 
 
 JUNK = st.text("0123456789,-x", max_size=8)

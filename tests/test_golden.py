@@ -1,8 +1,13 @@
 """Dataset loading, row grammar, and variant matching."""
 
+import re
+from importlib import resources
+
 import pytest
+from hypothesis import given, strategies as st
 
 from wfano import golden
+from wfano.exactmath import COORD_INDEX
 from wfano.golden import (UnknownVariantFlag, canonical_atom,
                           default_assignment, match_rows, parse_condition,
                           parse_linear_system, parse_monomials, parse_type,
@@ -40,6 +45,29 @@ class TestGrammar:
         r, res, subs = parse_type("1/4(1,3,1)")
         assert (r, res) == (4, (1, 3, 1))
         assert subs == (None, None, None)
+
+    @given(st.text("0123456789_xyztwq\u0663", max_size=6))
+    def test_a_residue_reads_as_digits_and_a_subscript(self, item):
+        m = re.fullmatch(r"(\d+)(?:_([xyztw]))?", item)
+        text = f"1/5({item},1,4)"
+        if m is None:
+            with pytest.raises(ValueError, match="cannot parse residue"):
+                parse_type(text)
+        else:
+            _r, residues, subs = parse_type(text)
+            assert residues[0] == int(m.group(1))
+            assert subs[0] == (COORD_INDEX[m.group(2)] if m.group(2)
+                               else None)
+
+    @given(st.text("ab_12=!0, \t\u00a0", max_size=12))
+    def test_conditions_split_at_commas_and_whitespace(self, text):
+        def outcome(text):
+            try:
+                return parse_condition(text)
+            except ValueError as exc:
+                return str(exc)
+        tokens = [t for t in re.split(r"[,\s]+", text) if t]
+        assert outcome(text) == outcome(" ".join(tokens))
 
     def test_parse_linear_system(self):
         assert parse_linear_system("5B+2E") == (5, 2)
@@ -168,12 +196,33 @@ class TestVariantMatching:
         assert len(rows) == 1 and rows[0].method == "IOTA"
 
 
+def golden_copy(tmp_path, edit):
+    """A copy of the packaged dataset with each file's text run through
+    `edit`, written byte for byte."""
+    src = resources.files("wfano") / "data"
+    for name in ("families.tsv", "golden_tables.tsv", "golden_notes.tsv"):
+        text = (src / name).read_text("utf-8")
+        (tmp_path / name).write_bytes(edit(text).encode("utf-8"))
+    return tmp_path
+
+
 class TestOverride:
     def test_custom_dataset_dir(self, tmp_path):
-        import shutil
-        from importlib import resources
-        src = resources.files("wfano") / "data"
-        for name in ("families.tsv", "golden_tables.tsv", "golden_notes.tsv"):
-            shutil.copy(str(src / name), tmp_path / name)
-        d2 = golden.load(tmp_path)
+        d2 = golden.load(golden_copy(tmp_path, lambda text: text))
         assert len(d2.rows) == len(DATA.rows)
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: "\ufeff" + text,
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\n\n"),
+        lambda text: text + "\n\n\n",
+    ], ids=["byte-order-mark", "crlf", "blank-lines-between-rows",
+            "blank-lines-at-end"])
+    def test_equivalent_copies_load_equal(self, tmp_path, edit):
+        assert repr(golden.load(golden_copy(tmp_path, edit))) == repr(DATA)
+
+    def test_a_quote_is_part_of_its_cell(self, tmp_path):
+        note = DATA.notes[0].note
+        path = golden_copy(tmp_path, lambda text: text.replace(
+            f"\t{note}\n", f'\t"{note}"\n', 1))
+        assert golden.load(path).notes[0].note == f'"{note}"'
