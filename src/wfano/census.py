@@ -226,13 +226,26 @@ def census(f: Family) -> Census:
     return Census(f, tuple(entries))
 
 
+def no_singular_curves(w: tuple[int, int, int, int, int]) -> bool:
+    """No three of the bare weights w = (1, a1, a2, a3, a4) share a factor.
+
+    Three weights with a common prime p span a weighted plane whose points
+    all have a stabilizer of order p.  X, a hypersurface, meets it in a
+    curve of quotient singularities, and terminal threefold singularities
+    are isolated.  The enumeration tests it before it builds a `Family`.
+    """
+    _, a1, a2, a3, a4 = w
+    g12 = gcd(a1, a2)
+    g34 = gcd(a3, a4)
+    return (gcd(g12, a3) == 1 and gcd(g12, a4) == 1
+            and gcd(a1, g34) == 1 and gcd(a2, g34) == 1)
+
+
 def is_terminal_family(f: Family) -> bool:
     """X has only terminal singularities: no triple of weights shares a
-    factor (no singular curves) and every census point is terminal."""
-    a = f.w
-    for tri in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
-        if gcd(gcd(a[tri[0]], a[tri[1]]), a[tri[2]]) > 1:
-            return False
+    factor (`no_singular_curves`) and every census point is terminal."""
+    if not no_singular_curves(f.w):
+        return False
     try:
         census(f)
     except (NonTerminal, EdgeContained, NoEliminatingMonomial):

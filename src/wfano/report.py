@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple, Optional
 
 from .census import QuotientSingularity, census, canonical_type
@@ -177,11 +176,17 @@ class CheckResult(NamedTuple):
     def summary(self) -> str:
         ncorr = sum(1 for d in self.documented if d["kind"] != "defect")
         ndef = sum(1 for d in self.documented if d["kind"] == "defect")
-        return (f"{self.families} families, {self.rows} golden rows, "
-                f"{len(self.discrepancies)} discrepancies "
-                f"({ncorr} documented source corrections, "
-                f"{ndef} documented certificate defect"
-                f"{'s' if ndef != 1 else ''})")
+        ndisc = len(self.discrepancies)
+        return (f"{_count(self.families, 'family', 'families')}, "
+                f"{_count(self.rows, 'golden row')}, "
+                f"{_count(ndisc, 'discrepancy', 'discrepancies')} "
+                f"({_count(ncorr, 'documented source correction')}, "
+                f"{_count(ndef, 'documented certificate defect')})")
+
+
+def _count(n: int, one: str, many: str = "") -> str:
+    """n with the noun, singular when n is 1; `many` defaults to one + "s"."""
+    return f"{n} {one if n == 1 else many or one + 's'}"
 
 
 def check_tables(dataset: GoldenData,
@@ -269,17 +274,21 @@ def to_json(obj) -> str:
     The stdlib takes its pure-Python encoder whenever `indent` is set; this
     writer gives the same text for dicts with `str` keys, lists, tuples,
     strings (ASCII-escaped), ints, bools and None.  Any other type, a float
-    among them, raises `TypeError`.
+    among them, raises `TypeError`.  The `json` package is imported here,
+    not at module level, so commands that print text never load it.
     """
+    from json.encoder import encode_basestring_ascii
+
     parts: list[str] = []
-    _write_json(obj, "\n", parts.append)
+    _write_json(obj, "\n", parts.append, encode_basestring_ascii)
     return "".join(parts)
 
 
-def _write_json(obj, newline: str, out) -> None:
-    """Append the JSON text of obj, whose own line starts at `newline`."""
+def _write_json(obj, newline: str, out, quote) -> None:
+    """Append the JSON text of obj, whose own line starts at `newline`;
+    `quote` writes a string literal."""
     if isinstance(obj, str):
-        out(_quote(obj))
+        out(quote(obj))
     elif obj is None:
         out("null")
     elif obj is True:
@@ -299,9 +308,9 @@ def _write_json(obj, newline: str, out) -> None:
                 raise TypeError(f"keys must be str, not "
                                 f"{type(key).__name__}")
             out(sep)
-            out(_quote(key))
+            out(quote(key))
             out(": ")
-            _write_json(value, inner, out)
+            _write_json(value, inner, out, quote)
             sep = "," + inner
         out(newline + "}")
     elif isinstance(obj, (list, tuple)):
@@ -312,7 +321,7 @@ def _write_json(obj, newline: str, out) -> None:
         sep = "[" + inner
         for value in obj:
             out(sep)
-            _write_json(value, inner, out)
+            _write_json(value, inner, out, quote)
             sep = "," + inner
         out(newline + "]")
     else:

@@ -18,6 +18,7 @@ import wfano
 from wfano import blowup, cli
 from wfano.census import vertex_singularity
 from wfano.cli import MAX_ENUMERATE_WEIGHT, main
+from wfano.report import CheckResult
 
 
 def run(capsys, *argv):
@@ -372,12 +373,40 @@ class TestCheckTables:
     def test_single_family_filter(self, capsys):
         code, out, _ = run(capsys, "check-tables", "--family", "40")
         assert code == 0
-        assert "1 families" in out
+        assert out.startswith("1 family, 10 golden rows, 0 discrepancies "
+                              "(1 documented source correction, ")
 
     def test_single_family_by_weights(self, capsys):
         code, out, _ = run(capsys, "check-tables", "--family", "2,3,4,5")
         assert code == 0
-        assert out.startswith("1 families, 8 golden rows, 0 discrepancies")
+        assert out.startswith("1 family, 8 golden rows, 0 discrepancies")
+
+    @pytest.mark.parametrize("counts,expected", [
+        ((2, 2, 2, 2, 2), "2 families, 2 golden rows, 2 discrepancies "
+         "(2 documented source corrections, 2 documented certificate "
+         "defects)"),
+        ((1, 0, 0, 0, 0), "1 family, 0 golden rows, 0 discrepancies "
+         "(0 documented source corrections, 0 documented certificate "
+         "defects)"),
+        ((0, 1, 0, 0, 0), "0 families, 1 golden row, 0 discrepancies "
+         "(0 documented source corrections, 0 documented certificate "
+         "defects)"),
+        ((0, 0, 1, 0, 0), "0 families, 0 golden rows, 1 discrepancy "
+         "(0 documented source corrections, 0 documented certificate "
+         "defects)"),
+        ((0, 0, 0, 1, 0), "0 families, 0 golden rows, 0 discrepancies "
+         "(1 documented source correction, 0 documented certificate "
+         "defects)"),
+        ((0, 0, 0, 0, 1), "0 families, 0 golden rows, 0 discrepancies "
+         "(0 documented source corrections, 1 documented certificate "
+         "defect)"),
+    ], ids=["plural", "family", "row", "discrepancy", "correction", "defect"])
+    def test_summary_is_singular_for_a_count_of_one(self, counts, expected):
+        families, rows, ndisc, ncorr, ndef = counts
+        documented = ([{"kind": "correction"}] * ncorr
+                      + [{"kind": "defect"}] * ndef)
+        result = CheckResult(families, rows, [{}] * ndisc, documented)
+        assert result.summary() == expected
 
     @pytest.mark.parametrize("no,point,column,old,new", [
         (19, "OzOt", "b3", "0", "+"),
@@ -658,6 +687,14 @@ class TestStartup:
         code, out, err = run_in_fresh_process([], (
             "import sys, wfano.cli; wfano.golden.data(); "
             "print('csv' in sys.modules)"))
+        assert code == 0, err
+        assert out == "False\n"
+
+    def test_setup_does_not_import_json(self):
+        # `report.to_json` imports it when a command prints JSON
+        code, out, err = run_in_fresh_process([], (
+            "import sys, wfano.cli; wfano.golden.data(); "
+            "print('json' in sys.modules)"))
         assert code == 0, err
         assert out == "False\n"
 

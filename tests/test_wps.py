@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wfano import golden
-from wfano.census import (is_terminal_family, vertex_conditions_hold,
+from wfano.census import (is_terminal_family, no_singular_curves,
+                          vertex_conditions_hold,
                           vertex_elimination_candidates, vertex_singularity)
 from wfano.exactmath import COORDS, _reduce_to_chart, weighted_monomials
 from wfano.wps import (Family, UnknownSpecialMember, _extend_mask,
@@ -16,8 +17,7 @@ from wfano.wps import (Family, UnknownSpecialMember, _extend_mask,
                        admits_member_with_stratum,
                        eliminating_monomial, enumerate_families,
                        general_quasismooth, generic_member, hat_lcms,
-                       is_wellformed, large_divisor_table,
-                       normal_form_support, special_member)
+                       is_wellformed, normal_form_support, special_member)
 
 
 class TestBasics:
@@ -208,9 +208,38 @@ class TestEnumeration:
         f = Family.of(*w)
         if general_quasismooth(f).ok:
             a1, a2, a3, a4 = w
-            assert a4 in a4_candidates(a1, a2, a3, a4,
-                                       large_divisor_table(a1 + a2 + a3))
+            assert a4 in a4_candidates(a1, a2, a3, a4)
             assert vertex_conditions_hold(f.w)
+
+    def test_candidates_are_the_large_divisors(self):
+        # n, n/2 and n/3 for n in s, s-1, s-a1, s-a2, s-a3, read literally
+        for a1 in range(1, 25):
+            for a2 in range(a1, 25):
+                for a3 in range(a2, 25):
+                    s = a1 + a2 + a3
+                    for bound in (a3, 24, 3 * 24):
+                        expected = sorted({
+                            n // q for n in (s, s - 1, s - a1, s - a2, s - a3)
+                            for q in (1, 2, 3)
+                            if n % q == 0 and a3 <= n // q <= bound})
+                        assert a4_candidates(a1, a2, a3, bound) == expected
+
+    # each pre-test rejecting a quadruple that the other two keep
+    @example((1, 1, 1, 4)).via("a4 not a candidate")
+    @example((1, 1, 4, 5)).via("vertex test at O_t")
+    @example((1, 2, 2, 4)).via("a2, a3, a4 share 2")
+    @given(chained_quadruples()
+           | st.lists(st.integers(1, 30), min_size=4, max_size=4)
+           .map(sorted).map(tuple))
+    @settings(max_examples=400, deadline=None)
+    def test_bare_weight_rejection_is_never_a_family(self, w):
+        a1, a2, a3, a4 = w
+        if (a4 in a4_candidates(a1, a2, a3, a4)
+                and vertex_conditions_hold((1, *w))
+                and no_singular_curves((1, *w))):
+            return
+        f = Family.of(*w)
+        assert not (general_quasismooth(f).ok and is_terminal_family(f))
 
     def test_vertex_conditions_read_the_elimination_candidates(self):
         for a1 in range(1, 16):
