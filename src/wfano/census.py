@@ -107,24 +107,6 @@ def vertex_elimination_candidates(f: Family, i: int) -> list[int]:
             if j != i and (d - w5[j]) % w5[i] == 0 and (d - w5[j]) >= w5[i]]
 
 
-def vertex_conditions_hold(w: tuple[int, int, int, int, int]) -> bool:
-    """The singleton case of the quasi-smoothness test at O_y .. O_w, on
-    the bare weights w = (1, a1, a2, a3, a4).
-
-    For I = {i}, some x_i^k or x_i^k * x_j has degree d = a1+a2+a3+a4:
-    d = a_j mod a_i for some j, where j = i stands for x_i^k alone.  A
-    necessary condition for `wps.general_quasismooth`, and much cheaper;
-    the enumeration tests it before it builds a `Family`.  O_t rejects
-    the most candidates, so it is tested first.
-    """
-    _, a1, a2, a3, a4 = w
-    d = a1 + a2 + a3 + a4
-    for a in (a3, a2, a1, a4):
-        if d % a not in (1 % a, a1 % a, a2 % a, a3 % a, a4 % a):
-            return False
-    return True
-
-
 def default_eliminated(f: Family, i: int) -> Optional[int]:
     """The coordinate eliminated at the quotient point O_i by default.
 

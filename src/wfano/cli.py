@@ -35,7 +35,7 @@ MAX_CUTOFF = 8
 # keeps bit masks of about a1+a2+a3+a4 bits per coordinate subset.
 MAX_WEIGHT = 10**6
 # Largest `enumerate --max-weight`; the scan over a1 <= a2 <= a3 grows as its
-# cube and takes about 0.4 s at this bound (Python 3.11, one core).  All 95
+# cube and takes about 0.2 s at this bound (Python 3.11, one core).  All 95
 # families have a4 <= 33.
 MAX_ENUMERATE_WEIGHT = 100
 

@@ -9,11 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from wfano import golden
 from wfano.census import (is_terminal_family, no_singular_curves,
-                          vertex_conditions_hold,
                           vertex_elimination_candidates, vertex_singularity)
 from wfano.exactmath import COORDS, _reduce_to_chart, weighted_monomials
 from wfano.wps import (Family, UnknownSpecialMember, _extend_mask,
-                       a4_candidates, anticanonical_degree,
+                       anticanonical_degree, bare_weight_a4s,
                        admits_member_with_stratum,
                        eliminating_monomial, enumerate_families,
                        general_quasismooth, generic_member, hat_lcms,
@@ -168,6 +167,14 @@ def four_loop_scan(bound):
     return sorted(found)
 
 
+def vertex_tests_pass(f):
+    """The singleton quasi-smoothness test at O_y .. O_w, read off the
+    elimination candidates: each vertex is missed (a_i | d) or has some
+    x_i^k * x_j of degree d."""
+    return all(f.d % f.w[i] == 0 or vertex_elimination_candidates(f, i)
+               for i in range(1, 5))
+
+
 @pytest.fixture(scope="module")
 def families():
     return enumerate_families(33)
@@ -191,6 +198,14 @@ class TestEnumeration:
         assert [(f.d, f.w) for f in families] == [
             (f.d, f.w) for f in expected]
 
+    @pytest.mark.parametrize("bound", [1, 5, 8, 12, 24, 25, 32, 33, 50, 100])
+    def test_reference_families_up_to_the_bound(self, bound):
+        # the 95 have a4 <= 33, and a larger bound finds no other family
+        expected = [rec.family for rec in golden.data().families
+                    if rec.family.w[4] <= bound]
+        assert [(f.d, f.w) for f in enumerate_families(bound)] == [
+            (f.d, f.w) for f in expected]
+
     def test_numbering_is_lexicographic(self, families):
         keys = [(f.d, *f.w[1:]) for f in families]
         assert keys == sorted(keys)
@@ -208,21 +223,23 @@ class TestEnumeration:
         f = Family.of(*w)
         if general_quasismooth(f).ok:
             a1, a2, a3, a4 = w
-            assert a4 in a4_candidates(a1, a2, a3, a4)
-            assert vertex_conditions_hold(f.w)
+            assert a4 in bare_weight_a4s(a1, a2, a3, a4)
 
     def test_candidates_are_the_large_divisors(self):
-        # n, n/2 and n/3 for n in s, s-1, s-a1, s-a2, s-a3, read literally
+        # n, n/2 and n/3 for n in s, s-1, s-a1, s-a2, s-a3, read literally,
+        # that pass the vertex test; no value may come twice
         for a1 in range(1, 25):
             for a2 in range(a1, 25):
                 for a3 in range(a2, 25):
                     s = a1 + a2 + a3
                     for bound in (a3, 24, 3 * 24):
-                        expected = sorted({
+                        expected = sorted(a4 for a4 in {
                             n // q for n in (s, s - 1, s - a1, s - a2, s - a3)
                             for q in (1, 2, 3)
-                            if n % q == 0 and a3 <= n // q <= bound})
-                        assert a4_candidates(a1, a2, a3, bound) == expected
+                            if n % q == 0 and a3 <= n // q <= bound}
+                            if vertex_tests_pass(Family.of(a1, a2, a3, a4)))
+                        assert sorted(bare_weight_a4s(a1, a2, a3, bound)) \
+                            == expected
 
     # each pre-test rejecting a quadruple that the other two keep
     @example((1, 1, 1, 4)).via("a4 not a candidate")
@@ -234,8 +251,7 @@ class TestEnumeration:
     @settings(max_examples=400, deadline=None)
     def test_bare_weight_rejection_is_never_a_family(self, w):
         a1, a2, a3, a4 = w
-        if (a4 in a4_candidates(a1, a2, a3, a4)
-                and vertex_conditions_hold((1, *w))
+        if (a4 in bare_weight_a4s(a1, a2, a3, a4)
                 and no_singular_curves((1, *w))):
             return
         f = Family.of(*w)
@@ -247,10 +263,8 @@ class TestEnumeration:
                 for a3 in range(a2, 16):
                     for a4 in range(a3, 16):
                         f = Family.of(a1, a2, a3, a4)
-                        assert vertex_conditions_hold(f.w) == all(
-                            f.d % f.w[i] == 0
-                            or vertex_elimination_candidates(f, i)
-                            for i in range(1, 5)), f
+                        assert (a4 in bare_weight_a4s(a1, a2, a3, a4)) \
+                            == vertex_tests_pass(f), f
 
     def test_matches_four_loop_scan(self):
         assert [(f.d, *f.w[1:]) for f in enumerate_families(20)] == \
