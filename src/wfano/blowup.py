@@ -53,7 +53,6 @@ def format_class(b, e) -> str:
 
 
 B = YClass.of(1, 0)
-E = YClass.of(0, 1)
 
 
 class BlowupContext(NamedTuple):
@@ -126,23 +125,16 @@ def b_cubed(ctx: BlowupContext) -> tuple[Fraction, str]:
     return val, ("+" if num > 0 else ("0" if num == 0 else "-"))
 
 
-def _s_class_ambiguous(ctx: BlowupContext) -> bool:
-    """Whether the surface {x = 0} may be B - E: a1 > 1 and r | d - 1."""
-    return ctx.family.w[1] != 1 and (ctx.family.d - 1) % ctx.r == 0
-
-
-def s_class(ctx: BlowupContext) -> tuple[YClass, ...]:
-    """Class of the proper transform of the surface {x = 0}.
-
-    Exactly B when a1 = 1 or r does not divide d-1; otherwise B or B - E
-    depending on the member, returned as a two-element possibility set.
-    """
-    return (B, YClass.of(1, -1)) if _s_class_ambiguous(ctx) else (B,)
-
-
 def s_class_ks(ctx: BlowupContext) -> tuple[int, ...]:
-    """The k values (1 for S ~ B, r+1 for S ~ B-E) matching s_class."""
-    return (1, ctx.r + 1) if _s_class_ambiguous(ctx) else (1,)
+    """The k values of the proper transform S of the surface {x = 0}: 1 for
+    S ~ B and r+1 for S ~ B-E.
+
+    S is exactly B when a1 = 1 or r does not divide d-1; otherwise it is B
+    or B - E depending on the member, and both k values are returned.
+    """
+    if ctx.family.w[1] != 1 and (ctx.family.d - 1) % ctx.r == 0:
+        return (1, ctx.r + 1)
+    return (1,)
 
 
 def monomial_order(exps, weights5, r: int) -> int:
@@ -163,17 +155,6 @@ def transform_beta_E(r: int, c: int, m: int) -> int:
     if (c - m) % r != 0:
         raise NonIntegral(f"(c - m)/r = ({c} - {m})/{r} is not an integer")
     return (c - m) // r
-
-
-def proper_transform_class(ctx: BlowupContext, c: int, mult: Fraction) -> YClass:
-    """Class c*B + ((c-m)/r)E of the transform of a degree-c divisor.
-
-    `mult` is the vanishing order m/r at the point.
-    """
-    m = mult * ctx.r
-    if m.denominator != 1:
-        raise NonIntegral(f"multiplicity {mult} is not of the form m/{ctx.r}")
-    return YClass.of(c, transform_beta_E(ctx.r, c, int(m)))
 
 
 def vertex_chart(ctx: BlowupContext):

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic, weighted monomials, and truncated power series.
+"""Exact rational arithmetic, polynomial parsing, and truncated power series.
 
 Every quantity in the engine is an integer or a `fractions.Fraction`; no
 floating point is used anywhere.  Polynomials in the five ambient
@@ -11,9 +11,7 @@ Parsed polynomials and the members that orders are computed on carry
 `int` coefficients; `Fraction` enters only through a non-unit eliminating
 coefficient.
 
-The zero polynomial is the empty dict.  Weighted degree of a monomial is
-computed against a 5-vector of positive integer weights whose first entry
-is always 1.
+The zero polynomial is the empty dict.
 
 The series machinery solves a quasi-homogeneous equation f = 0 locally at
 a coordinate vertex for one coordinate (the "eliminated" one) as a
@@ -60,25 +58,6 @@ class ZeroPolynomial(ValueError):
 # the order is at least cutoff/r: the terms there cancel, or lie past it.
 # Compare with `is`.
 OVERCUTOFF = object()
-
-
-def weighted_monomials(weights, d: int) -> set[Exp5]:
-    """All exponent vectors of weighted degree exactly d.
-
-    `weights` is the 5-vector (1, a1, a2, a3, a4).  The empty set is a
-    valid result; degree 0 yields the single constant monomial.
-    """
-    weights = tuple(weights)
-    if any(w <= 0 for w in weights):
-        raise ValueError("weights must be positive")
-    # fill the heaviest coordinates first; x (weight 1) takes what is left
-    partial = [((), d)]  # (trailing exponents, degree still to fill)
-    for w in reversed(weights[1:]):
-        partial = [((e,) + exps, rest - e * w) for exps, rest in partial
-                   for e in range(rest // w + 1)]
-    first = weights[0]
-    return {(rest // first,) + exps for exps, rest in partial
-            if rest % first == 0}
 
 
 # ----------------------------------------------------------------- parsing

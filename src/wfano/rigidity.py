@@ -49,26 +49,11 @@ class Check(NamedTuple):
     detail: str = ""
 
 
-def test_b(ctx: BlowupContext, c: int, m: int, k: int) -> tuple[bool, Fraction, Fraction]:
-    """Boundary test for method (b): r*a*(r-a)*c^2*A^3 <= k*m^2."""
-    lhs = ctx.r * ctx.a * ctx.b * c * c * ctx.A3
-    rhs = Fraction(k * m * m)
-    return lhs <= rhs, lhs, rhs
-
-
-def test_n(ctx: BlowupContext, c: int, m: int, k: int) -> tuple[bool, Fraction, Fraction]:
-    """Nef-divisor test for method (n): r*a*(r-a)*c*A^3 <= k*m."""
-    lhs = ctx.r * ctx.a * ctx.b * c * ctx.A3
-    rhs = Fraction(k * m)
-    return lhs <= rhs, lhs, rhs
-
-
 def inequality_holds(ctx: BlowupContext, power: int, c: int, m: int,
                      k: int) -> bool:
     """r*a*(r-a)*c^power*A^3 <= k*m^power, the test of method (b) (power 2)
     or (n) (power 1), decided on integers: with A^3 = d/P, P = a1a2a3a4,
-    it reads r*a*(r-a)*c^power*d <= k*m^power*P.  `test_b` and `test_n`
-    decide the same with both sides as `Fraction`s."""
+    it reads r*a*(r-a)*c^power*d <= k*m^power*P."""
     w = ctx.family.w
     return (ctx.r * ctx.a * ctx.b * c ** power * ctx.family.d
             <= k * m ** power * (w[1] * w[2] * w[3] * w[4]))
@@ -80,7 +65,7 @@ _INEQUALITIES = {"B": (2, "boundary inequality"),
                  "N": (1, "nef-divisor inequality")}
 
 
-def test_p(f: Family) -> tuple[bool, Optional[int]]:
+def two_ray_game(f: Family) -> tuple[bool, Optional[int]]:
     """Two-ray-game test for method (p) at O_t: 2 a4 = 3 a3 + a_i, i in
     {1, 2}.  Every (p) row of the tables is at O_t."""
     a = f.w
@@ -91,12 +76,13 @@ def test_p(f: Family) -> tuple[bool, Optional[int]]:
 
 
 def neg_definite(matrix: Sequence[Sequence[Fraction]]) -> bool:
-    """Sylvester criterion on -M with exact rationals; M must be symmetric."""
+    """Sylvester criterion on -M with exact rationals; M must be square and
+    symmetric, or `NotSymmetric` is raised."""
     n = len(matrix)
-    m = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+    if any(len(row) != n for row in matrix):
+        raise NotSymmetric("matrix is not square")
+    m = [[Fraction(x) for x in row] for row in matrix]
     for i in range(n):
-        if len(matrix[i]) != n:
-            raise NotSymmetric("matrix is not square")
         for j in range(i):
             if m[i][j] != m[j][i]:
                 raise NotSymmetric(f"entry ({i},{j}) != ({j},{i})")
@@ -417,7 +403,7 @@ def _certify_exclusion(f: Family, row: GoldenRow, ctx: BlowupContext,
                 f"note: c >= m fails ({c} < {m}); the table applies the "
                 f"method with the stronger divisor anyway"))
     elif row.method == "P":
-        ok, i = test_p(f)
+        ok, i = two_ray_game(f)
         if row.point != "Ot":
             ok, detail = False, f"the test is made at O_t, not {row.point}"
         elif ok:

@@ -319,7 +319,7 @@ def normal_form_support(f: Family,
     exponent of x_i is at least k, so the support is every degree-d
     monomial whose exponent of x_i stays below k at each such O_i, plus the
     eliminating monomials.  It is filled from the heaviest coordinate down,
-    as `weighted_monomials` does, with x (weight 1) taking what is left.
+    with x (weight 1) taking what is left.
     """
     if kept is None:
         kept = _eliminating_monomials(f)

@@ -1,0 +1,83 @@
+"""Reference versions of package rules, kept for the tests only.
+
+Each is a slower or more general statement of a rule that the package
+decides another way, so the tests can compare the two:
+
+- `ineq_b`, `ineq_n`: the (b) and (n) inequalities with both sides as
+  `Fraction`s, against `rigidity.inequality_holds` on integers;
+- `s_class`: the possible classes of the surface {x = 0}, against the k
+  values of `blowup.s_class_ks`;
+- `proper_transform_class`: the transform class from an order m/r, over
+  `blowup.transform_beta_E`;
+- `weighted_monomials`: every monomial of a degree, against the support of
+  `wps.normal_form_support`.
+
+The inequality oracles are not named `test_*`, so pytest does not collect
+them where a test file imports them.
+"""
+
+from fractions import Fraction
+
+from wfano.blowup import (B, BlowupContext, NonIntegral, YClass,
+                          transform_beta_E)
+from wfano.exactmath import Exp5
+
+E = YClass.of(0, 1)
+
+
+def ineq_b(ctx: BlowupContext, c: int, m: int,
+           k: int) -> tuple[bool, Fraction, Fraction]:
+    """Boundary test for method (b): r*a*(r-a)*c^2*A^3 <= k*m^2."""
+    lhs = ctx.r * ctx.a * ctx.b * c * c * ctx.A3
+    rhs = Fraction(k * m * m)
+    return lhs <= rhs, lhs, rhs
+
+
+def ineq_n(ctx: BlowupContext, c: int, m: int,
+           k: int) -> tuple[bool, Fraction, Fraction]:
+    """Nef-divisor test for method (n): r*a*(r-a)*c*A^3 <= k*m."""
+    lhs = ctx.r * ctx.a * ctx.b * c * ctx.A3
+    rhs = Fraction(k * m)
+    return lhs <= rhs, lhs, rhs
+
+
+def s_class(ctx: BlowupContext) -> tuple[YClass, ...]:
+    """Class of the proper transform of the surface {x = 0}.
+
+    Exactly B when a1 = 1 or r does not divide d-1; otherwise B or B - E
+    depending on the member, returned as a two-element possibility set.
+    """
+    if ctx.family.w[1] != 1 and (ctx.family.d - 1) % ctx.r == 0:
+        return (B, YClass.of(1, -1))
+    return (B,)
+
+
+def proper_transform_class(ctx: BlowupContext, c: int,
+                           mult: Fraction) -> YClass:
+    """Class c*B + ((c-m)/r)E of the transform of a degree-c divisor.
+
+    `mult` is the vanishing order m/r at the point.
+    """
+    m = mult * ctx.r
+    if m.denominator != 1:
+        raise NonIntegral(f"multiplicity {mult} is not of the form m/{ctx.r}")
+    return YClass.of(c, transform_beta_E(ctx.r, c, int(m)))
+
+
+def weighted_monomials(weights, d: int) -> set[Exp5]:
+    """All exponent vectors of weighted degree exactly d.
+
+    `weights` is the 5-vector (1, a1, a2, a3, a4).  The empty set is a
+    valid result; degree 0 yields the single constant monomial.
+    """
+    weights = tuple(weights)
+    if any(w <= 0 for w in weights):
+        raise ValueError("weights must be positive")
+    # fill the heaviest coordinates first; x (weight 1) takes what is left
+    partial = [((), d)]  # (trailing exponents, degree still to fill)
+    for w in reversed(weights[1:]):
+        partial = [((e,) + exps, rest - e * w) for exps, rest in partial
+                   for e in range(rest // w + 1)]
+    first = weights[0]
+    return {(rest // first,) + exps for exps, rest in partial
+            if rest % first == 0}

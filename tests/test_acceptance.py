@@ -12,17 +12,17 @@ import pytest
 
 from wfano import golden
 from wfano.blowup import (BlowupContext, b_cubed, divisor_multiplicity,
-                          monomial_order, proper_transform_class, s_class_ks)
+                          monomial_order, s_class_ks)
 from wfano.census import (canonical_type, census, edge_point_count,
                           vertex_singularity)
 from wfano.exactmath import OVERCUTOFF, parse_poly, series_order
 from wfano.golden import match_rows
 from wfano.rigidity import (certify_row, curve_status, smooth_point_status,
                             super_rigid)
-from wfano.rigidity import test_b as ineq_b
-from wfano.rigidity import test_n as ineq_n
 from wfano.wps import (anticanonical_degree, enumerate_families,
                        generic_member, special_member)
+
+from oracles import ineq_b, ineq_n, proper_transform_class
 
 DATA = golden.data()
 

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wfano import golden
-from wfano.blowup import (B, BlowupContext, E, NonIntegral, YClass, b_cubed,
-                          divisor_multiplicity, monomial_order,
-                          proper_transform_class, s_class, s_class_ks, triple,
-                          vertex_chart)
+from wfano.blowup import (B, BlowupContext, NonIntegral, YClass, b_cubed,
+                          divisor_multiplicity, monomial_order, s_class_ks,
+                          triple, vertex_chart)
 from wfano.census import (census, default_eliminated, edge_singularities,
                           vertex_singularity)
 from wfano.exactmath import (COORDS, OVERCUTOFF, _graded_substitute,
                              _reduce_to_chart, _sum_products,
                              implicit_eliminate, parse_poly, series_order)
 from wfano.wps import generic_member, special_member
+
+from oracles import E, proper_transform_class, s_class
 
 
 def fam(no):
@@ -173,6 +174,7 @@ class TestBCubed:
 class TestSClass:
     def test_forced_by_weight_one(self):
         assert s_class(vertex_ctx(9, 2)) == (B,)
+        assert s_class_ks(vertex_ctx(9, 2)) == (1,)
 
     def test_ambiguous(self):
         ctx = vertex_ctx(95, 1)   # a1 = 5, d - 1 = 65 divisible by r = 5
@@ -182,6 +184,7 @@ class TestSClass:
     def test_forced_by_indivisibility(self):
         ctx = edge_ctx(38, 1, 4)  # a1 = 2 but d - 1 = 17 is odd
         assert s_class(ctx) == (B,)
+        assert s_class_ks(ctx) == (1,)
 
 
 class TestProperTransform:

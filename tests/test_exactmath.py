@@ -1,6 +1,7 @@
 """Exact arithmetic, monomial enumeration, and series elimination."""
 
 import ast
+import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,11 @@ from hypothesis import given, settings, strategies as st
 import wfano
 from wfano.exactmath import (NoEliminatingMonomial, OVERCUTOFF,
                              ZeroPolynomial, implicit_eliminate, parse_poly,
-                             series_order, weighted_monomials)
+                             series_order)
+
+from oracles import weighted_monomials
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def brute_monomials(weights, d, variables=None):
@@ -313,3 +318,37 @@ def test_source_has_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_top_level_name_has_a_caller_in_the_package():
+    """Each top-level def, class and assigned name of a package module is
+    read by package code (a load, an attribute or an import), `__init__`'s
+    re-exports aside; a test oracle lives in `tests/oracles.py` instead.
+    The names that the benchmark's tracer wraps are exempt."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    defined, read = set(), set()
+    for path in Path(wfano.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined.update((path.stem, n.id) for t in targets
+                               for n in ast.walk(t) if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    uncalled = sorted(name for _, name in defined - set(tracing.TARGETS)
+                      if name not in read)
+    assert uncalled == []

@@ -6,12 +6,14 @@ import pickle
 import pytest
 
 from wfano import golden
-from wfano.blowup import B, E, BlowupContext, YClass
+from wfano.blowup import B, BlowupContext, YClass
 from wfano.census import census
 from wfano.report import check_tables
 from wfano.rigidity import (certify_row, curve_status, involution_case,
                             smooth_point_status)
 from wfano.wps import Family, general_quasismooth
+
+from oracles import E
 
 
 def test_family_orders_by_weights_then_entry_number():

@@ -11,11 +11,10 @@ from wfano.census import census, edge_singularities, vertex_singularity
 from wfano.golden import UnknownVariantFlag, match_rows
 from wfano.rigidity import (NotApplicable, NotSymmetric, certify_row,
                             curve_status, inequality_holds, involution_case,
-                            neg_definite, smooth_point_status, super_rigid)
-# aliased so pytest does not collect the library operations as tests
-from wfano.rigidity import test_b as ineq_b
-from wfano.rigidity import test_n as ineq_n
-from wfano.rigidity import test_p as ineq_p
+                            neg_definite, smooth_point_status, super_rigid,
+                            two_ray_game)
+
+from oracles import ineq_b, ineq_n
 
 DATA = golden.data()
 
@@ -87,10 +86,10 @@ class TestInequalities:
                     test(ctx, c, m, kk)[0], (ctx, power, c, m, kk)
 
     def test_p_examples(self):
-        assert ineq_p(fam(10))[0]            # 2*5 = 3*3 + 1
-        assert ineq_p(fam(21))[0]            # 2*7 = 3*4 + 2
-        assert not ineq_p(fam(7))[0]
-        assert ineq_p(fam(62))[0]            # 2*13 = 3*7 + 5
+        assert two_ray_game(fam(10))[0]  # 2*5 = 3*3 + 1
+        assert two_ray_game(fam(21))[0]  # 2*7 = 3*4 + 2
+        assert not two_ray_game(fam(7))[0]
+        assert two_ray_game(fam(62))[0]  # 2*13 = 3*7 + 5
 
 
 class TestNegDefinite:
@@ -107,6 +106,11 @@ class TestNegDefinite:
                           [Fraction(1), Fraction(-1)]])
         with pytest.raises(NotSymmetric):
             neg_definite([[Fraction(-1), Fraction(0)]])
+        # ragged: a row shorter than the row count
+        with pytest.raises(NotSymmetric):
+            neg_definite([[Fraction(-1), Fraction(0)], [Fraction(0)]])
+        with pytest.raises(NotSymmetric):
+            neg_definite([[Fraction(-1)], [Fraction(0), Fraction(-1)]])
 
     @given(st.lists(st.integers(min_value=-9, max_value=9),
                     min_size=6, max_size=6))

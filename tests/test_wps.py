@@ -10,13 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 from wfano import golden
 from wfano.census import (is_terminal_family, no_singular_curves,
                           vertex_elimination_candidates, vertex_singularity)
-from wfano.exactmath import COORDS, _reduce_to_chart, weighted_monomials
+from wfano.exactmath import COORDS, _reduce_to_chart
 from wfano.wps import (Family, UnknownSpecialMember, _extend_mask,
                        anticanonical_degree, bare_weight_a4s,
                        admits_member_with_stratum,
                        eliminating_monomial, enumerate_families,
                        general_quasismooth, generic_member, hat_lcms,
                        is_wellformed, normal_form_support, special_member)
+
+from oracles import weighted_monomials
 
 
 class TestBasics:
