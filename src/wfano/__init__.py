@@ -3,8 +3,8 @@ hypersurface families: enumeration, singularity census, blow-up intersection
 numbers, and per-point exclusion/untwisting certificates verified against
 the reference tables."""
 
-from .blowup import (B, BlowupContext, CrossCheckFailed, NonIntegral, YClass,
-                     b_cubed, divisor_multiplicity, monomial_order, triple)
+from .blowup import (CrossCheckFailed, NonIntegral, b_cubed,
+                     divisor_multiplicity, monomial_order, triple)
 from .census import (Census, EdgeContained, NonTerminal, QuotientSingularity,
                      canonical_type, census, edge_point_count,
                      edge_singularities, is_terminal_family, normalize_type,

@@ -13,8 +13,7 @@ from functools import cache
 from pathlib import Path
 
 from . import golden, report as report_mod
-from .blowup import (DEFAULT_CUTOFF, BlowupContext, CrossCheckFailed,
-                     divisor_multiplicity)
+from .blowup import DEFAULT_CUTOFF, CrossCheckFailed, divisor_multiplicity
 from .census import census as compute_census
 from .census import (LOCATIONS, EdgeContained, NonTerminal,
                      is_terminal_family, vertex_elimination_candidates,
@@ -214,8 +213,7 @@ def cmd_order(args) -> int:
     if args.cutoff is not None and not 1 <= args.cutoff <= MAX_CUTOFF * sing.r:
         raise UsageError(f"--cutoff must be between 1 and {MAX_CUTOFF}r = "
                          f"{MAX_CUTOFF * sing.r} at {point}")
-    order = divisor_multiplicity(BlowupContext(f, sing), g, member,
-                                 cutoff=args.cutoff)
+    order = divisor_multiplicity(sing, g, member, cutoff=args.cutoff)
     if order is OVERCUTOFF:
         cutoff = args.cutoff or DEFAULT_CUTOFF * sing.r
         print(f"the order is at least cutoff/r = {cutoff}/{sing.r}: no "

@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .blowup import (BlowupContext, NonIntegral, b_cubed, format_class,
-                     monomial_order, s_class_ks, transform_beta_E)
+from .blowup import (NonIntegral, b_cubed, format_class, monomial_order,
+                     s_class_ks, transform_beta_E)
 from .census import (LOCATIONS, QuotientSingularity, canonical_type, census,
                      edge_singularities, vertex_singularity)
 from .exactmath import NoEliminatingMonomial
@@ -49,13 +49,13 @@ class Check(NamedTuple):
     detail: str = ""
 
 
-def inequality_holds(ctx: BlowupContext, power: int, c: int, m: int,
-                     k: int) -> bool:
+def inequality_holds(f: Family, sing: QuotientSingularity, power: int,
+                     c: int, m: int, k: int) -> bool:
     """r*a*(r-a)*c^power*A^3 <= k*m^power, the test of method (b) (power 2)
     or (n) (power 1), decided on integers: with A^3 = d/P, P = a1a2a3a4,
     it reads r*a*(r-a)*c^power*d <= k*m^power*P."""
-    w = ctx.family.w
-    return (ctx.r * ctx.a * ctx.b * c ** power * ctx.family.d
+    w = f.w
+    return (sing.r * sing.a * sing.b * c ** power * f.d
             <= k * m ** power * (w[1] * w[2] * w[3] * w[4]))
 
 
@@ -124,7 +124,6 @@ FIXTURE_MATRICES = {
 
 class SmoothPointStatus(NamedTuple):
     kind: str                      # LEMMA1 | LEMMA2 | MPIM_PAIR | SPECIAL
-    vertex: Optional[int] = None   # the missed vertex for LEMMA1
     case: Optional[str] = None     # which per-family argument, for SPECIAL
     detail: str = ""
 
@@ -151,7 +150,7 @@ def smooth_point_status(f: Family) -> SmoothPointStatus:
     hats = hat_lcms(f)
     for i in (2, 3, 4):
         if d % a[i] == 0 and d * hats[i - 2] <= 4 * prod:
-            return SmoothPointStatus("LEMMA1", vertex=i,
+            return SmoothPointStatus("LEMMA1",
                                      detail=f"O_{COORDS[i]} off X, "
                                             f"{d}*{hats[i - 2]} <= {4 * prod}")
     if d * hats[1] <= 4 * prod and d * hats[2] <= 4 * prod:
@@ -320,20 +319,19 @@ def _row_singularity(f: Family, row: GoldenRow) -> QuotientSingularity:
 
 
 def certify_row(f: Family, row: GoldenRow,
-                entries: Optional[Sequence[QuotientSingularity]] = None
-                ) -> Certificate:
+                entries: Sequence[QuotientSingularity]) -> Certificate:
     """Recompute every machine-checkable quantity on one golden row.
 
-    `entries` is the family's census, when the caller has it: the row then
-    takes its point from there, and the point is charted again only where
-    the row's subscripts pick another chart.  The certificate is the same
-    either way.
+    `entries` is the family's census: the row takes its point from there,
+    and the point is charted again only where the census has none or the
+    row's subscripts pick another chart.  The certificate is the same
+    either way, so `()` charts every row afresh.
 
     A row at a point where the census has no quotient point, or whose
     subscripts name a coordinate that cannot be eliminated there, gets a
     certificate whose one check, "quotient type", fails.
     """
-    sing = None if entries is None else _census_point(row, entries)
+    sing = _census_point(row, entries)
     if sing is None:
         try:
             sing = _row_singularity(f, row)
@@ -355,12 +353,12 @@ def certify_row(f: Family, row: GoldenRow,
 
     if row.kind == "untwist":
         return _certify_involution(f, row, checks)
-    return _certify_exclusion(f, row, BlowupContext(f, sing), checks)
+    return _certify_exclusion(f, row, sing, checks)
 
 
-def _certify_exclusion(f: Family, row: GoldenRow, ctx: BlowupContext,
+def _certify_exclusion(f: Family, row: GoldenRow, sing: QuotientSingularity,
                        checks: list[Check]) -> Certificate:
-    val, sign = b_cubed(ctx)
+    val, sign = b_cubed(f, sing)
     checks.append(Check("B^3 sign", sign == row.b3_sign,
                         f"B^3 = {val} ({sign}) vs table {row.b3_sign!r}"))
 
@@ -382,13 +380,14 @@ def _certify_exclusion(f: Family, row: GoldenRow, ctx: BlowupContext,
                         f"generators have degrees {sorted(gen_degrees)}, "
                         f"linear system expects {c}"))
 
-    ks = s_class_ks(ctx)
+    ks = s_class_ks(f, sing.r)
     if row.method in _INEQUALITIES:
         power, name = _INEQUALITIES[row.method]
         w = f.w
-        lhs = Fraction(ctx.r * ctx.a * ctx.b * c ** power * f.d,
+        lhs = Fraction(sing.r * sing.a * sing.b * c ** power * f.d,
                        w[1] * w[2] * w[3] * w[4])
-        results = [(k, inequality_holds(ctx, power, c, m, k)) for k in ks]
+        results = [(k, inequality_holds(f, sing, power, c, m, k))
+                   for k in ks]
         detail = "; ".join(f"k={k}: {lhs} <= {k * m ** power}: {ok}"
                            for k, ok in results)
         checks.append(Check(name, results[-1][1], detail))

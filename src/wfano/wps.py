@@ -124,7 +124,6 @@ def _has_monomial_with(mask: int, t: int, coords: int, w5) -> bool:
 
 class QuasiSmoothDiagnostics(NamedTuple):
     ok: bool
-    failing_subset: Optional[tuple[int, ...]] = None
     detail: str = ""
 
 
@@ -169,7 +168,7 @@ def general_quasismooth(f: Family, exclude_pure: Optional[tuple[int, ...]] = Non
         if externals < len(subset):
             names = "".join(COORDS[i] for i in subset)
             return QuasiSmoothDiagnostics(
-                False, subset,
+                False,
                 f"subset {{{names}}}: no pure degree-{d} monomial and only "
                 f"{externals} external eliminations (need {len(subset)})")
     return QuasiSmoothDiagnostics(True)

@@ -5,8 +5,8 @@ decides another way, so the tests can compare the two:
 
 - `ineq_b`, `ineq_n`: the (b) and (n) inequalities with both sides as
   `Fraction`s, against `rigidity.inequality_holds` on integers;
-- `s_class`: the possible classes of the surface {x = 0}, against the k
-  values of `blowup.s_class_ks`;
+- `s_class`: the possible classes of the surface {x = 0}, as (b, e)
+  pairs, against the k values of `blowup.s_class_ks`;
 - `proper_transform_class`: the transform class from an order m/r, over
   `blowup.transform_beta_E`;
 - `weighted_monomials`: every monomial of a degree, against the support of
@@ -18,50 +18,52 @@ them where a test file imports them.
 
 from fractions import Fraction
 
-from wfano.blowup import (B, BlowupContext, NonIntegral, YClass,
-                          transform_beta_E)
+from wfano.blowup import B, NonIntegral, transform_beta_E
+from wfano.census import QuotientSingularity
 from wfano.exactmath import Exp5
+from wfano.wps import Family, anticanonical_degree
 
-E = YClass.of(0, 1)
+E = (0, 1)
 
 
-def ineq_b(ctx: BlowupContext, c: int, m: int,
+def ineq_b(f: Family, sing: QuotientSingularity, c: int, m: int,
            k: int) -> tuple[bool, Fraction, Fraction]:
     """Boundary test for method (b): r*a*(r-a)*c^2*A^3 <= k*m^2."""
-    lhs = ctx.r * ctx.a * ctx.b * c * c * ctx.A3
+    lhs = sing.r * sing.a * sing.b * c * c * anticanonical_degree(f)
     rhs = Fraction(k * m * m)
     return lhs <= rhs, lhs, rhs
 
 
-def ineq_n(ctx: BlowupContext, c: int, m: int,
+def ineq_n(f: Family, sing: QuotientSingularity, c: int, m: int,
            k: int) -> tuple[bool, Fraction, Fraction]:
     """Nef-divisor test for method (n): r*a*(r-a)*c*A^3 <= k*m."""
-    lhs = ctx.r * ctx.a * ctx.b * c * ctx.A3
+    lhs = sing.r * sing.a * sing.b * c * anticanonical_degree(f)
     rhs = Fraction(k * m)
     return lhs <= rhs, lhs, rhs
 
 
-def s_class(ctx: BlowupContext) -> tuple[YClass, ...]:
-    """Class of the proper transform of the surface {x = 0}.
+def s_class(f: Family, r: int) -> tuple[tuple[int, int], ...]:
+    """Class of the proper transform of the surface {x = 0} at a 1/r point.
 
     Exactly B when a1 = 1 or r does not divide d-1; otherwise B or B - E
     depending on the member, returned as a two-element possibility set.
     """
-    if ctx.family.w[1] != 1 and (ctx.family.d - 1) % ctx.r == 0:
-        return (B, YClass.of(1, -1))
+    if f.w[1] != 1 and (f.d - 1) % r == 0:
+        return (B, (1, -1))
     return (B,)
 
 
-def proper_transform_class(ctx: BlowupContext, c: int,
-                           mult: Fraction) -> YClass:
-    """Class c*B + ((c-m)/r)E of the transform of a degree-c divisor.
+def proper_transform_class(r: int, c: int,
+                           mult: Fraction) -> tuple[int, int]:
+    """Class c*B + ((c-m)/r)E of the transform of a degree-c divisor at a
+    1/r point, as a (b, e) pair.
 
     `mult` is the vanishing order m/r at the point.
     """
-    m = mult * ctx.r
+    m = mult * r
     if m.denominator != 1:
-        raise NonIntegral(f"multiplicity {mult} is not of the form m/{ctx.r}")
-    return YClass.of(c, transform_beta_E(ctx.r, c, int(m)))
+        raise NonIntegral(f"multiplicity {mult} is not of the form m/{r}")
+    return (c, transform_beta_E(r, c, int(m)))
 
 
 def weighted_monomials(weights, d: int) -> set[Exp5]:

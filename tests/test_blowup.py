@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wfano import golden
-from wfano.blowup import (B, BlowupContext, NonIntegral, YClass, b_cubed,
-                          divisor_multiplicity, monomial_order, s_class_ks,
-                          triple, vertex_chart)
+from wfano.blowup import (B, NonIntegral, b_cubed, divisor_multiplicity,
+                          monomial_order, s_class_ks, triple)
 from wfano.census import (census, default_eliminated, edge_singularities,
                           vertex_singularity)
 from wfano.exactmath import (COORDS, OVERCUTOFF, _graded_substitute,
                              _reduce_to_chart, _sum_products,
                              implicit_eliminate, parse_poly, series_order)
-from wfano.wps import generic_member, special_member
+from wfano.wps import anticanonical_degree, generic_member, special_member
 
 from oracles import E, proper_transform_class, s_class
 
@@ -24,23 +23,29 @@ def fam(no):
     return golden.data().family(no).family
 
 
-def vertex_ctx(no, i, eliminated=None):
+def vertex_point(no, i, eliminated=None):
     f = fam(no)
-    return BlowupContext(f, vertex_singularity(f, i, eliminated=eliminated))
+    return f, vertex_singularity(f, i, eliminated=eliminated)
 
 
-def edge_ctx(no, i, j):
+def edge_point(no, i, j):
     f = fam(no)
-    return BlowupContext(f, edge_singularities(f, i, j))
+    return f, edge_singularities(f, i, j)
 
 
-def census_contexts():
-    """The blow-up at each of the 248 census points of the 95 families."""
-    ctxs = [BlowupContext(rec.family, sing)
-            for rec in golden.data().families
-            for sing in census(rec.family).entries]
-    assert len(ctxs) == 248
-    return ctxs
+def census_points():
+    """(family, point) at each of the 248 census points of the 95
+    families."""
+    points = [(rec.family, sing) for rec in golden.data().families
+              for sing in census(rec.family).entries]
+    assert len(points) == 248
+    return points
+
+
+def chart_of(sing):
+    """(chart vertex, eliminated coordinate, residues) at a vertex point,
+    the chart arguments of the series functions."""
+    return sing.location[1], sing.eliminated, sing.residues
 
 
 def recharted_rows():
@@ -83,78 +88,81 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 @pytest.fixture(scope="module")
-def blowup_contexts():
-    """The blow-up at every census point and at the chart of every
-    re-charted row: 248 + 31 contexts."""
+def blowup_points():
+    """(family, point) at every census point and at the chart of every
+    re-charted row: 248 + 31 blow-ups."""
     from wfano.rigidity import _row_singularity
-    return census_contexts() + [BlowupContext(f, _row_singularity(f, row))
-                                for f, row in recharted_rows()]
+    return census_points() + [(f, _row_singularity(f, row))
+                              for f, row in recharted_rows()]
 
 
-def triple_in_ae_basis(ctx, c1, c2, c3):
+def triple_in_ae_basis(f, sing, c1, c2, c3):
     """`triple` by its textbook formula, on `Fraction`s: the class
     b*B + e*E is b*A + (e - b/r)*E in the {A, E} basis, and only A^3 and
     E^3 = r^2/(a b) are nonzero."""
     (a1, e1), (a2, e2), (a3, e3) = (
-        (Fraction(c.beta_B), c.beta_E - Fraction(c.beta_B) / ctx.r)
-        for c in (c1, c2, c3))
-    return (a1 * a2 * a3 * ctx.A3
-            + e1 * e2 * e3 * Fraction(ctx.r ** 2, ctx.a * ctx.b))
+        (Fraction(b), e - Fraction(b) / sing.r) for b, e in (c1, c2, c3))
+    return (a1 * a2 * a3 * anticanonical_degree(f)
+            + e1 * e2 * e3 * Fraction(sing.r ** 2, sing.a * sing.b))
 
 
 class TestTriple:
     def test_pullback_cubed(self):
-        ctx = vertex_ctx(23, 2)
-        A = YClass.of(1, Fraction(1, ctx.r))  # A = B + (1/r)E
-        assert triple(ctx, A, A, A) == Fraction(7, 60)
+        f, sing = vertex_point(23, 2)
+        A = (1, Fraction(1, sing.r))  # A = B + (1/r)E
+        assert triple(f, sing, A, A, A) == Fraction(7, 60)
 
     def test_mixed_products_vanish(self):
-        ctx = vertex_ctx(23, 2)
-        A = YClass.of(1, Fraction(1, ctx.r))  # A = B + (1/r)E
-        assert triple(ctx, A, A, E) == 0
-        assert triple(ctx, A, E, E) == 0
-        assert triple(ctx, E, E, E) == Fraction(ctx.r ** 2, ctx.a * ctx.b)
+        f, sing = vertex_point(23, 2)
+        A = (1, Fraction(1, sing.r))  # A = B + (1/r)E
+        assert triple(f, sing, A, A, E) == 0
+        assert triple(f, sing, A, E, E) == 0
+        assert triple(f, sing, E, E, E) == Fraction(sing.r ** 2,
+                                                    sing.a * sing.b)
 
     @given(rationals, rationals, rationals, rationals, rationals, rationals)
     @settings(max_examples=60)
     def test_symmetric_and_trilinear(self, b1, e1, b2, e2, b3, e3):
-        ctx = vertex_ctx(23, 2)
-        c1, c2, c3 = YClass(b1, e1), YClass(b2, e2), YClass(b3, e3)
-        t = triple(ctx, c1, c2, c3)
-        assert t == triple(ctx, c2, c1, c3) == triple(ctx, c3, c2, c1)
+        f, sing = vertex_point(23, 2)
+        c1, c2, c3 = (b1, e1), (b2, e2), (b3, e3)
+        t = triple(f, sing, c1, c2, c3)
+        assert t == triple(f, sing, c2, c1, c3) == triple(f, sing, c3, c2, c1)
         lam = Fraction(3, 2)
-        assert triple(ctx, YClass(lam * b1, lam * e1), c2, c3) == lam * t
-        c4 = YClass(b1 + b2, e1 + e2)
-        assert triple(ctx, c4, c2, c3) == t + triple(ctx, c2, c2, c3)
+        assert triple(f, sing, (lam * b1, lam * e1), c2, c3) == lam * t
+        c4 = (b1 + b2, e1 + e2)
+        assert triple(f, sing, c4, c2, c3) == t + triple(f, sing, c2, c2, c3)
 
-    def test_b_cubed_is_triple_of_B(self, blowup_contexts):
-        for ctx in blowup_contexts:
-            val, sign = b_cubed(ctx)
-            assert val == triple(ctx, B, B, B), ctx
-            assert val == ctx.A3 - Fraction(1, ctx.r * ctx.a * ctx.b), ctx
+    def test_b_cubed_is_triple_of_B(self, blowup_points):
+        for f, sing in blowup_points:
+            val, sign = b_cubed(f, sing)
+            assert val == triple(f, sing, B, B, B), sing
+            assert val == anticanonical_degree(f) - Fraction(
+                1, sing.r * sing.a * sing.b), sing
             assert sign == ("+" if val > 0 else "0" if val == 0 else "-")
 
-    def test_matches_the_ae_basis_formula(self, blowup_contexts):
-        # B, E, B - E, the pull-back A, and classes with plain `int` and
-        # mixed coefficients, in every unordered triple
-        for ctx in blowup_contexts:
-            A = YClass.of(1, Fraction(1, ctx.r))
-            classes = (B, E, YClass.of(1, -1), A, YClass(2, -1),
-                       YClass(-3, Fraction(2, 7)))
+    def test_matches_the_ae_basis_formula(self, blowup_points):
+        # B, E, B - E with `Fraction` coefficients, the pull-back A, and
+        # classes with plain `int` and mixed coefficients, in every
+        # unordered triple
+        for f, sing in blowup_points:
+            A = (1, Fraction(1, sing.r))
+            classes = (B, E, (Fraction(1), Fraction(-1)), A, (2, -1),
+                       (-3, Fraction(2, 7)))
             for c1, c2, c3 in combinations_with_replacement(classes, 3):
-                got = triple(ctx, c1, c2, c3)
+                got = triple(f, sing, c1, c2, c3)
                 assert type(got) is Fraction
-                assert got == triple_in_ae_basis(ctx, c1, c2, c3), (
-                    ctx, c1, c2, c3)
+                assert got == triple_in_ae_basis(f, sing, c1, c2, c3), (
+                    f, sing, c1, c2, c3)
 
     @given(st.data(), rationals, rationals, rationals, rationals, rationals,
            rationals)
     @settings(max_examples=100)
     def test_matches_the_ae_basis_formula_on_rational_classes(
-            self, blowup_contexts, data, b1, e1, b2, e2, b3, e3):
-        ctx = data.draw(st.sampled_from(blowup_contexts))
-        c1, c2, c3 = YClass(b1, e1), YClass(b2, e2), YClass(b3, e3)
-        assert triple(ctx, c1, c2, c3) == triple_in_ae_basis(ctx, c1, c2, c3)
+            self, blowup_points, data, b1, e1, b2, e2, b3, e3):
+        f, sing = data.draw(st.sampled_from(blowup_points))
+        c1, c2, c3 = (b1, e1), (b2, e2), (b3, e3)
+        assert triple(f, sing, c1, c2, c3) == triple_in_ae_basis(
+            f, sing, c1, c2, c3)
 
 
 class TestBCubed:
@@ -166,41 +174,43 @@ class TestBCubed:
         (("v", 95, 1), Fraction(-1, 33), "-"),
     ])
     def test_spot_values(self, ctx_args, value, sign):
-        ctx = (vertex_ctx(*ctx_args[1:]) if ctx_args[0] == "v"
-               else edge_ctx(*ctx_args[1:]))
-        assert b_cubed(ctx) == (value, sign)
+        point = (vertex_point(*ctx_args[1:]) if ctx_args[0] == "v"
+                 else edge_point(*ctx_args[1:]))
+        assert b_cubed(*point) == (value, sign)
 
 
 class TestSClass:
     def test_forced_by_weight_one(self):
-        assert s_class(vertex_ctx(9, 2)) == (B,)
-        assert s_class_ks(vertex_ctx(9, 2)) == (1,)
+        f, sing = vertex_point(9, 2)
+        assert s_class(f, sing.r) == (B,)
+        assert s_class_ks(f, sing.r) == (1,)
 
     def test_ambiguous(self):
-        ctx = vertex_ctx(95, 1)   # a1 = 5, d - 1 = 65 divisible by r = 5
-        assert s_class(ctx) == (B, YClass.of(1, -1))
-        assert s_class_ks(ctx) == (1, 6)
+        f, sing = vertex_point(95, 1)  # a1 = 5, d - 1 = 65 divisible by r = 5
+        assert s_class(f, sing.r) == (B, (1, -1))
+        assert s_class_ks(f, sing.r) == (1, 6)
 
     def test_forced_by_indivisibility(self):
-        ctx = edge_ctx(38, 1, 4)  # a1 = 2 but d - 1 = 17 is odd
-        assert s_class(ctx) == (B,)
-        assert s_class_ks(ctx) == (1,)
+        f, sing = edge_point(38, 1, 4)  # a1 = 2 but d - 1 = 17 is odd
+        assert s_class(f, sing.r) == (B,)
+        assert s_class_ks(f, sing.r) == (1,)
 
 
 class TestProperTransform:
     def test_spot_classes(self):
-        assert proper_transform_class(vertex_ctx(23, 2), 2,
-                                      Fraction(2, 3)) == YClass.of(2, 0)
-        assert proper_transform_class(vertex_ctx(50, 3), 1,
-                                      Fraction(8, 7)) == YClass.of(1, -1)
-        assert proper_transform_class(vertex_ctx(95, 1), 6,
-                                      Fraction(6, 5)) == YClass.of(6, 0)
+        # at No. 23 O_z (r = 3), No. 50 O_t (r = 7) and No. 95 O_y (r = 5)
+        assert vertex_point(23, 2)[1].r == 3
+        assert proper_transform_class(3, 2, Fraction(2, 3)) == (2, 0)
+        assert vertex_point(50, 3)[1].r == 7
+        assert proper_transform_class(7, 1, Fraction(8, 7)) == (1, -1)
+        assert vertex_point(95, 1)[1].r == 5
+        assert proper_transform_class(5, 6, Fraction(6, 5)) == (6, 0)
 
     def test_non_integral(self):
         with pytest.raises(NonIntegral):
-            proper_transform_class(vertex_ctx(23, 2), 2, Fraction(1, 3))
+            proper_transform_class(3, 2, Fraction(1, 3))
         with pytest.raises(NonIntegral):
-            proper_transform_class(vertex_ctx(23, 2), 2, Fraction(1, 2))
+            proper_transform_class(3, 2, Fraction(1, 2))
 
 
 class TestMonomialOrder:
@@ -215,7 +225,7 @@ class TestMonomialOrder:
         # weights (1, a, r-a)/r, with no unit rescaling: pinned at every
         # census point and at the chart of every subscripted exclusion row
         from wfano.rigidity import _row_singularity
-        charts = [ctx.singularity for ctx in census_contexts()]
+        charts = [sing for _, sing in census_points()]
         data = golden.data()
         rows = [(rec.family, row) for rec in data.families
                 for row in data.rows_for(rec.family.entry_no)
@@ -229,41 +239,46 @@ class TestMonomialOrder:
 
 class TestDivisorMultiplicity:
     def test_driven_by_w_squared(self):
-        ctx = vertex_ctx(50, 3)
-        got = divisor_multiplicity(ctx, parse_poly("y"), generic_member(fam(50)))
+        _, sing = vertex_point(50, 3)
+        got = divisor_multiplicity(sing, parse_poly("y"),
+                                   generic_member(fam(50)))
         assert got == Fraction(8, 7)
 
     def test_special_member_two_thirds(self):
-        f = fam(23)
-        ctx = BlowupContext(f, vertex_singularity(f, 2, eliminated=1))
-        got = divisor_multiplicity(ctx, parse_poly("y"),
+        f, sing = vertex_point(23, 2, eliminated=1)
+        got = divisor_multiplicity(sing, parse_poly("y"),
                                    special_member(f, "special"))
         assert got == Fraction(2, 3)
 
     def test_local_parameter_is_one_over_r(self):
         for no, i in ((23, 4), (50, 3), (95, 1)):
-            ctx = vertex_ctx(no, i)
-            got = divisor_multiplicity(ctx, parse_poly("x"),
+            _, sing = vertex_point(no, i)
+            got = divisor_multiplicity(sing, parse_poly("x"),
                                        generic_member(fam(no)))
-            assert got == Fraction(1, ctx.r)
+            assert got == Fraction(1, sing.r)
 
     def test_overcutoff_propagates(self):
-        f = fam(23)
+        f, sing = vertex_point(23, 2, eliminated=1)
         member = special_member(f, "special")
-        ctx = BlowupContext(f, vertex_singularity(f, 2, eliminated=1))
-        assert divisor_multiplicity(ctx, member, member) is OVERCUTOFF
+        assert divisor_multiplicity(sing, member, member) is OVERCUTOFF
+
+    def test_refuses_an_edge_point(self):
+        # an edge point has no chart to eliminate in
+        f, sing = edge_point(95, 3, 4)
+        with pytest.raises(ValueError, match="vertex chart"):
+            divisor_multiplicity(sing, parse_poly("x"), generic_member(f))
 
     def test_generic_member_eliminates_over_the_integers(self):
         # the eliminating monomial of the generic member has coefficient 1,
         # so no division enters the series
         for no, i in ((50, 3), (23, 2)):
-            ctx = vertex_ctx(no, i)
+            _, sing = vertex_point(no, i)
             series = implicit_eliminate(generic_member(fam(no)),
-                                        *vertex_chart(ctx), 4 * ctx.r)
+                                        *chart_of(sing), 4 * sing.r)
             assert series.terms
             assert all(type(c) is int for c in series.terms.values()), no
         # the member vanishes on its series at the deep cutoff 8r of No. 50 O_t
-        vertex, eliminated, residues = vertex_chart(vertex_ctx(50, 3))
+        vertex, eliminated, residues = chart_of(vertex_point(50, 3)[1])
         member = generic_member(fam(50))
         assert series_order(member, member, vertex, eliminated, residues, 56,
                             7) is OVERCUTOFF
@@ -277,9 +292,8 @@ class TestDivisorMultiplicity:
             for sing in census(f).entries:
                 if sing.eliminated is None:
                     continue
-                ctx = BlowupContext(f, sing)
                 x_e = {tuple(int(j == sing.eliminated) for j in range(5)): 1}
-                orders = {divisor_multiplicity(ctx, x_e, generic_member(f, s))
+                orders = {divisor_multiplicity(sing, x_e, generic_member(f, s))
                           for s in (0, 1, 2)}
                 assert len(orders) == 1 and OVERCUTOFF not in orders, (
                     f, sing, orders)
@@ -289,11 +303,11 @@ class TestDivisorMultiplicity:
     @pytest.mark.parametrize("no,point", [
         (50, "Ot"), (23, "Oz"), (73, "Ot"), (93, "Oz")])
     def test_sorted_terms_substitute_as_the_full_scan(self, no, point):
-        ctx = vertex_ctx(no, COORDS.index(point[1]))
-        vertex, eliminated, residues = vertex_chart(ctx)
+        _, sing = vertex_point(no, COORDS.index(point[1]))
+        vertex, eliminated, residues = chart_of(sing)
         member = generic_member(fam(no))
         wrapped = {exps: Fraction(c) for exps, c in member.items()}
-        cutoff = 4 * ctx.r
+        cutoff = 4 * sing.r
         series = implicit_eliminate(member, vertex, eliminated, residues,
                                     cutoff)
         assert series.terms
@@ -301,7 +315,7 @@ class TestDivisorMultiplicity:
                                   cutoff).parts == series.parts
         for f in (member, wrapped):
             assert series_order(f, f, vertex, eliminated, residues, cutoff,
-                                ctx.r) is OVERCUTOFF
+                                sing.r) is OVERCUTOFF
         # f = Y + rest with rest(S) = -S, so the parts compared are nonzero
         rest = [(c, loc, ey) for c, loc, ey
                 in _reduce_to_chart(member, vertex, eliminated)
@@ -356,7 +370,6 @@ class TestDivisorMultiplicity:
                 if "alpha" in row.surface_raw:
                     continue  # coefficients specific to the member
                 sing = _row_singularity(f, row)
-                ctx = BlowupContext(f, sing)
                 member = generic_member(f)
                 g = {}
                 for gen in row.surface:
@@ -365,7 +378,7 @@ class TestDivisorMultiplicity:
                         g[mono] = g.get(mono, F(0)) + lam
                 c, b_coef = row.linsys
                 expected = F(c - b_coef * row.r, row.r)  # m/r from the class
-                got = divisor_multiplicity(ctx, g, member)
+                got = divisor_multiplicity(sing, g, member)
                 assert got == expected, (no, point, got, expected)
                 checked += 1
         assert checked >= 80

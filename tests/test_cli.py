@@ -631,18 +631,17 @@ class TestErrorBoundary:
         # a wrong B.B.B stops the run, also under `python -O`
         real = blowup.triple
         monkeypatch.setattr(blowup, "triple",
-                            lambda ctx, *classes: real(ctx, *classes) + 1)
+                            lambda *args: real(*args) + 1)
         f = wfano.golden.data().family(23).family
-        ctx = blowup.BlowupContext(f, vertex_singularity(f, 2))
         with pytest.raises(blowup.CrossCheckFailed):
-            blowup.b_cubed(ctx)
+            blowup.b_cubed(f, vertex_singularity(f, 2))
         code, out, err = run(capsys, "check-tables")
         assert (code, out) == (1, "")
         assert err.startswith("error: No. ") and err.count("\n") == 1
         monkeypatch.setenv("PYTHONOPTIMIZE", "1")
         code, out, err = run_in_fresh_process(["check-tables"], (
             "import sys, wfano.blowup as b; real = b.triple; "
-            "b.triple = lambda ctx, *cs: real(ctx, *cs) + 1; "
+            "b.triple = lambda *args: real(*args) + 1; "
             "from wfano.cli import main; sys.exit(main(sys.argv[1:]))"))
         assert (code, out) == (1, "")
         assert err.startswith("error: No. ") and err.count("\n") == 1

@@ -352,3 +352,27 @@ def test_every_top_level_name_has_a_caller_in_the_package():
     uncalled = sorted(name for _, name in defined - set(tracing.TARGETS)
                       if name not in read)
     assert uncalled == []
+
+
+def test_every_class_member_is_read_in_the_package():
+    """Each annotated field and each method or property of a package class,
+    dunders aside, is read by package code as an attribute or a name: a
+    record field that only the tests read is dead weight."""
+    members, read = set(), set()
+    for path in Path(wfano.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.AnnAssign)
+                            and isinstance(item.target, ast.Name)):
+                        members.add((node.name, item.target.id))
+                    elif (isinstance(item, ast.FunctionDef)
+                          and not item.name.startswith("__")):
+                        members.add((node.name, item.name))
+            elif (isinstance(node, (ast.Attribute, ast.Name))
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr if isinstance(node, ast.Attribute)
+                         else node.id)
+    assert len(members) > 50
+    assert sorted(f"{cls}.{name}" for cls, name in members
+                  if name not in read) == []

@@ -2,11 +2,12 @@
 
 import functools
 import pickle
+from fractions import Fraction
 
 import pytest
 
 from wfano import golden
-from wfano.blowup import B, BlowupContext, YClass
+from wfano.blowup import B, format_class
 from wfano.census import census
 from wfano.report import check_tables
 from wfano.rigidity import (certify_row, curve_status, involution_case,
@@ -47,15 +48,14 @@ def _records():
     f = data.family(95).family
     cens = census(f)
     row = data.rows_for(23, "Oz")[0]
-    cert = certify_row(data.family(23).family, row)
+    f23 = data.family(23).family
+    cert = certify_row(f23, row, census(f23).entries)
     return [
         (f, "w"), (data.family(95), "A3"), (data.notes[0], "note"),
         (row, "method"), (cert, "checks"), (cert.checks[0], "passed"),
         (cens, "entries"), (cens.entries[0], "r"),
-        (BlowupContext(f, cens.entries[0]), "family"), (B, "beta_B"),
         (smooth_point_status(f), "kind"), (curve_status(f), "kind"),
-        (involution_case(data.family(23).family, "Oz",
-                         {"a1": "zero", "c": "zero"}), "label"),
+        (involution_case(f23, "Oz", {"a1": "zero", "c": "zero"}), "label"),
         (general_quasismooth(f), "ok"),
         (check_tables(data, family_filter=95), "rows"),
     ]
@@ -89,7 +89,7 @@ def test_str_and_repr_are_unchanged():
     assert repr(census(f95).entries[0]) == (
         "QuotientSingularity(r=5, type_=(1, 2, 3), location=('vertex', 1), "
         "count=1, local_params=(0, 3, 4), residues=(1, 2, 3), eliminated=2)")
-    assert [str(c) for c in (B, E, YClass.of(1, -1), YClass.of(2, 3),
-                             YClass.of(3, -2), YClass.of(5),
-                             YClass.of(1, 1))] == [
-        "B", "0B+E", "B-E", "2B+3E", "3B-2E", "5B", "B+E"]
+    classes = (B, E, (1, -1), (2, 3), (3, -2), (5, 0), (1, 1))
+    for num in (int, Fraction):
+        assert [format_class(num(b), num(e)) for b, e in classes] == [
+            "B", "0B+E", "B-E", "2B+3E", "3B-2E", "5B", "B+E"]

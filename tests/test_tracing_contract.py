@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from wfano import golden
+from wfano.census import census
 from wfano.exactmath import implicit_eliminate, parse_poly
 from wfano.rigidity import certify_row
 from wfano.wps import general_quasismooth
@@ -71,7 +72,7 @@ def test_observed_results_have_the_attributes_read():
                                 eliminated=4, local_weights=(1, 1, 1),
                                 cutoff=5)
     qs = general_quasismooth(f)
-    cert = certify_row(f, row)
+    cert = certify_row(f, row, census(f).entries)
     assert hasattr(series, "terms")
     assert hasattr(qs, "ok")
     assert hasattr(cert, "checks")

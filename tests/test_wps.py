@@ -71,11 +71,11 @@ def quasismooth_oracle(f, exclude_pure=None):
                      if m[e] == 1 and used - {e} <= subset}
         if len(externals) < len(subset):
             names = "".join(COORDS[i] for i in sorted(subset))
-            return (False, tuple(sorted(subset)),
+            return (False,
                     f"subset {{{names}}}: no pure degree-{f.d} monomial and "
                     f"only {len(externals)} external eliminations (need "
                     f"{len(subset)})")
-    return (True, None, "")
+    return (True, "")
 
 
 class TestQuasiSmooth:
@@ -114,13 +114,14 @@ class TestQuasiSmooth:
     def test_degree9_counterexample(self):
         diag = general_quasismooth(Family.of(2, 2, 2, 3))
         assert not diag.ok
-        assert diag.failing_subset == (1, 2, 3)  # the three weight-2 coords
+        # the three weight-2 coords
+        assert diag.detail.startswith("subset {yzt}: ")
 
     def test_no_w_elimination(self):
         # w has no x_e with 4k + a_e = 7: the w-chart condition fails
         diag = general_quasismooth(Family.of(1, 1, 1, 4))
         assert not diag.ok
-        assert diag.failing_subset == (4,)
+        assert diag.detail.startswith("subset {w}: ")
 
     def test_monotone_under_shrinking_exclusions(self):
         # members with extra monomials stay quasi-smooth: whenever the
