@@ -96,7 +96,6 @@ class QuotientSingularity(NamedTuple):
 
 
 class Census(NamedTuple):
-    family: Family
     entries: tuple[QuotientSingularity, ...]
 
 
@@ -205,7 +204,7 @@ def census(f: Family) -> Census:
             s = edge_singularities(f, i, j)
             if s is not None:
                 entries.append(s)
-    return Census(f, tuple(entries))
+    return Census(tuple(entries))
 
 
 def no_singular_curves(w: tuple[int, int, int, int, int]) -> bool:

@@ -22,8 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 from .blowup import (NonIntegral, b_cubed, format_class, monomial_order,
                      s_class_ks, transform_beta_E)
 from .census import (LOCATIONS, QuotientSingularity, canonical_type, census,
-                     edge_singularities, vertex_singularity)
-from .exactmath import NoEliminatingMonomial
+                     vertex_elimination_candidates)
 from .golden import GoldenData, GoldenRow
 from .wps import (COORDS, Family, admits_member_with_stratum,
                   anticanonical_degree, hat_lcms)
@@ -35,10 +34,6 @@ class NotApplicable(LookupError):
 
 class NotSymmetric(ValueError):
     pass
-
-
-class NoMatchingRow(LookupError):
-    """The census has no quotient point where the row puts one."""
 
 
 # ------------------------------------------------------------ small tests
@@ -292,51 +287,32 @@ def _subscript_chart(row: GoldenRow) -> Optional[int]:
     return leftover[0] if len(leftover) == 1 else None
 
 
-def _census_point(row: GoldenRow, entries: Sequence[QuotientSingularity]
-                  ) -> Optional[QuotientSingularity]:
-    """The census entry at the row's point, or None when there is none or
-    the row's subscripts pick another chart there."""
-    chart = _subscript_chart(row)
-    for e in entries:
-        if e.location == row.location:
-            return e if chart is None or chart == e.eliminated else None
-    return None
-
-
-def _row_singularity(f: Family, row: GoldenRow) -> QuotientSingularity:
-    """The quotient point the row refers to, honouring the row's own choice
-    of local parameters (printed as subscripts) when it has one."""
-    loc = row.location
-    if loc[0] == "vertex":
-        sing = vertex_singularity(f, loc[1], eliminated=_subscript_chart(row))
-        if sing is None:
-            raise NoMatchingRow(f"general member misses O_{COORDS[loc[1]]}")
-        return sing
-    sing = edge_singularities(f, loc[1], loc[2])
-    if sing is None:
-        raise NoMatchingRow(f"no quotient points on edge {row.point}")
-    return sing
-
-
 def certify_row(f: Family, row: GoldenRow,
                 entries: Sequence[QuotientSingularity]) -> Certificate:
     """Recompute every machine-checkable quantity on one golden row.
 
-    `entries` is the family's census: the row takes its point from there,
-    and the point is charted again only where the census has none or the
-    row's subscripts pick another chart.  The certificate is the same
-    either way, so `()` charts every row afresh.
+    `entries` is the family's census, and the row's point is the entry at
+    its location.  Where the row's subscripts name another coordinate to
+    eliminate at a vertex O_i, the census point still serves: with r = a_i,
+    every candidate x_e has a_e = d mod r, so the three local parameters of
+    any chart have the same residues, and r, count and type do not depend
+    on the chart.
 
     A row at a point where the census has no quotient point, or whose
     subscripts name a coordinate that cannot be eliminated there, gets a
     certificate whose one check, "quotient type", fails.
     """
-    sing = _census_point(row, entries)
+    sing = next((e for e in entries if e.location == row.location), None)
+    chart = _subscript_chart(row)
+    problem = None
     if sing is None:
-        try:
-            sing = _row_singularity(f, row)
-        except (NoMatchingRow, NoEliminatingMonomial) as exc:
-            return Certificate(row, (Check("quotient type", False, str(exc)),))
+        problem = f"the census has no quotient point at {row.point}"
+    elif (chart is not None
+          and chart not in vertex_elimination_candidates(f, row.location[1])):
+        problem = (f"{COORDS[chart]} cannot be eliminated at "
+                   f"O_{COORDS[row.location[1]]}")
+    if problem:
+        return Certificate(row, (Check("quotient type", False, problem),))
     checks = [Check(
         "quotient type",
         canonical_type(sing.type_) == canonical_type(row.normalized)

@@ -301,8 +301,7 @@ def _eliminating_monomials(f: Family) -> dict[Exp5, tuple[int, int]]:
     return out
 
 
-def normal_form_support(f: Family,
-                        kept: Optional[dict[Exp5, tuple[int, int]]] = None
+def normal_form_support(f: Family, kept: dict[Exp5, tuple[int, int]]
                         ) -> set[Exp5]:
     """Support of the general member after the standard linear normalizations.
 
@@ -311,8 +310,8 @@ def normal_form_support(f: Family,
     x_e -> x_e + h with h of degree a_e free of x_e, every other monomial
     x_i^k * m with deg(m) = a_e, where x_i^k * x_e is the eliminating
     monomial.  Those are left out, so the series order of x_e at O_i is the
-    one the certificate tables read off.  `kept` is
-    `_eliminating_monomials(f)`, computed here when not given.
+    one the certificate tables read off.  `kept` maps each eliminating
+    monomial to its (i, e), as `_eliminating_monomials(f)` gives it.
 
     A degree-d monomial is x_i^k * m with deg(m) = a_e exactly when its
     exponent of x_i is at least k, so the support is every degree-d
@@ -320,8 +319,6 @@ def normal_form_support(f: Family,
     eliminating monomials.  It is filled from the heaviest coordinate down,
     with x (weight 1) taking what is left.
     """
-    if kept is None:
-        kept = _eliminating_monomials(f)
     _, a1, a2, a3, a4 = f.w
     d = f.d
     caps = [d] * 5

@@ -10,7 +10,10 @@ decides another way, so the tests can compare the two:
 - `proper_transform_class`: the transform class from an order m/r, over
   `blowup.transform_beta_E`;
 - `weighted_monomials`: every monomial of a degree, against the support of
-  `wps.normal_form_support`.
+  `wps.normal_form_support`;
+- `row_point`: the quotient point a golden row names, in the chart its
+  subscripts pick, where `rigidity.certify_row` takes the census point,
+  whose r, count and type are the same in every chart.
 
 The inequality oracles are not named `test_*`, so pytest does not collect
 them where a test file imports them.
@@ -19,8 +22,11 @@ them where a test file imports them.
 from fractions import Fraction
 
 from wfano.blowup import B, NonIntegral, transform_beta_E
-from wfano.census import QuotientSingularity
+from wfano.census import (QuotientSingularity, edge_singularities,
+                          vertex_singularity)
 from wfano.exactmath import Exp5
+from wfano.golden import GoldenRow
+from wfano.rigidity import _subscript_chart
 from wfano.wps import Family, anticanonical_degree
 
 E = (0, 1)
@@ -83,3 +89,13 @@ def weighted_monomials(weights, d: int) -> set[Exp5]:
     first = weights[0]
     return {(rest // first,) + exps for exps, rest in partial
             if rest % first == 0}
+
+
+def row_point(f: Family, row: GoldenRow) -> QuotientSingularity:
+    """The quotient point at the row's location; at a vertex whose
+    subscripts leave one coordinate besides the vertex, that coordinate is
+    the one eliminated, so the residues and chart are the row's own."""
+    loc = row.location
+    if loc[0] == "vertex":
+        return vertex_singularity(f, loc[1], eliminated=_subscript_chart(row))
+    return edge_singularities(f, loc[1], loc[2])

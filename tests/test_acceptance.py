@@ -22,7 +22,7 @@ from wfano.rigidity import (certify_row, curve_status, smooth_point_status,
 from wfano.wps import (anticanonical_degree, enumerate_families,
                        generic_member, special_member)
 
-from oracles import ineq_b, ineq_n, proper_transform_class
+from oracles import ineq_b, ineq_n, proper_transform_class, row_point
 
 DATA = golden.data()
 
@@ -94,9 +94,8 @@ def test_criterion_04_b3_signs():
     ]
     for no, point, variant, value, sign in spots:
         row = match_rows(DATA, no, point, variant)[0]
-        from wfano.rigidity import _row_singularity
         f = fam(no)
-        assert b_cubed(f, _row_singularity(f, row)) == (value, sign), (
+        assert b_cubed(f, row_point(f, row)) == (value, sign), (
             no, point)
     done(f"4 B^3 signs: {checked} table signs reproduced, spot values exact")
 
@@ -127,7 +126,6 @@ def test_criterion_05_class_order_consistency():
 
 
 def test_criterion_06_inequality_certificates():
-    from wfano.rigidity import _row_singularity
     n_b = n_n = n_p = 0
     defect_rows = []
     for row in DATA.rows:
@@ -145,7 +143,7 @@ def test_criterion_06_inequality_certificates():
         check = next(c for c in cert.checks if c.name == name)
         if row.defect:
             # the one documented defect: fails by exactly 3 > 1
-            ok, lhs, rhs = ineq_n(f, _row_singularity(f, row),
+            ok, lhs, rhs = ineq_n(f, row_point(f, row),
                                   c=row.linsys[0], m=1, k=1)
             assert not ok and lhs == 3 and rhs == 1
             defect_rows.append((row.family_no, row.point))
@@ -163,7 +161,7 @@ def test_criterion_06_inequality_certificates():
         if row.method != "B":
             continue
         f = fam(row.family_no)
-        sing = _row_singularity(f, row)
+        sing = row_point(f, row)
         c = row.linsys[0]
         m = min(monomial_order(v, f.w, row.r) for v in row.vanishing)
         ok_class = (c - (m - 1)) % row.r == 0

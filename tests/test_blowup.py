@@ -16,7 +16,7 @@ from wfano.exactmath import (COORDS, OVERCUTOFF, _graded_substitute,
                              implicit_eliminate, parse_poly, series_order)
 from wfano.wps import anticanonical_degree, generic_member, special_member
 
-from oracles import E, proper_transform_class, s_class
+from oracles import E, proper_transform_class, row_point, s_class
 
 
 def fam(no):
@@ -91,8 +91,7 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 def blowup_points():
     """(family, point) at every census point and at the chart of every
     re-charted row: 248 + 31 blow-ups."""
-    from wfano.rigidity import _row_singularity
-    return census_points() + [(f, _row_singularity(f, row))
+    return census_points() + [(f, row_point(f, row))
                               for f, row in recharted_rows()]
 
 
@@ -224,14 +223,13 @@ class TestMonomialOrder:
         # `monomial_order` reads the raw weight residues as the blow-up
         # weights (1, a, r-a)/r, with no unit rescaling: pinned at every
         # census point and at the chart of every subscripted exclusion row
-        from wfano.rigidity import _row_singularity
         charts = [sing for _, sing in census_points()]
         data = golden.data()
         rows = [(rec.family, row) for rec in data.families
                 for row in data.rows_for(rec.family.entry_no)
                 if row.local_params is not None and row.kind == "exclude"]
         assert len(rows) == 228
-        charts += [_row_singularity(f, row) for f, row in rows]
+        charts += [row_point(f, row) for f, row in rows]
         for sing in charts:
             assert sorted(sing.residues) == sorted(
                 (1, sing.a, sing.r - sing.a)), sing
@@ -354,7 +352,6 @@ class TestDivisorMultiplicity:
         import random
         from fractions import Fraction as F
         from wfano.golden import match_rows
-        from wfano.rigidity import _row_singularity
 
         data = golden.data()
         rng = random.Random(11)
@@ -369,7 +366,7 @@ class TestDivisorMultiplicity:
                     continue
                 if "alpha" in row.surface_raw:
                     continue  # coefficients specific to the member
-                sing = _row_singularity(f, row)
+                sing = row_point(f, row)
                 member = generic_member(f)
                 g = {}
                 for gen in row.surface:

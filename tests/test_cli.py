@@ -418,9 +418,13 @@ class TestCheckTables:
         (21, "OzOt", "method", "B", "P"),
         # subscripts that leave w, which O_y cannot eliminate, to the chart
         (95, "Oy", "type_raw", "1/5(1_x,2_t,3_w)", "1/5(1_x,2_t,3_z)"),
+        # a type or count the census does not have fails the row's own
+        # "quotient type" check, and nothing else
+        (95, "Oy", "type_raw", "1/5(1_x,2_t,3_w)", "1/5(1_x,1_t,4_w)"),
+        (95, "Oy", "count", "1", "2"),
     ], ids=["19-OzOt-b3", "52-Oz-documented-defect-b3",
             "52-Oz-documented-defect-method", "21-OzOt-method-P",
-            "95-Oy-subscripts"])
+            "95-Oy-subscripts", "95-Oy-type", "95-Oy-count"])
     def test_fault_injection_names_the_row(self, tmp_path, capsys, no, point,
                                            column, old, new):
         golden_with_cell(tmp_path, no, point, column, old, new)
@@ -438,10 +442,13 @@ class TestCheckTables:
         code, out, _ = run(capsys, "check-tables", "--golden", str(tmp_path),
                            "--json")
         assert code == 1
-        assert {"family": 95, "point": "OyOz", "condition": "",
-                "reason": "quotient type: no quotient points on edge OyOz",
-                "failed_checks": ["quotient type"]
-                } in json.loads(out)["discrepancies"]
+        assert json.loads(out)["discrepancies"] == [
+            {"family": 95, "point": "-", "condition": "",
+             "reason": "census points ['OzOt'] have no table row"},
+            {"family": 95, "point": "OyOz", "condition": "",
+             "reason": "quotient type: the census has no quotient point at "
+                       "OyOz",
+             "failed_checks": ["quotient type"]}]
         code, out, _ = run(capsys, "report", "95", "--golden", str(tmp_path))
         assert code == 1
         assert "  OyOz (b) exclude  |  T in |5B+2E|  -> FAILED\n" in out

@@ -357,7 +357,10 @@ def test_every_top_level_name_has_a_caller_in_the_package():
 def test_every_class_member_is_read_in_the_package():
     """Each annotated field and each method or property of a package class,
     dunders aside, is read by package code as an attribute or a name: a
-    record field that only the tests read is dead weight."""
+    record field that only the tests read is dead weight.  It matches
+    member names only, so a read of another class's same-named member
+    counts: `Census.family` passed while only `FamilyRecord.family` was
+    read."""
     members, read = set(), set()
     for path in Path(wfano.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

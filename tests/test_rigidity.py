@@ -5,13 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfano import golden, report, rigidity
-from wfano.census import census, edge_singularities, vertex_singularity
+from wfano import golden
+from wfano.census import (canonical_type, census, default_eliminated,
+                          edge_singularities, vertex_elimination_candidates,
+                          vertex_singularity)
 from wfano.golden import UnknownVariantFlag, match_rows
-from wfano.rigidity import (NotApplicable, NotSymmetric, certify_row,
-                            curve_status, inequality_holds, involution_case,
-                            neg_definite, smooth_point_status, super_rigid,
-                            two_ray_game)
+from wfano.rigidity import (Check, NotApplicable, NotSymmetric,
+                            _subscript_chart, certify_row, curve_status,
+                            inequality_holds, involution_case, neg_definite,
+                            smooth_point_status, super_rigid, two_ray_game)
 
 from oracles import ineq_b, ineq_n
 
@@ -239,39 +241,38 @@ class TestClassifyPoint:
     def test_no_matching_row(self):
         assert match_rows(DATA, 23, "Oy", {}) == []  # not a singular point
 
-    def test_census_entries_give_the_same_certificate(self):
-        # every row, details included, and a row the census cannot place;
-        # with no entries every row is charted afresh
-        rows = 0
+    def test_every_chart_of_a_census_vertex_has_its_type(self):
+        # `certify_row` takes each row's point from the census, whichever
+        # coordinate the row's subscripts leave to be eliminated: r, count
+        # and type are the same in every chart of the vertex
+        charts = set()
         for rec in DATA.families:
             f = rec.family
-            entries = census(f).entries
-            for row in DATA.rows_for(f.entry_no):
-                assert certify_row(f, row, entries) == \
-                    certify_row(f, row, ()), row
-                rows += 1
-        assert rows == 300
+            for entry in census(f).entries:
+                if entry.location[0] != "vertex":
+                    continue
+                i = entry.location[1]
+                for e in vertex_elimination_candidates(f, i):
+                    sing = vertex_singularity(f, i, eliminated=e)
+                    assert (sing.r, sing.count, canonical_type(sing.type_)) \
+                        == (entry.r, entry.count,
+                            canonical_type(entry.type_)), (f, i, e)
+                    charts.add((f.entry_no, i, e))
+        subscripted = [(row.family_no, row.location[1], _subscript_chart(row))
+                       for row in DATA.rows
+                       if _subscript_chart(row) is not None]
+        assert set(subscripted) <= charts
+        recharted = [(no, i, e) for no, i, e in subscripted
+                     if e != default_eliminated(fam(no), i)]
+        assert len(recharted) == 31
+
+    def test_row_the_census_cannot_place_fails_its_type(self):
         (row,) = match_rows(DATA, 95, "Oy", {})
         misplaced = certify_row(fam(1), row, census(fam(1)).entries)
-        assert misplaced == certify_row(fam(1), row, ())
         assert not misplaced.valid
-
-    def test_check_tables_charts_only_the_recharted_rows(self, monkeypatch):
-        # the census places 269 of the 300 rows; the other 31 name, by
-        # their subscripts, a coordinate other than the census's to
-        # eliminate at their vertex
-        charted = []
-        row_singularity = rigidity._row_singularity
-
-        def counting(f, row):
-            charted.append(row)
-            return row_singularity(f, row)
-
-        monkeypatch.setattr(rigidity, "_row_singularity", counting)
-        assert report.check_tables(DATA).clean
-        assert len(charted) == 31
-        assert all(row.location[0] == "vertex" and row.local_params
-                   for row in charted)
+        assert misplaced.checks == (Check(
+            "quotient type", False,
+            "the census has no quotient point at Oy"),)
 
 
 class TestSuperRigid:
