@@ -11,10 +11,12 @@ quasi-smoothness monomial.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .exactmath import NoEliminatingMonomial
-from .wps import COORDS, Family
+from .exactmath import COORDS, NoEliminatingMonomial
+
+if TYPE_CHECKING:
+    from .wps import Family
 
 
 # The 4 vertices and 6 edges that carry quotient points, by name, as

@@ -380,9 +380,9 @@ def load(path: Optional[Path] = None) -> GoldenData:
     tab-separated table under a header line, without quoting, in the format
     the module docstring gives.  Malformed data, including a line with more
     or fewer cells than its header, a row or note of a family that
-    families.tsv does not list, or a correction or defect note at a point
-    with no row, raises ValueError naming the file and the family, row or
-    line.  Every cell of golden_tables.tsv is parsed here.
+    families.tsv does not list, or a note that corrects or excuses nothing,
+    raises ValueError naming the file and the family, row or line.  Every
+    cell of golden_tables.tsv is parsed here.
     """
     directory = (resources.files("wfano") / "data" if path is None
                  else Path(path))
@@ -395,8 +395,10 @@ def load(path: Optional[Path] = None) -> GoldenData:
                if n.kind == "certificate_defect"}
 
     fams = []
+    listed = {}  # family number -> its printed_weights and weights cells
     for no, (d, weights, A3, superrigid, printed_weights) in _read_tsv(
             directory, "families.tsv"):
+        listed[no] = printed_weights, weights
         fam = _family_cell(no, "weights", weights,
                            lambda text: Family(_integers(text), no),
                            "1,a1,a2,a3,a4 with 0 < a1 <= a2 <= a3 <= a4")
@@ -431,14 +433,23 @@ def load(path: Optional[Path] = None) -> GoldenData:
                                     defects))
         except ValueError as exc:
             raise ValueError(f"{_row_name(no, cells)}: {exc}") from None
-    # a note at a point with no row would be reported as documented while
-    # it corrects or excuses nothing
+    # a note must apply to a row or family, or it would be reported as
+    # documented while it corrects or excuses nothing
     row_points = {(row.family_no, row.point) for row in rows}
+    surfaces = {(row.family_no, row.point, row.surface_raw) for row in rows}
     for n in notes:
+        where = f"golden_notes.tsv: the {n.kind} note at No. {n.no}"
         if n.kind in _ROW_NOTES and (n.no, n.point) not in row_points:
-            raise ValueError(f"golden_notes.tsv: the {n.kind} note at "
-                             f"No. {n.no} {n.point} has no row of "
+            raise ValueError(f"{where} {n.point} has no row of "
                              f"golden_tables.tsv at that point")
+        if (n.kind == "surface_typo"
+                and (n.no, n.point, n.printed) not in surfaces):
+            raise ValueError(f"{where} {n.point} corrects {n.printed!r}, but "
+                             f"no row at that point prints it")
+        if n.kind == "list_typo" and (n.printed, n.corrected) != listed[n.no]:
+            raise ValueError(f"{where} reads {n.printed} -> {n.corrected}, "
+                             f"but families.tsv lists "
+                             f"{listed[n.no][0]} -> {listed[n.no][1]}")
     return GoldenData(tuple(fams), tuple(rows), notes)
 
 

@@ -24,12 +24,8 @@ from .blowup import (NonIntegral, b_cubed, format_class, monomial_order,
 from .census import (LOCATIONS, QuotientSingularity, canonical_type, census,
                      vertex_elimination_candidates)
 from .golden import GoldenData, GoldenRow
-from .wps import (COORDS, Family, admits_member_with_stratum,
-                  anticanonical_degree, hat_lcms)
-
-
-class NotApplicable(LookupError):
-    """No involution pattern matches the point."""
+from .wps import (COORDS, Family, anticanonical_degree, general_quasismooth,
+                  hat_lcms)
 
 
 class NotSymmetric(ValueError):
@@ -44,18 +40,8 @@ class Check(NamedTuple):
     detail: str = ""
 
 
-def inequality_holds(f: Family, sing: QuotientSingularity, power: int,
-                     c: int, m: int, k: int) -> bool:
-    """r*a*(r-a)*c^power*A^3 <= k*m^power, the test of method (b) (power 2)
-    or (n) (power 1), decided on integers: with A^3 = d/P, P = a1a2a3a4,
-    it reads r*a*(r-a)*c^power*d <= k*m^power*P."""
-    w = f.w
-    return (sing.r * sing.a * sing.b * c ** power * f.d
-            <= k * m ** power * (w[1] * w[2] * w[3] * w[4]))
-
-
-# the power of c and m in the inequality of methods (b) and (n), and the
-# name of its check
+# the power p of c and m in the inequality r*a*(r-a)*c^p*A^3 <= k*m^p of
+# methods (b) and (n), and the name of its check
 _INEQUALITIES = {"B": (2, "boundary inequality"),
                  "N": (1, "nef-divisor inequality")}
 
@@ -72,39 +58,26 @@ def two_ray_game(f: Family) -> tuple[bool, Optional[int]]:
 
 def neg_definite(matrix: Sequence[Sequence[Fraction]]) -> bool:
     """Sylvester criterion on -M with exact rationals; M must be square and
-    symmetric, or `NotSymmetric` is raised."""
+    symmetric, or `NotSymmetric` is raised.  The k-th pivot of a Gaussian
+    elimination of -M without row swaps is D_k / D_(k-1), a ratio of its
+    leading minors, so they are all positive exactly when the pivots are."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise NotSymmetric("matrix is not square")
-    m = [[Fraction(x) for x in row] for row in matrix]
+    neg = [[-Fraction(x) for x in row] for row in matrix]
     for i in range(n):
         for j in range(i):
-            if m[i][j] != m[j][i]:
+            if neg[i][j] != neg[j][i]:
                 raise NotSymmetric(f"entry ({i},{j}) != ({j},{i})")
-    neg = [[-m[i][j] for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        if _det([row[:k] for row in neg[:k]]) <= 0:
-            return False
-    return True
-
-
-def _det(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
+        pivot = neg[col][col]
+        if pivot <= 0:
+            return False
         for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            for cc in range(col, n):
-                m[r][cc] -= factor * m[col][cc]
-    return det
+            factor = neg[r][col] / pivot
+            for cc in range(col + 1, n):
+                neg[r][cc] -= factor * neg[col][cc]
+    return True
 
 
 # the intersection matrices printed alongside the tables, used by the
@@ -149,7 +122,7 @@ def smooth_point_status(f: Family) -> SmoothPointStatus:
                                      detail=f"O_{COORDS[i]} off X, "
                                             f"{d}*{hats[i - 2]} <= {4 * prod}")
     if d * hats[1] <= 4 * prod and d * hats[2] <= 4 * prod:
-        if not admits_member_with_stratum(f, (3, 4)):
+        if not general_quasismooth(f, exclude_pure=(3, 4)).ok:
             return SmoothPointStatus(
                 "LEMMA2", detail="no quasi-smooth member contains the t-w line")
         A3 = anticanonical_degree(f)
@@ -158,13 +131,13 @@ def smooth_point_status(f: Family) -> SmoothPointStatus:
                 and _is_combination(a[3] * a[4], a[1], a[2])):
             return SmoothPointStatus("MPIM_PAIR",
                                      detail=f"a3*a4 = {a[3] * a[4]}")
-        return SmoothPointStatus("SPECIAL",
-                                 case=_SPECIAL_CASES.get(f.entry_no or 0),
-                                 detail="members through the t-w line need "
-                                        "per-family surface geometry")
+        detail = ("members through the t-w line need per-family surface "
+                  "geometry")
+    else:
+        detail = "degree bounds fail"
     return SmoothPointStatus("SPECIAL",
                              case=_SPECIAL_CASES.get(f.entry_no or 0),
-                             detail="degree bounds fail")
+                             detail=detail)
 
 
 def _is_combination(target: int, a1: int, a2: int) -> bool:
@@ -206,8 +179,9 @@ class InvolutionCase(NamedTuple):
 
 
 def involution_case(f: Family, point: str,
-                    variant: Optional[dict[str, str]] = None) -> InvolutionCase:
-    """Structural involution pattern at the point, or NotApplicable.
+                    variant: Optional[dict[str, str]] = None
+                    ) -> Optional[InvolutionCase]:
+    """Structural involution pattern at the point, or None.
 
     Quadratic: a monomial x_j * x_i^2 of degree d with x_i vanishing at the
     point; untwists unless the member's middle coefficient is divisible by
@@ -237,18 +211,19 @@ def involution_case(f: Family, point: str,
                          "coefficient is divisible by " + COORDS[i3])
     no = f.entry_no
     typ = variant.get("type", "I")
+    elliptic = "elliptic involution at " + "".join(
+        "O_" + COORDS[i] for i in LOCATIONS[point][1:])
     if (no, point) in ELLIPTIC_POINTS["EPS"] and (no != 7 or typ == "I"):
-        return InvolutionCase("EPS", note="elliptic involution at O_t")
+        return InvolutionCase("EPS", note=elliptic)
     if (no, point) in ELLIPTIC_POINTS["IOTA"] and typ == "II":
         return InvolutionCase("IOTA", note="invisible elliptic involution")
-    if (no, point) in ELLIPTIC_POINTS["EPS1"]:
-        return InvolutionCase("EPS1", note="elliptic involution at O_z")
-    if (no, point) in ELLIPTIC_POINTS["EPS2"]:
-        return InvolutionCase("EPS2", note="elliptic involution at O_z")
+    for label in ("EPS1", "EPS2"):
+        if (no, point) in ELLIPTIC_POINTS[label]:
+            return InvolutionCase(label, note=elliptic)
     if ((no, point) in ELLIPTIC_POINTS["IOTA1"]
             and variant.get("a1") == "zero" and variant.get("c") == "zero"):
         return InvolutionCase("IOTA1", note="invisible elliptic involution")
-    raise NotApplicable(f"no involution pattern at family {no}, {point}")
+    return None
 
 
 # -------------------------------------------------------------- certificates
@@ -362,8 +337,7 @@ def _certify_exclusion(f: Family, row: GoldenRow, sing: QuotientSingularity,
         w = f.w
         lhs = Fraction(sing.r * sing.a * sing.b * c ** power * f.d,
                        w[1] * w[2] * w[3] * w[4])
-        results = [(k, inequality_holds(f, sing, power, c, m, k))
-                   for k in ks]
+        results = [(k, lhs <= k * m ** power) for k in ks]
         detail = "; ".join(f"k={k}: {lhs} <= {k * m ** power}: {ok}"
                            for k, ok in results)
         checks.append(Check(name, results[-1][1], detail))
@@ -405,14 +379,11 @@ def _certify_exclusion(f: Family, row: GoldenRow, sing: QuotientSingularity,
 
 def _certify_involution(f: Family, row: GoldenRow,
                         checks: list[Check]) -> Certificate:
-    variant = dict(row.condition)
-    try:
-        case = involution_case(f, row.point, variant)
-        ok = case.label == row.method
-        detail = f"matched {case.label} ({case.note})"
-    except NotApplicable as exc:
-        ok, detail = False, str(exc)
-    checks.append(Check("involution pattern", ok, detail))
+    case = involution_case(f, row.point, dict(row.condition))
+    checks.append(Check(
+        "involution pattern", case is not None and case.label == row.method,
+        f"matched {case.label} ({case.note})" if case else
+        f"no involution pattern at family {f.entry_no}, {row.point}"))
 
     if row.witness_raw:
         degs = {sum(e * w for e, w in zip(mono, f.w)) for mono in row.witness}

@@ -16,6 +16,7 @@ from functools import total_ordering
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional
 
+from .census import default_eliminated, is_terminal_family, no_singular_curves
 from .exactmath import COORDS, Exp5, Poly, parse_poly
 
 
@@ -174,11 +175,6 @@ def general_quasismooth(f: Family, exclude_pure: Optional[tuple[int, ...]] = Non
     return QuasiSmoothDiagnostics(True)
 
 
-def admits_member_with_stratum(f: Family, coords: tuple[int, ...]) -> bool:
-    """Whether some quasi-smooth member contains the given coordinate stratum."""
-    return general_quasismooth(f, exclude_pure=coords).ok
-
-
 # ----------------------------------------------------------- enumeration
 
 def bare_weight_a4s(a1: int, a2: int, a3: int, max_weight: int) -> list[int]:
@@ -250,9 +246,6 @@ def enumerate_families(max_weight: int = 33) -> list[Family]:
     no factor and give 8,867 candidates; 577 pass the vertex test and 258
     the triple test, and of those 95 are terminal and 95 quasi-smooth.
     """
-    # lazy: census imports COORDS and Family from this module
-    from .census import is_terminal_family, no_singular_curves
-
     found = []
     for a1 in range(1, max_weight + 1):
         for a2 in range(a1, max_weight + 1):
@@ -291,8 +284,6 @@ def eliminating_monomial(f: Family, i: int, e: int) -> Exp5:
 def _eliminating_monomials(f: Family) -> dict[Exp5, tuple[int, int]]:
     """x_i^k * x_e -> (i, e) for each quotient point O_i of the general
     member, where x_e is the coordinate the census eliminates there."""
-    from .census import default_eliminated
-
     out = {}
     for i in range(1, 5):
         e = default_eliminated(f, i)

@@ -4,7 +4,10 @@ Each is a slower or more general statement of a rule that the package
 decides another way, so the tests can compare the two:
 
 - `ineq_b`, `ineq_n`: the (b) and (n) inequalities with both sides as
-  `Fraction`s, against `rigidity.inequality_holds` on integers;
+  separate `Fraction`s, against the inequality check of
+  `rigidity.certify_row`;
+- `leading_minors`: the leading minors of a matrix by cofactor expansion,
+  against the single elimination of `rigidity.neg_definite`;
 - `s_class`: the possible classes of the surface {x = 0}, as (b, e)
   pairs, against the k values of `blowup.s_class_ks`;
 - `proper_transform_class`: the transform class from an order m/r, over
@@ -46,6 +49,21 @@ def ineq_n(f: Family, sing: QuotientSingularity, c: int, m: int,
     lhs = sing.r * sing.a * sing.b * c * anticanonical_degree(f)
     rhs = Fraction(k * m)
     return lhs <= rhs, lhs, rhs
+
+
+def leading_minors(m: list[list[Fraction]]) -> list[Fraction]:
+    """D_1..D_n of a square matrix: the determinants of its top-left k x k
+    blocks, each by cofactor expansion along the first row."""
+    return [_cofactor_det([row[:k] for row in m[:k]])
+            for k in range(1, len(m) + 1)]
+
+
+def _cofactor_det(m: list[list[Fraction]]) -> Fraction:
+    if not m:
+        return Fraction(1)
+    return sum((-1) ** j * m[0][j]
+               * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
 
 
 def s_class(f: Family, r: int) -> tuple[tuple[int, int], ...]:

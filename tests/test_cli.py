@@ -226,6 +226,20 @@ BAD_GOLDEN = {
         "golden_tables.tsv: the row No. 35 OzOw []: the type_typo note "
         "corrects '1/7(1_x,2_y,5_t)', but the row prints "
         "'1/2(1_x,1_y,1_t)'"),
+    # a surface correction needs a row at its point that prints its surface
+    "surface_note_mismatch": (
+        lambda p: golden_edited(p, "golden_notes.tsv", lambda t: t.replace(
+            "\tsurface_typo\tsurface\tx^3, z\t",
+            "\tsurface_typo\tsurface\tx^3, w\t")),
+        "golden_notes.tsv: the surface_typo note at No. 40 Oz corrects "
+        "'x^3, w', but no row at that point prints it"),
+    # a list correction must give the weights that families.tsv holds
+    "list_note_mismatch": (
+        lambda p: golden_edited(p, "golden_notes.tsv", lambda t: t.replace(
+            "\tlist_typo\tweights\t1,3,4,5,89\t1,3,4,5,8\t",
+            "\tlist_typo\tweights\t1,3,4,5,88\t1,3,4,5,9\t")),
+        "golden_notes.tsv: the list_typo note at No. 45 reads 1,3,4,5,88 -> "
+        "1,3,4,5,9, but families.tsv lists 1,3,4,5,89 -> 1,3,4,5,8"),
 }
 
 

@@ -1,21 +1,23 @@
 """Exclusion inequalities, method dispatch, and certificates."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wfano import golden
+from wfano.blowup import s_class_ks
 from wfano.census import (canonical_type, census, default_eliminated,
                           edge_singularities, vertex_elimination_candidates,
                           vertex_singularity)
 from wfano.golden import UnknownVariantFlag, match_rows
-from wfano.rigidity import (Check, NotApplicable, NotSymmetric,
-                            _subscript_chart, certify_row, curve_status,
-                            inequality_holds, involution_case, neg_definite,
-                            smooth_point_status, super_rigid, two_ray_game)
+from wfano.rigidity import (Check, NotSymmetric, _subscript_chart,
+                            certify_row, curve_status, involution_case,
+                            neg_definite, smooth_point_status, super_rigid,
+                            two_ray_game)
 
-from oracles import ineq_b, ineq_n
+from oracles import ineq_b, ineq_n, leading_minors
 
 DATA = golden.data()
 
@@ -37,6 +39,10 @@ def edge_point(no, i, j):
 # (family, point) at each of the 248 census points of the 95 families
 CENSUS_POINTS = [(rec.family, sing) for rec in DATA.families
                  for sing in census(rec.family).entries]
+
+# the oracle and the check name of each method's inequality
+INEQUALITY_CHECKS = {"B": (ineq_b, "boundary inequality"),
+                     "N": (ineq_n, "nef-divisor inequality")}
 
 
 class TestInequalities:
@@ -72,25 +78,67 @@ class TestInequalities:
         assert small[1] < big[1]
         assert big[0] and small[0]
 
-    @given(st.sampled_from(CENSUS_POINTS), st.integers(1, 40),
-           st.integers(0, 60), st.integers(0, 40), st.integers(-1, 1))
-    @settings(max_examples=300)
-    def test_integer_decisions_match_fractions(self, point, c, m, k, step):
-        # at a drawn k, and at the k nearest the boundary of each test
-        for power, test in ((2, ineq_b), (1, ineq_n)):
-            lhs = test(*point, c, m, 1)[1]
-            ks = [k]
-            if m:
-                ks.append(max(0, -(-lhs // m ** power) + step))
-            for kk in ks:
-                assert inequality_holds(*point, power, c, m, kk) == \
-                    test(*point, c, m, kk)[0], (point, power, c, m, kk)
+    def test_certificate_decides_as_the_oracles(self):
+        # each (b) and (n) row's inequality check, against the Fraction
+        # oracle at the largest k of the surface class
+        for row in DATA.rows:
+            if row.method not in INEQUALITY_CHECKS:
+                continue
+            f = fam(row.family_no)
+            entries = census(f).entries
+            sing = next(e for e in entries if e.location == row.location)
+            cert = certify_row(f, row, entries)
+            test, name = INEQUALITY_CHECKS[row.method]
+            (check,) = [ch for ch in cert.checks if ch.name == name]
+            k = s_class_ks(f, sing.r)[-1]
+            assert check.passed == test(f, sing, row.linsys[0], cert.m, k)[0]
+
+    @pytest.mark.parametrize("row", [row for row in DATA.rows
+                                     if row.method == "N"],
+                             ids=lambda row: f"{row.family_no}-{row.point}")
+    def test_nef_inequality_holds_on_its_boundary(self, row):
+        # c and m chosen so that r*a*(r-a)*c*A^3 = k*m exactly, with the
+        # key surface vanishing as x^m (x has weight 1, so its order is m)
+        f = fam(row.family_no)
+        entries = census(f).entries
+        sing = next(e for e in entries if e.location == row.location)
+        k = s_class_ks(f, sing.r)[-1]
+        prod = f.w[1] * f.w[2] * f.w[3] * f.w[4]
+        num = sing.r * sing.a * sing.b * f.d
+        c = k * prod // gcd(num, k * prod)
+        m = num * c // (k * prod)
+        assert ineq_n(f, sing, c, m, k)[1] == k * m
+        for order, passed in ((m, True), (m - 1, False)):
+            edge = row._replace(linsys=(c, row.linsys[1]),
+                                vanishing=((order, 0, 0, 0, 0),))
+            (check,) = [ch for ch in certify_row(f, edge, entries).checks
+                        if ch.name == "nef-divisor inequality"]
+            assert check.passed is passed, check.detail
 
     def test_p_examples(self):
         assert two_ray_game(fam(10))[0]  # 2*5 = 3*3 + 1
         assert two_ray_game(fam(21))[0]  # 2*7 = 3*4 + 2
         assert not two_ray_game(fam(7))[0]
         assert two_ray_game(fam(62))[0]  # 2*13 = 3*7 + 5
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational n x n matrices, n = 1..4.  Half are -L L^T for a
+    lower-triangular L: negative semi-definite, and singular, with a zero
+    leading minor, when L has a zero on its diagonal."""
+    n = draw(st.integers(1, 4))
+    entry = st.fractions(-4, 4, max_denominator=3)
+    if draw(st.booleans()):
+        low = [[draw(entry) if j <= i else Fraction(0) for j in range(n)]
+               for i in range(n)]
+        return [[-sum(low[i][t] * low[j][t] for t in range(n))
+                 for j in range(n)] for i in range(n)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            m[i][j] = m[j][i] = draw(entry)
+    return m
 
 
 class TestNegDefinite:
@@ -128,6 +176,21 @@ class TestNegDefinite:
         minors = (a * d - b * b) + (a * f - c * c) + (d * f - e * e)
         det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
         assert neg_definite(m) == (-trace > 0 and minors > 0 and -det > 0)
+
+    @given(symmetric_matrices())
+    @settings(max_examples=300)
+    # the leading minor D_1 = 0; D_2 = 0 last; D_2 = D_3 = 0 after D_1 != 0
+    @example([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(-1)]])
+    @example([[Fraction(-1), Fraction(1)], [Fraction(1), Fraction(-1)]])
+    @example([[Fraction(-1), Fraction(1), Fraction(0)],
+              [Fraction(1), Fraction(-1), Fraction(0)],
+              [Fraction(0), Fraction(0), Fraction(-1)]])
+    def test_sylvester_oracle(self, m):
+        # M is negative definite exactly when (-1)^k D_k > 0 for its
+        # leading minors D_k, taken by cofactor expansion
+        assert neg_definite(m) == all(
+            (-1) ** k * minor > 0
+            for k, minor in enumerate(leading_minors(m), 1))
 
 
 class TestSmoothPoints:
@@ -200,10 +263,9 @@ class TestInvolutionCase:
         assert case.label == "IOTA1"
 
     def test_not_applicable(self):
-        with pytest.raises(NotApplicable):
-            involution_case(fam(9), "Oz")
-        with pytest.raises(NotApplicable):
-            involution_case(fam(23), "Oz")  # generic O_z is excluded, not untwisted
+        assert involution_case(fam(9), "Oz") is None
+        # generic O_z is excluded, not untwisted
+        assert involution_case(fam(23), "Oz") is None
 
 
 class TestClassifyPoint:

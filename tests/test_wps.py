@@ -13,7 +13,6 @@ from wfano.census import (is_terminal_family, no_singular_curves,
 from wfano.exactmath import COORDS, _reduce_to_chart
 from wfano.wps import (Family, UnknownSpecialMember, _eliminating_monomials,
                        _extend_mask, anticanonical_degree, bare_weight_a4s,
-                       admits_member_with_stratum,
                        eliminating_monomial, enumerate_families,
                        general_quasismooth, generic_member, hat_lcms,
                        is_wellformed, normal_form_support, special_member)
@@ -127,15 +126,15 @@ class TestQuasiSmooth:
         # members with extra monomials stay quasi-smooth: whenever the
         # support without pure t-w monomials works, the full support does
         for rec in golden.data().families:
-            if admits_member_with_stratum(rec.family, (3, 4)):
+            if general_quasismooth(rec.family, exclude_pure=(3, 4)).ok:
                 assert general_quasismooth(rec.family).ok
 
     def test_stratum_members_partition(self):
         # of the twelve hard families, exactly these admit quasi-smooth
         # members through the t-w line
         hits = {no for no in (2, 5, 12, 13, 20, 23, 25, 33, 40, 58, 61, 76)
-                if admits_member_with_stratum(golden.data().family(no).family,
-                                              (3, 4))}
+                if general_quasismooth(golden.data().family(no).family,
+                                       exclude_pure=(3, 4)).ok}
         assert hits == {2, 5, 12, 13, 20, 25, 33, 58}
 
 
