@@ -122,11 +122,12 @@ def cmd_enumerate(args) -> int:
             print(f"No. {f.entry_no:02d}  X_{f.d} in P({w})  "
                   f"A^3 = {anticanonical_degree(f)}")
     if args.diff_paper:  # only the families the scan could reach
-        for rec in dataset.families:
-            if rec.list_typo and rec.family.w[4] <= args.max_weight:
-                print(f"list correction: No. {rec.family.entry_no} printed "
-                      f"as P{rec.printed_weights}, actual "
-                      f"P{rec.family.w}", file=sys.stderr)
+        for note in sorted(dataset.notes):
+            w = dataset.family(note.no).family.w
+            if note.kind == "list_typo" and w[4] <= args.max_weight:
+                print(f"list correction: No. {note.no} printed as "
+                      f"P({', '.join(note.printed.split(','))}), actual "
+                      f"P{w}", file=sys.stderr)
     if not ok:
         print(f"error: enumeration returned {len(families)} families and "
               f"diverges from the embedded list", file=sys.stderr)
@@ -176,8 +177,7 @@ def cmd_check_tables(args) -> int:
     else:
         print(result.summary())
         for d in result.documented:
-            tag = "defect" if d["kind"] == "defect" else "correction"
-            print(f"  documented {tag}: No. {d['family']} {d['point']}: "
+            print(f"  documented {d['kind']}: No. {d['family']} {d['point']}: "
                   f"{d['note']}")
         for d in result.discrepancies:
             print(f"  DISCREPANCY No. {d['family']} {d['point']} "

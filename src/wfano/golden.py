@@ -3,10 +3,12 @@
 The dataset ships as tab-separated files under ``wfano/data``: one record
 per certificate-table row, strings transliterated verbatim from the source
 tables (singularity types keep their local-parameter subscripts, e.g.
-``1/3(1_x,2_y,1_t)``).  A companion notes file records the documented
-corrections: two weight-list typos, two singularity-type typos, and one
-certificate whose printed inequality data does not check out.  Corrections
-are applied at load time; each note keeps the printed and corrected strings.
+``1/3(1_x,2_y,1_t)``).  A companion notes file is the only record of what
+the source prints otherwise: two weight-list typos, two singularity-type
+typos and one surface typo, each with its printed and corrected strings,
+and one certificate whose printed inequality data does not check out.
+families.tsv lists the corrected weights; the other corrections are
+applied at load time, and a note that applies nowhere fails the load.
 Each row, family and note loads into an immutable named tuple (`GoldenRow`,
 `FamilyRecord`, `Note`); `GoldenData` holds the three tables and indexes
 the rows by family.
@@ -147,7 +149,7 @@ class GoldenRow(NamedTuple):
     point: str                       # e.g. "Oz", "OzOt"
     location: tuple                  # ("vertex", i) or ("edge", i, j)
     count: int
-    r: int
+    r: int                           # the order of `type_str`
     type_str: str                    # corrected when a documented typo applies
     residues: tuple[int, int, int]
     # the local parameters read off the type's subscripts, when all three
@@ -158,14 +160,13 @@ class GoldenRow(NamedTuple):
     b3_sign: str
     linsys_raw: str
     linsys: Optional[tuple[int, int]]
-    surface_raw: str
-    surface: tuple[tuple[Exp5, ...], ...]
+    surface: tuple[tuple[Exp5, ...], ...]  # corrected like `type_str`
     vanishing: tuple[Exp5, ...]
     condition_raw: str
     condition: frozenset[tuple[str, str]]
     witness_raw: str
     witness: tuple[Exp5, ...]
-    corrected: bool = False
+    corrected: bool = False          # the type is corrected
     defect: Optional[Note] = None    # the documented certificate defect
 
     @property
@@ -177,11 +178,6 @@ class FamilyRecord(NamedTuple):
     family: Family
     A3: Fraction
     superrigid: bool
-    printed_weights: tuple[int, ...]
-
-    @property
-    def list_typo(self) -> bool:
-        return self.printed_weights != self.family.w
 
 
 class GoldenData:
@@ -221,15 +217,11 @@ class GoldenData:
         return names
 
 
-# The note kinds that `load` applies to the rows at the note's point.
-_ROW_NOTES = ("type_typo", "surface_typo", "certificate_defect")
-
 # The columns `load` reads from each file, `no` first.  `_read_tsv` returns
 # the others in this order.
 _COLUMNS = {
-    "families.tsv": ("no", "d", "weights", "A3", "superrigid",
-                     "printed_weights"),
-    "golden_tables.tsv": ("no", "point", "count", "r", "type_raw", "method",
+    "families.tsv": ("no", "d", "weights", "A3", "superrigid"),
+    "golden_tables.tsv": ("no", "point", "count", "type_raw", "method",
                           "b3", "linsys", "surface", "vanishing",
                           "condition", "witness"),
     "golden_notes.tsv": ("no", "point", "kind", "field", "printed",
@@ -319,33 +311,24 @@ def _vanishing_cell(text: str) -> tuple[Exp5, ...]:
                  for v in part.split(",") for mono in parse_monomials(v))
 
 
-def _golden_row(no: int, point: str, count: str, r_cell: str, type_raw: str,
+def _golden_row(no: int, point: str, count: str, type_raw: str,
                 method: str, b3: str, linsys_raw: str, surface_raw: str,
                 vanishing_raw: str, condition_raw: str, witness_raw: str,
-                type_fixes: dict, surface_fixes: dict, defects: dict
-                ) -> GoldenRow:
-    """One row of golden_tables.tsv, every cell parsed, with the notes at
-    its point applied: `load` keys each kind of note by where it applies."""
-    type_fix = type_fixes.get((no, point))
-    surface_fix = surface_fixes.get((no, point, surface_raw))
+                notes: dict, used: set) -> GoldenRow:
+    """One row of golden_tables.tsv, every cell parsed, with the notes that
+    apply to it; `load` says how `notes` keys them, and each one found is
+    added to `used`."""
+    type_fix = notes.get(("type_typo", no, point, type_raw))
+    surface_fix = notes.get(("surface_typo", no, point, surface_raw))
+    defect = notes.get(("certificate_defect", no, point, "-"))
+    used.update(filter(None, (type_fix, surface_fix, defect)))
     if method not in METHOD_SYMBOLS:
         raise ValueError(f"unknown method {method!r}")
     location = LOCATIONS.get(point)
     if location is None:
         raise ValueError(f"unknown point {point!r}")
-    parsed = _type_cell(type_raw)
-    if r_cell != str(parsed[0]):
-        raise ValueError(f"column 'r' reads {r_cell!r}, but the printed "
-                         f"type {type_raw!r} has r = {parsed[0]}")
-    type_str = type_raw
-    if type_fix:
-        if type_fix.printed != type_raw:
-            raise ValueError(f"the type_typo note corrects "
-                             f"{type_fix.printed!r}, but the row prints "
-                             f"{type_raw!r}")
-        type_str = type_fix.corrected
-        parsed = _type_cell(type_str)
-    r, residues, local_params, normalized = parsed
+    type_str = type_fix.corrected if type_fix else type_raw
+    r, residues, local_params, normalized = _type_cell(type_str)
     if normalized is None:
         raise ValueError(f"non-terminal type {type_str!r}")
     linsys = parse_linear_system(linsys_raw) if linsys_raw else None
@@ -357,19 +340,27 @@ def _golden_row(no: int, point: str, count: str, r_cell: str, type_raw: str,
                          "'vanishing' cell")
     return GoldenRow(
         no, point, location, int(count), r, type_str, residues, local_params,
-        normalized, method, b3, linsys_raw, linsys, surface_raw, surface,
-        vanishing, condition_raw, parse_condition(condition_raw),
-        witness_raw, parse_monomials(witness_raw),
-        type_fix is not None or surface_fix is not None,
+        normalized, method, b3, linsys_raw, linsys, surface, vanishing,
+        condition_raw, parse_condition(condition_raw),
+        witness_raw, parse_monomials(witness_raw), type_fix is not None,
         # the defect note is about the printed (n) certificate; a row that
         # reads another method is not the documented one
-        defects.get((no, point)) if method == "N" else None)
+        defect if method == "N" else None)
 
 
 def _row_name(no: int, cells: tuple[str, ...]) -> str:
     """How an error names a row of golden_tables.tsv: its family, point
-    and condition (the first and tenth cell after `no` in `_COLUMNS`)."""
-    return f"golden_tables.tsv: the row No. {no} {cells[0]} [{cells[9]}]"
+    and condition."""
+    columns = _COLUMNS["golden_tables.tsv"][1:]  # the order of `cells`
+    return (f"golden_tables.tsv: the row No. {no} "
+            f"{cells[columns.index('point')]} "
+            f"[{cells[columns.index('condition')]}]")
+
+
+def _note_name(n: Note) -> str:
+    """How an error names a note of golden_notes.tsv."""
+    return (f"golden_notes.tsv: the {n.kind} note at No. {n.no} {n.point} "
+            f"({n.printed!r} -> {n.corrected!r})")
 
 
 def load(path: Optional[Path] = None) -> GoldenData:
@@ -379,26 +370,35 @@ def load(path: Optional[Path] = None) -> GoldenData:
     families.tsv, golden_tables.tsv and golden_notes.tsv.  Each is a
     tab-separated table under a header line, without quoting, in the format
     the module docstring gives.  Malformed data, including a line with more
-    or fewer cells than its header, a row or note of a family that
-    families.tsv does not list, or a note that corrects or excuses nothing,
-    raises ValueError naming the file and the family, row or line.  Every
-    cell of golden_tables.tsv is parsed here.
+    or fewer cells than its header, a row of a family that families.tsv
+    does not list, or a note that applies to no row or family, raises
+    ValueError naming the file and the family, row, note or line.  Every
+    cell of golden_tables.tsv is parsed here, a corrected cell as its
+    note's correction.
     """
     directory = (resources.files("wfano") / "data" if path is None
                  else Path(path))
     notes = tuple(Note(no, *cells)
                   for no, cells in _read_tsv(directory, "golden_notes.tsv"))
-    type_fixes = {(n.no, n.point): n for n in notes if n.kind == "type_typo"}
-    surface_fixes = {(n.no, n.point, n.printed): n for n in notes
-                     if n.kind == "surface_typo"}
-    defects = {(n.no, n.point): n for n in notes
-               if n.kind == "certificate_defect"}
+    # A note applies where a cell reads the text it is keyed by: a type or
+    # surface note where a row at its point prints its printed text, a
+    # defect note (printed '-') at each row of its point, and a list note
+    # where families.tsv lists its corrected weights.
+    by_key = {}
+    for n in notes:
+        key = (n.kind, n.no, n.point,
+               n.corrected if n.kind == "list_typo" else n.printed)
+        if by_key.setdefault(key, n) is not n:
+            raise ValueError(f"{_note_name(n)} applies where an earlier "
+                             f"note does")
+    used = set()
 
     fams = []
-    listed = {}  # family number -> its printed_weights and weights cells
-    for no, (d, weights, A3, superrigid, printed_weights) in _read_tsv(
-            directory, "families.tsv"):
-        listed[no] = printed_weights, weights
+    for no, (d, weights, A3, superrigid) in _read_tsv(directory,
+                                                      "families.tsv"):
+        list_fix = by_key.get(("list_typo", no, "-", weights))
+        if list_fix:
+            used.add(list_fix)
         fam = _family_cell(no, "weights", weights,
                            lambda text: Family(_integers(text), no),
                            "1,a1,a2,a3,a4 with 0 < a1 <= a2 <= a3 <= a4")
@@ -408,20 +408,13 @@ def load(path: Optional[Path] = None) -> GoldenData:
                              f"a1+a2+a3+a4 = {fam.d}")
         fams.append(FamilyRecord(
             fam, _family_cell(no, "A3", A3, Fraction, "a fraction"),
-            _family_cell(no, "superrigid", superrigid, _flag, "0 or 1"),
-            _family_cell(no, "printed_weights", printed_weights, _integers,
-                         "comma-separated integers")))
+            _family_cell(no, "superrigid", superrigid, _flag, "0 or 1")))
     fams.sort(key=lambda fr: fr.family.entry_no)
-    # `GoldenData.family(no)` indexes by entry number, and a row or note of
-    # a family that is not listed would never be checked
+    # `GoldenData.family(no)` indexes by entry number, and a row of a
+    # family that is not listed would never be checked
     if [fr.family.entry_no for fr in fams] != list(range(1, len(fams) + 1)):
         raise ValueError(f"families.tsv: column 'no' must number the "
                          f"families 1..{len(fams)}, each once")
-    for n in notes:
-        if not 1 <= n.no <= len(fams):
-            raise ValueError(f"golden_notes.tsv: the {n.kind} note at "
-                             f"No. {n.no} {n.point} names no family of "
-                             f"families.tsv")
 
     rows = []
     for no, cells in _read_tsv(directory, "golden_tables.tsv"):
@@ -429,27 +422,14 @@ def load(path: Optional[Path] = None) -> GoldenData:
             raise ValueError(f"{_row_name(no, cells)} names no family of "
                              f"families.tsv")
         try:
-            rows.append(_golden_row(no, *cells, type_fixes, surface_fixes,
-                                    defects))
+            rows.append(_golden_row(no, *cells, by_key, used))
         except ValueError as exc:
             raise ValueError(f"{_row_name(no, cells)}: {exc}") from None
-    # a note must apply to a row or family, or it would be reported as
-    # documented while it corrects or excuses nothing
-    row_points = {(row.family_no, row.point) for row in rows}
-    surfaces = {(row.family_no, row.point, row.surface_raw) for row in rows}
+    # a note that applies nowhere would be reported as documented while it
+    # corrects or excuses nothing
     for n in notes:
-        where = f"golden_notes.tsv: the {n.kind} note at No. {n.no}"
-        if n.kind in _ROW_NOTES and (n.no, n.point) not in row_points:
-            raise ValueError(f"{where} {n.point} has no row of "
-                             f"golden_tables.tsv at that point")
-        if (n.kind == "surface_typo"
-                and (n.no, n.point, n.printed) not in surfaces):
-            raise ValueError(f"{where} {n.point} corrects {n.printed!r}, but "
-                             f"no row at that point prints it")
-        if n.kind == "list_typo" and (n.printed, n.corrected) != listed[n.no]:
-            raise ValueError(f"{where} reads {n.printed} -> {n.corrected}, "
-                             f"but families.tsv lists "
-                             f"{listed[n.no][0]} -> {listed[n.no][1]}")
+        if n not in used:
+            raise ValueError(f"{_note_name(n)} applies to no row or family")
     return GoldenData(tuple(fams), tuple(rows), notes)
 
 

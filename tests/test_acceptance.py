@@ -44,7 +44,7 @@ def test_criterion_01_enumeration():
     # the two documented list corrections
     assert fam(45).w == (1, 3, 4, 5, 8)
     assert fam(93).w == (1, 7, 8, 10, 25)
-    assert sum(1 for rec in DATA.families if rec.list_typo) == 2
+    assert sum(1 for n in DATA.notes if n.kind == "list_typo") == 2
     done("1 enumeration: 95 families, both list corrections applied")
 
 

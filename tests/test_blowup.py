@@ -364,8 +364,6 @@ class TestDivisorMultiplicity:
                 row = rows[0]
                 if row.linsys is None or row.location[0] != "vertex":
                     continue
-                if "alpha" in row.surface_raw:
-                    continue  # coefficients specific to the member
                 sing = row_point(f, row)
                 member = generic_member(f)
                 g = {}

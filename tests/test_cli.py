@@ -56,22 +56,40 @@ def golden_copy(tmp_path):
     return tmp_path
 
 
-def golden_with_cell(tmp_path, no, point, column, old, new):
-    """A `--golden` copy whose first row at the point with `old` in the
-    column reads `new` there."""
-    path = golden_copy(tmp_path) / "golden_tables.tsv"
+def _with_cell(tmp_path, name, key, column, old, new):
+    """A `--golden` copy whose first line of file `name` that starts with
+    the cells `key` and has `old` in the column reads `new` there, or lacks
+    that cell if `new` is None.  The column is found by its header name."""
+    path = golden_copy(tmp_path) / name
     lines = path.read_text().splitlines()
     col = lines[0].split("\t").index(column)
     for i, line in enumerate(lines):
         cells = line.split("\t")
-        if cells[:2] == [str(no), point] and cells[col] == old:
-            cells[col] = new
+        if cells[:len(key)] == key and cells[col] == old:
+            if new is None:
+                del cells[col]
+            else:
+                cells[col] = new
             lines[i] = "\t".join(cells)
             break
     else:
-        raise AssertionError(f"no row {no} {point} with {column} {old!r}")
+        raise AssertionError(f"no line {key} of {name} with {column} "
+                             f"{old!r}")
     path.write_text("\n".join(lines) + "\n")
     return tmp_path
+
+
+def golden_with_cell(tmp_path, no, point, column, old, new):
+    """A `--golden` copy whose first row at the point with `old` in the
+    column reads `new` there."""
+    return _with_cell(tmp_path, "golden_tables.tsv", [str(no), point],
+                      column, old, new)
+
+
+def golden_with_family_cell(tmp_path, no, column, old, new):
+    """A `--golden` copy whose families.tsv line of family `no` reads `new`
+    in the column, where it read `old`; None drops the cell."""
+    return _with_cell(tmp_path, "families.tsv", [str(no)], column, old, new)
 
 
 def golden_edited(tmp_path, name, edit):
@@ -97,6 +115,7 @@ NOTE_96 = "96\tOz\tcertificate_defect\tinequality\t-\t-\tnot a family\n"
 NOTE_95_OX = "95\tOx\tcertificate_defect\tinequality\t-\t-\tnot a point\n"
 # Malformed `--golden` directories, each with the start of its message.
 BAD_GOLDEN = {
+    # a row with a condition, so the error names it by point and condition
     "unknown_method": (
         lambda p: golden_with_cell(p, 95, "Oy", "method", "B", "Q"),
         "golden_tables.tsv: the row No. 95 Oy [a_1!=0]: unknown method 'Q'"),
@@ -110,8 +129,7 @@ BAD_GOLDEN = {
                                                     "\n2\t5\t1,1,1\t", 1)),
         "families.tsv: column 'weights' of family 2"),
     "short_row": (
-        lambda p: golden_edited(p, "families.tsv",
-                                lambda t: t.replace("\t5/2\t0\t", "\t", 1)),
+        lambda p: golden_with_family_cell(p, 2, "A3", "5/2", None),
         "families.tsv: line 3 has fewer cells than the header"),
     # a line with a cell more than its header names, in each file
     "long_family_row": (
@@ -140,18 +158,20 @@ BAD_GOLDEN = {
     "orphan_point_note": (
         lambda p: golden_edited(p, "golden_notes.tsv",
                                 lambda t: t + NOTE_95_OX),
-        "golden_notes.tsv: the certificate_defect note at No. 95 Ox has no "
-        "row of golden_tables.tsv"),
+        "golden_notes.tsv: the certificate_defect note at No. 95 Ox ('-' -> "
+        "'-') applies to no row or family"),
     "orphan_type_note": (
         lambda p: golden_edited(p, "golden_notes.tsv",
                                 lambda t: t.replace("\n35\tOzOw\t",
                                                     "\n35\tOxOw\t")),
-        "golden_notes.tsv: the type_typo note at No. 35 OxOw has no row"),
+        "golden_notes.tsv: the type_typo note at No. 35 OxOw "
+        "('1/2(1_x,1_y,1_t)' -> '1/3(1_x,1_y,2_t)') applies to no row"),
     "orphan_surface_note": (
         lambda p: golden_edited(p, "golden_notes.tsv",
                                 lambda t: t.replace("\n40\tOz\tsurface_typo",
                                                     "\n40\tOx\tsurface_typo")),
-        "golden_notes.tsv: the surface_typo note at No. 40 Ox has no row"),
+        "golden_notes.tsv: the surface_typo note at No. 40 Ox ('x^3, z' -> "
+        "'x^3, y') applies to no row"),
     # cells that were read only when a certificate ran, or not at all
     "unknown_point": (
         lambda p: golden_with_cell(p, 95, "OtOw", "point", "OtOw", "Oq"),
@@ -160,8 +180,8 @@ BAD_GOLDEN = {
         lambda p: golden_with_cell(p, 2, "Ow", "witness", "tw^2", "tw^2+q"),
         "golden_tables.tsv: the row No. 2 Ow []: cannot parse term 'q'"),
     "type_order_zero": (
-        lambda p: golden_edited(p, "golden_tables.tsv", lambda t: t.replace(
-            "\n95\tOzOt\t1\t2\t1/2(", "\n95\tOzOt\t1\t0\t1/0(")),
+        lambda p: golden_with_cell(p, 95, "OzOt", "type_raw",
+                                   "1/2(1_x,1_y,1_w)", "1/0(1_x,1_y,1_w)"),
         "golden_tables.tsv: the row No. 95 OzOt []: cannot parse "
         "singularity type '1/0(1_x,1_y,1_w)'"),
     "type_condition_without_type": (
@@ -174,9 +194,6 @@ BAD_GOLDEN = {
     "exclusion_without_vanishing": (
         lambda p: golden_with_cell(p, 95, "OtOw", "vanishing", "y", ""),
         "golden_tables.tsv: the row No. 95 OtOw []: an exclusion row needs"),
-    "r_mismatch": (
-        lambda p: golden_with_cell(p, 95, "OtOw", "r", "11", "12"),
-        "golden_tables.tsv: the row No. 95 OtOw []: column 'r' reads '12'"),
     # cells that `load` reads outside a table row
     "bad_A3": (
         lambda p: golden_edited(p, "families.tsv", lambda t: t.replace(
@@ -187,11 +204,6 @@ BAD_GOLDEN = {
         lambda p: golden_edited(p, "families.tsv", lambda t: t.replace(
             "\n3\t6\t1,1,1,1,3\t2\t", "\n3\t6\t1,1,1,1,3\t1/0\t")),
         "families.tsv: column 'A3' of family 3 reads '1/0'"),
-    "bad_printed_weights": (
-        lambda p: golden_edited(p, "families.tsv", lambda t: t.replace(
-            "\t2\t1\t1,1,1,1,3\n", "\t2\t1\t1,1,x,1,3\n")),
-        "families.tsv: column 'printed_weights' of family 3 reads "
-        "'1,1,x,1,3'"),
     "unsorted_weights": (
         lambda p: golden_edited(p, "families.tsv", lambda t: t.replace(
             "\n3\t6\t1,1,1,1,3\t", "\n3\t6\t1,1,1,3,1\t")),
@@ -214,32 +226,37 @@ BAD_GOLDEN = {
                                                     "\n95\t67\t")),
         "families.tsv: column 'd' of family 95 reads '67'"),
     "superrigid_not_a_flag": (
-        lambda p: golden_edited(p, "families.tsv", lambda t: t.replace(
-            "\n2\t5\t1,1,1,1,2\t5/2\t0\t", "\n2\t5\t1,1,1,1,2\t5/2\tno\t")),
+        lambda p: golden_with_family_cell(p, 2, "superrigid", "0", "no"),
         "families.tsv: column 'superrigid' of family 2 reads 'no', "
         "expected 0 or 1"),
-    # a correction applies only to the type that its note says was printed
+    # a second copy of a note would count its correction twice
+    "repeated_note": (
+        lambda p: golden_edited(p, "golden_notes.tsv",
+                                lambda t: t + t.splitlines()[1] + "\n"),
+        "golden_notes.tsv: the list_typo note at No. 45 - ('1,3,4,5,89' -> "
+        "'1,3,4,5,8') applies where an earlier note does"),
+    # a type note applies only where the row prints its printed type: here
+    # the row prints the corrected one
     "type_note_mismatch": (
-        lambda p: golden_edited(p, "golden_notes.tsv", lambda t: t.replace(
-            "\ttype_typo\ttype\t1/2(1_x,1_y,1_t)\t",
-            "\ttype_typo\ttype\t1/7(1_x,2_y,5_t)\t")),
-        "golden_tables.tsv: the row No. 35 OzOw []: the type_typo note "
-        "corrects '1/7(1_x,2_y,5_t)', but the row prints "
-        "'1/2(1_x,1_y,1_t)'"),
-    # a surface correction needs a row at its point that prints its surface
+        lambda p: golden_with_cell(p, 35, "OzOw", "type_raw",
+                                   "1/2(1_x,1_y,1_t)", "1/3(1_x,1_y,2_t)"),
+        "golden_notes.tsv: the type_typo note at No. 35 OzOw "
+        "('1/2(1_x,1_y,1_t)' -> '1/3(1_x,1_y,2_t)') applies to no row or "
+        "family"),
+    # a surface note needs a row at its point that prints its surface
     "surface_note_mismatch": (
         lambda p: golden_edited(p, "golden_notes.tsv", lambda t: t.replace(
             "\tsurface_typo\tsurface\tx^3, z\t",
             "\tsurface_typo\tsurface\tx^3, w\t")),
-        "golden_notes.tsv: the surface_typo note at No. 40 Oz corrects "
-        "'x^3, w', but no row at that point prints it"),
-    # a list correction must give the weights that families.tsv holds
+        "golden_notes.tsv: the surface_typo note at No. 40 Oz ('x^3, w' -> "
+        "'x^3, y') applies to no row or family"),
+    # a list note applies where families.tsv lists its corrected weights
     "list_note_mismatch": (
         lambda p: golden_edited(p, "golden_notes.tsv", lambda t: t.replace(
             "\tlist_typo\tweights\t1,3,4,5,89\t1,3,4,5,8\t",
             "\tlist_typo\tweights\t1,3,4,5,88\t1,3,4,5,9\t")),
-        "golden_notes.tsv: the list_typo note at No. 45 reads 1,3,4,5,88 -> "
-        "1,3,4,5,9, but families.tsv lists 1,3,4,5,89 -> 1,3,4,5,8"),
+        "golden_notes.tsv: the list_typo note at No. 45 - ('1,3,4,5,88' -> "
+        "'1,3,4,5,9') applies to no row or family"),
 }
 
 
@@ -276,6 +293,23 @@ class TestEnumerate:
         assert len(lines) == len(named)
         assert all(line.startswith(f"list correction: {no} ")
                    for line, no in zip(lines, named))
+
+    def test_a_list_correction_is_listed_only_by_its_note(self, tmp_path,
+                                                        capsys):
+        # without the No. 93 note, No. 93 is listed under its weights alone
+        golden_edited(tmp_path, "golden_notes.tsv", lambda t: "".join(
+            line for line in t.splitlines(True)
+            if not line.startswith("93\t")))
+        code, _, err = run(capsys, "enumerate", "--diff-paper",
+                           "--golden", str(tmp_path))
+        assert code == 0
+        assert err == ("list correction: No. 45 printed as "
+                       "P(1, 3, 4, 5, 89), actual P(1, 3, 4, 5, 8)\n")
+        code, out, _ = run(capsys, "check-tables", "--golden", str(tmp_path))
+        assert code == 0
+        assert out.startswith("95 families, 300 golden rows, 0 discrepancies "
+                              "(4 documented source corrections, 1 "
+                              "documented certificate defect)\n")
 
     def test_stable_at_higher_bound(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--max-weight", "50")
@@ -360,6 +394,17 @@ class TestReport:
             assert to_json(build_report(no, {}, data)) == \
                 to_json(build_report(no, {}, data))
 
+    def test_corrected_type_flags_only_the_corrected_types(self, capsys):
+        flagged = []
+        for argv in (["35"], ["74"], ["40", "--variant", "a1=0"]):
+            code, out, _ = run(capsys, "report", *argv, "--json")
+            assert code == 0
+            flagged += [(argv[0], p["point"])
+                        for p in json.loads(out)["points"]
+                        if p.get("corrected_type")]
+        # the No. 40 O_z row has a corrected surface, not a corrected type
+        assert flagged == [("35", "OzOw"), ("74", "Ow")]
+
     def test_text_and_json_agree_numerically(self, capsys):
         _, out_json, _ = run(capsys, "report", "23", "--json")
         rep = json.loads(out_json)
@@ -436,9 +481,11 @@ class TestCheckTables:
         # "quotient type" check, and nothing else
         (95, "Oy", "type_raw", "1/5(1_x,2_t,3_w)", "1/5(1_x,1_t,4_w)"),
         (95, "Oy", "count", "1", "2"),
+        # a wrong printed order, with no `r` column to repeat it
+        (95, "Oy", "type_raw", "1/5(1_x,2_t,3_w)", "1/4(1_x,1_t,3_w)"),
     ], ids=["19-OzOt-b3", "52-Oz-documented-defect-b3",
             "52-Oz-documented-defect-method", "21-OzOt-method-P",
-            "95-Oy-subscripts", "95-Oy-type", "95-Oy-count"])
+            "95-Oy-subscripts", "95-Oy-type", "95-Oy-count", "95-Oy-order"])
     def test_fault_injection_names_the_row(self, tmp_path, capsys, no, point,
                                            column, old, new):
         golden_with_cell(tmp_path, no, point, column, old, new)
@@ -467,12 +514,26 @@ class TestCheckTables:
         assert code == 1
         assert "  OyOz (b) exclude  |  T in |5B+2E|  -> FAILED\n" in out
 
+    def test_stale_printed_weights_column_is_ignored(self, tmp_path,
+                                                     capsys):
+        # an older dataset layout: families.tsv with a `printed_weights`
+        # column, whose No. 2 cell differs from its weights with no note
+        def add_column(text):
+            lines = text.splitlines()
+            lines[0] += "\tprinted_weights"
+            for i, line in enumerate(lines[1:], 1):
+                no, _d, weights = line.split("\t")[:3]
+                lines[i] += "\t" + ("1,1,1,1,3" if no == "2" else weights)
+            return "\n".join(lines) + "\n"
+        golden_edited(tmp_path, "families.tsv", add_column)
+        for argv in (["enumerate", "--diff-paper"], ["check-tables"]):
+            assert run(capsys, *argv, "--golden", str(tmp_path)) == \
+                run(capsys, *argv)
+
     def test_stored_superrigid_flag_is_checked(self, tmp_path, capsys):
         # the report prints the computed flag, and check-tables names the
         # stored one that disagrees
-        golden_edited(tmp_path, "families.tsv", lambda t: t.replace(
-            "\n95\t66\t1,5,6,22,33\t1/330\t1\t",
-            "\n95\t66\t1,5,6,22,33\t1/330\t0\t"))
+        golden_with_family_cell(tmp_path, 95, "superrigid", "1", "0")
         code, out, _ = run(capsys, "report", "95", "--json",
                            "--golden", str(tmp_path))
         assert code == 0 and json.loads(out)["superrigid"] is True
@@ -637,12 +698,10 @@ class TestErrorBoundary:
         assert err.count("\n") == 1
 
     def test_non_terminal_golden_family_is_a_mismatch(self, tmp_path, capsys):
-        path = golden_copy(tmp_path) / "families.tsv"
-        lines = path.read_text().splitlines()
-        assert lines[2].startswith("2\t")
-        lines[2] = "2\t7\t1,1,2,2,2\t7/8\t0\t1,1,2,2,2"  # 1/2(1,0,0) at O_z
-        path.write_text("\n".join(lines) + "\n")
-        code, out, err = run(capsys, "census", "2", "--golden", str(tmp_path))
+        # X_7 in P(1,1,2,2,2) has 1/2(1,0,0) at O_z
+        golden_with_family_cell(tmp_path, 5, "weights", "1,1,1,2,3",
+                                "1,1,2,2,2")
+        code, out, err = run(capsys, "census", "5", "--golden", str(tmp_path))
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -35,8 +35,7 @@ class TestGrammar:
         # a one-character subscript: 'alpha_iz' is alpha_i times z
         assert parse_monomials("y-alpha_iz") == (
             (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))
-        row = DATA.rows_for(22, "OyOz")[0]
-        assert row.surface_raw == "y-alpha_iz"
+        row = DATA.rows_for(22, "OyOz")[0]  # printed 'y-alpha_iz'
         assert row.surface == (((0, 1, 0, 0, 0), (0, 0, 1, 0, 0)),)
 
     def test_parse_type(self):
@@ -112,11 +111,16 @@ class TestDataset:
             assert rec.A3 == anticanonical_degree(rec.family)
 
     def test_list_typos(self):
-        assert DATA.family(45).printed_weights == (1, 3, 4, 5, 89)
+        # the notes keep the printed weights; families.tsv lists the
+        # corrected ones
+        notes = {n.no: n for n in DATA.notes if n.kind == "list_typo"}
+        assert sorted(notes) == [45, 93]
+        assert (notes[45].printed, notes[45].corrected) == (
+            "1,3,4,5,89", "1,3,4,5,8")
         assert DATA.family(45).family.w == (1, 3, 4, 5, 8)
-        assert DATA.family(93).printed_weights == (1, 3, 5, 16, 24)
+        assert (notes[93].printed, notes[93].corrected) == (
+            "1,3,5,16,24", "1,7,8,10,25")
         assert DATA.family(93).family.w == (1, 7, 8, 10, 25)
-        assert sum(1 for rec in DATA.families if rec.list_typo) == 2
 
     def test_type_corrections_applied(self):
         row35 = DATA.rows_for(35, "OzOw")[0]
@@ -131,8 +135,11 @@ class TestDataset:
     def test_surface_correction_applied(self):
         row = next(r for r in DATA.rows_for(40, "Oz")
                    if ("a1", "zero") in r.condition)
-        assert row.surface_raw == "x^3, z"
+        (note,) = [n for n in DATA.notes if n.kind == "surface_typo"]
+        assert (note.no, note.point, note.printed) == (40, "Oz", "x^3, z")
         assert (0, 1, 0, 0, 0) in {m for gen in row.surface for m in gen}
+        # `corrected` is about the type, which this row prints right
+        assert not row.corrected
 
     def test_defect_flag(self):
         row = DATA.rows_for(52, "Oz")[0]
@@ -168,6 +175,13 @@ class TestDataset:
         assert counts == {"B": 155, "N": 32, "S": 23, "F": 10, "P": 16,
                           "TAU": 45, "TAU1": 9, "EPS": 6, "EPS1": 1,
                           "EPS2": 1, "IOTA": 1, "IOTA1": 1}
+
+    def test_each_header_names_exactly_the_columns_load_reads(self):
+        # a column that `load` does not read is dead or repeats another
+        src = resources.files("wfano") / "data"
+        for name, columns in golden._COLUMNS.items():
+            header = (src / name).read_text("utf-8").split("\n", 1)[0]
+            assert sorted(header.split("\t")) == sorted(columns), name
 
 
 class TestVariantMatching:
