@@ -10,7 +10,7 @@ quasi-smoothness monomial.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .exactmath import COORDS, NoEliminatingMonomial
@@ -22,9 +22,15 @@ if TYPE_CHECKING:
 # The 4 vertices and 6 edges that carry quotient points, by name, as
 # `QuotientSingularity.point_id` writes them: "Oz" -> ("vertex", 2),
 # "OzOt" -> ("edge", 2, 3).
+EDGES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 LOCATIONS = {"O" + COORDS[i]: ("vertex", i) for i in range(1, 5)}
 LOCATIONS.update(("O" + COORDS[i] + "O" + COORDS[j], ("edge", i, j))
-                 for i in range(1, 5) for j in range(i + 1, 5))
+                 for i, j in EDGES)
+
+# (i, j) -> the three coordinates other than i and j, in order: the local
+# parameters at O_i when x_j is eliminated, and along the edge O_iO_j
+OTHERS = {(i, j): tuple(k for k in range(5) if k not in (i, j))
+          for i in range(5) for j in range(5) if i != j}
 
 
 class NonTerminal(ValueError):
@@ -35,25 +41,24 @@ class EdgeContained(ValueError):
     """The coordinate edge lies inside every member of the family."""
 
 
+def _unit_slot(r: int, v: int, p: int, q: int) -> Optional[tuple]:
+    """(v, p, q) / v mod r if that is (1, a, r-a) with v and a units."""
+    if r > 1 and gcd(v, r) == gcd(p, r) == 1 and (p + q) % r == 0:
+        a = pow(v, -1, r) * p % r
+        return 1, a, r - a
+
+
 def try_normalize_type(r: int, residues) -> Optional[tuple[int, int, int]]:
     """Normalize residues to (1, a, r-a) by a unit mod r, or None.
 
     The slot carrying the 1 is chosen as early as possible, so an input
     already of the shape (1, a, r-a) is returned unchanged.
     """
-    res = tuple(x % r for x in residues)
-    if len(res) != 3:
+    if len(residues) != 3:
         raise ValueError("need exactly three residues")
-    for k in range(3):
-        v = res[k]
-        if v == 0 or gcd(v, r) != 1:
-            continue
-        u = pow(v, -1, r)
-        rest = [res[i] for i in range(3) if i != k]
-        a, b = (u * rest[0]) % r, (u * rest[1]) % r
-        if a != 0 and (a + b) % r == 0 and gcd(a, r) == 1:
-            return (1, a, b)
-    return None
+    x, y, z = residues
+    return (_unit_slot(r, x, y, z) or _unit_slot(r, y, x, z)
+            or _unit_slot(r, z, x, y))
 
 
 def normalize_type(r: int, residues) -> tuple[int, int, int]:
@@ -116,16 +121,15 @@ def default_eliminated(f: Family, i: int) -> Optional[int]:
     on ties, which matches the normal form of the defining equation: the
     weights never decrease along the coordinates, so it is the last one.
     """
-    w5, d = f.w, f.d
-    r = w5[i]
+    w5, d, r = f.w, f.d, f.w[i]
     if r == 1 or d % r == 0:
         return None
-    cands = vertex_elimination_candidates(f, i)
-    if not cands:
-        raise NoEliminatingMonomial(
-            f"no monomial x_{COORDS[i]}^k*x_j of degree {d}: "
-            f"family not quasi-smooth at O_{COORDS[i]}")
-    return cands[-1]
+    for j in (4, 3, 2, 1, 0):
+        if j != i and (d - w5[j]) % r == 0 and d - w5[j] >= r:
+            return j
+    raise NoEliminatingMonomial(
+        f"no monomial x_{COORDS[i]}^k*x_j of degree {d}: "
+        f"family not quasi-smooth at O_{COORDS[i]}")
 
 
 def vertex_singularity(f: Family, i: int,
@@ -148,8 +152,8 @@ def vertex_singularity(f: Family, i: int,
         raise NoEliminatingMonomial(
             f"{COORDS[eliminated]} cannot be eliminated at O_{COORDS[i]}")
     w5, r = f.w, f.w[i]
-    locs = tuple(j for j in range(5) if j not in (i, eliminated))
-    residues = tuple(w5[j] % r for j in locs)
+    k, l, m = locs = OTHERS[i, eliminated]
+    residues = w5[k] % r, w5[l] % r, w5[m] % r
     return QuotientSingularity(
         r=r, type_=normalize_type(r, residues), location=("vertex", i),
         count=1, local_params=locs, residues=residues, eliminated=eliminated)
@@ -161,18 +165,17 @@ def edge_point_count(f: Family, i: int, j: int) -> int:
     The pure (x_i, x_j) part of the equation is a binary form of degree d;
     after removing the forced vertex powers x_i^pmin x_j^qmin, the open
     stratum of P(a_i, a_j) carries (d - pmin a_i - qmin a_j)/lcm(a_i, a_j)
-    distinct zeros for a general member.
+    distinct zeros for a general member.  That is the number of steps from
+    pmin to pmax, as the exponents p step by lcm/a_i = a_j/gcd(a_i, a_j)
+    and d - pmin a_i - qmin a_j = (pmax - pmin) a_i.
     """
-    w5, d = f.w, f.d
-    sols = [(p, (d - p * w5[i]) // w5[j])
-            for p in range(d // w5[i] + 1)
-            if (d - p * w5[i]) % w5[j] == 0]
-    if not sols:
-        raise EdgeContained(
-            f"no monomial purely in {COORDS[i]},{COORDS[j]} of degree {d}")
-    pmin = min(p for p, _q in sols)
-    qmin = min(q for _p, q in sols)
-    return (d - pmin * w5[i] - qmin * w5[j]) // lcm(w5[i], w5[j])
+    d, ai, aj = f.d, f.w[i], f.w[j]
+    top = d // ai
+    for pmin in range(top + 1):
+        if (d - pmin * ai) % aj == 0:
+            return (top - pmin) // (aj // gcd(ai, aj))
+    raise EdgeContained(
+        f"no monomial purely in {COORDS[i]},{COORDS[j]} of degree {d}")
 
 
 def edge_singularities(f: Family, i: int, j: int
@@ -187,8 +190,8 @@ def edge_singularities(f: Family, i: int, j: int
     count = edge_point_count(f, i, j)
     if count == 0:
         return None
-    locs = tuple(k for k in range(5) if k not in (i, j))
-    residues = tuple(w5[k] % h for k in locs)
+    k, l, m = locs = OTHERS[i, j]
+    residues = w5[k] % h, w5[l] % h, w5[m] % h
     return QuotientSingularity(
         r=h, type_=normalize_type(h, residues), location=("edge", i, j),
         count=count, local_params=locs, residues=residues, eliminated=None)
@@ -196,17 +199,9 @@ def edge_singularities(f: Family, i: int, j: int
 
 def census(f: Family) -> Census:
     """All vertex and edge quotient points of the general member."""
-    entries = []
-    for i in range(1, 5):
-        s = vertex_singularity(f, i)
-        if s is not None:
-            entries.append(s)
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            s = edge_singularities(f, i, j)
-            if s is not None:
-                entries.append(s)
-    return Census(tuple(entries))
+    found = [vertex_singularity(f, i) for i in range(1, 5)]
+    found += [edge_singularities(f, i, j) for i, j in EDGES]
+    return Census(tuple(s for s in found if s is not None))
 
 
 def no_singular_curves(w: tuple[int, int, int, int, int]) -> bool:

@@ -460,11 +460,11 @@ def parse_variant(text: str) -> dict[str, str]:
             continue
         if tok == "special":
             name, value = "special", "yes"
-        elif "=" not in tok:
-            raise UnknownVariantFlag(f"bad variant flag {tok!r}")
         else:
-            name, value = tok.split("=", 1)
+            name, sep, value = tok.partition("=")
             name = canonical_atom(name)
+            if not (sep and name):
+                raise UnknownVariantFlag(f"bad variant flag {tok!r}")
             value = value.strip()
             if name == "type":
                 if value not in ("I", "II"):

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .census import default_eliminated, is_terminal_family, no_singular_curves
 from .exactmath import COORDS, Exp5, Poly, parse_poly
@@ -177,9 +177,11 @@ def general_quasismooth(f: Family, exclude_pure: Optional[tuple[int, ...]] = Non
 
 # ----------------------------------------------------------- enumeration
 
-def bare_weight_a4s(a1: int, a2: int, a3: int, max_weight: int) -> list[int]:
-    """The a4 in [a3, max_weight] whose bare weights (1, a1, a2, a3, a4)
-    pass the singleton case of the quasi-smoothness test at every vertex.
+def bare_weight_candidates(a1: int, a2: int, max_weight: int
+                           ) -> Iterator[tuple[int, int]]:
+    """The (a3, a4) with a2 <= a3 <= a4 <= max_weight whose bare weights
+    (1, a1, a2, a3, a4) pass two tests: a1, a2, a3 share no factor, and
+    the singleton case of the quasi-smoothness test holds at every vertex.
 
     With s = a1+a2+a3 and d = s + a4, x_w^k has degree d iff a4 | s, and
     x_w^k * x_j has degree d for some k >= 1 iff a4 | s - a_j (a0 = 1), so
@@ -189,27 +191,33 @@ def bare_weight_a4s(a1: int, a2: int, a3: int, max_weight: int) -> list[int]:
     or (s-1)/2), and a3 itself when a2 = a3 (the half of s-a1 = 2a3):
     every other n/2 or n/3 is below a3, or equals a3 with a1 = a2 = a3.
 
+    Once a3 > a1+a2, only s, s-1, a2+a3 and a1+a3 are at least a3 (s//2
+    and a1+a2 are below it, and a2 < a3), and the least of them is a1+a3.
+    So a3 stops at max_weight - a1 once that is past a1+a2.
+
     Each value is then tested at O_t, O_z, O_y and O_w in turn (O_t
     rejects the most): for I = {i}, some x_i^k or x_i^k * x_j has degree
     d, that is d = a_j mod a_i for some j, where j = i stands for x_i^k
     alone.  Each is a necessary condition for `general_quasismooth`.  The
-    result is in no particular order.
+    pairs come in no particular order.
     """
-    s = a1 + a2 + a3
-    kept = []
-    for a4 in {s, s - 1, a2 + a3, a1 + a3, a1 + a2, s // 2,
-               a3 if a2 == a3 else s}:
-        if not a3 <= a4 <= max_weight:
+    g12 = gcd(a1, a2)
+    for a3 in range(a2, min(max_weight, max(max_weight - a1, a1 + a2)) + 1):
+        if gcd(g12, a3) != 1:
             continue
-        d = s + a4
-        for a in (a3, a2, a1, a4):
-            r = d % a
-            if (r != 1 % a and r != a1 % a and r != a2 % a and r != a3 % a
-                    and r != a4 % a):
-                break
-        else:
-            kept.append(a4)
-    return kept
+        s = a1 + a2 + a3
+        for a4 in {s, s - 1, a2 + a3, a1 + a3, a1 + a2, s // 2,
+                   a3 if a2 == a3 else s}:
+            if not a3 <= a4 <= max_weight:
+                continue
+            d = s + a4
+            for a in (a3, a2, a1, a4):
+                r = d % a
+                if (r != 1 % a and r != a1 % a and r != a2 % a
+                        and r != a3 % a and r != a4 % a):
+                    break
+            else:
+                yield a3, a4
 
 
 def enumerate_families(max_weight: int = 33) -> list[Family]:
@@ -234,34 +242,31 @@ def enumerate_families(max_weight: int = 33) -> list[Family]:
       criterion ("Working with weighted complete intersections"): x_w^k or
       x_w^k * x_j has degree d = a1+a2+a3+a4, so a4 divides d - a_j for
       some coordinate j, with j = w for x_w^k alone.  The same singleton
-      test holds at the other vertices.  `bare_weight_a4s` draws only the
-      a4 that pass both.
+      test holds at the other vertices.  `bare_weight_candidates`, one
+      pass per pair (a1, a2), draws only the (a3, a4) that pass both.
 
     Every quadruple that is left is decided by the full
     `is_terminal_family` and then `general_quasismooth`, so the pre-tests
     only save work.  The terminal test goes first because it rejects more
     of the survivors, and the conjunction does not depend on the order:
     `is_terminal_family` returns False, never raises, on a family that is
-    not quasi-smooth.  At max_weight 33, 5,404 of the 6,545 triples share
-    no factor and give 8,867 candidates; 577 pass the vertex test and 258
-    the triple test, and of those 95 are terminal and 95 quasi-smooth.
+    not quasi-smooth.  At max_weight 33 the scan visits 5,504 of the 6,545
+    triples (the rest are past the a3 cap); 4,532 share no factor and give
+    8,867 candidates, 577 pass the vertex test and 258 the triple test, and
+    of those 95 are terminal and 95 quasi-smooth.
     """
     found = []
     for a1 in range(1, max_weight + 1):
         for a2 in range(a1, max_weight + 1):
-            g12 = gcd(a1, a2)
-            for a3 in range(a2, max_weight + 1):
-                if gcd(g12, a3) != 1:
+            for a3, a4 in bare_weight_candidates(a1, a2, max_weight):
+                w = (1, a1, a2, a3, a4)
+                if not no_singular_curves(w):
                     continue
-                for a4 in bare_weight_a4s(a1, a2, a3, max_weight):
-                    w = (1, a1, a2, a3, a4)
-                    if not no_singular_curves(w):
-                        continue
-                    fam = Family(w)
-                    if not (is_terminal_family(fam)
-                            and general_quasismooth(fam).ok):
-                        continue
-                    found.append((fam.d, a1, a2, a3, a4))
+                fam = Family(w)
+                if not (is_terminal_family(fam)
+                        and general_quasismooth(fam).ok):
+                    continue
+                found.append((fam.d, a1, a2, a3, a4))
     found.sort()
     return [Family.of(a1, a2, a3, a4, entry_no=i + 1)
             for i, (_d, a1, a2, a3, a4) in enumerate(found)]

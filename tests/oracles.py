@@ -14,6 +14,9 @@ decides another way, so the tests can compare the two:
   `blowup.transform_beta_E`;
 - `weighted_monomials`: every monomial of a degree, against the support of
   `wps.normal_form_support`;
+- `normalized_types`: every residue triple mod r that a unit scales to
+  (1, a, r-a), built forward from the shapes, against
+  `census.try_normalize_type`;
 - `row_point`: the quotient point a golden row names, in the chart its
   subscripts pick, where `rigidity.certify_row` takes the census point,
   whose r, count and type are the same in every chart.
@@ -23,6 +26,7 @@ them where a test file imports them.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from wfano.blowup import B, NonIntegral, transform_beta_E
 from wfano.census import (QuotientSingularity, edge_singularities,
@@ -107,6 +111,25 @@ def weighted_monomials(weights, d: int) -> set[Exp5]:
     first = weights[0]
     return {(rest // first,) + exps for exps, rest in partial
             if rest % first == 0}
+
+
+def normalized_types(r: int) -> dict[tuple[int, int, int],
+                                      tuple[int, int, int]]:
+    """Each residue triple mod r that is a unit times a slot arrangement of
+    (1, a, r-a), a a unit, mapped to that (1, a, r-a).
+
+    The 1 may sit in any slot, with a and r-a in the other two in order; a
+    triple that two slots reach keeps the result of the earliest one.
+    """
+    units = [u for u in range(1, r) if gcd(u, r) == 1]
+    out = {}
+    for k in (2, 1, 0):  # an earlier slot overwrites a later one
+        for a in units:
+            shape = [a, r - a]
+            shape.insert(k, 1)
+            for c in units:
+                out[tuple(c * x % r for x in shape)] = (1, a, r - a)
+    return out
 
 
 def row_point(f: Family, row: GoldenRow) -> QuotientSingularity:

@@ -1,7 +1,9 @@
 """Quotient singularity census: types, locations, counts."""
 
+import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from math import gcd
 
 import pytest
@@ -15,6 +17,8 @@ from wfano.census import (EdgeContained, NonTerminal, canonical_type, census,
                           vertex_elimination_candidates, vertex_singularity)
 from wfano.exactmath import NoEliminatingMonomial
 from wfano.wps import Family
+
+from oracles import normalized_types
 
 
 def fam(no):
@@ -39,6 +43,18 @@ class TestNormalizeType:
     def test_shared_factor(self):
         with pytest.raises(NonTerminal):
             normalize_type(4, (1, 2, 3))  # residue 2 shares a factor with 4
+
+    def test_matches_the_forward_oracle(self):
+        # every residue triple mod r <= 30, the unit in the earliest slot
+        for r in range(1, 31):
+            table = normalized_types(r)
+            for res in product(range(r), repeat=3):
+                assert try_normalize_type(r, res) == table.get(res), (r, res)
+
+    @pytest.mark.parametrize("residues", [(1, 2), (1, 2, 3, 4)])
+    def test_three_residues(self, residues):
+        with pytest.raises(ValueError, match="need exactly three residues"):
+            try_normalize_type(5, residues)
 
     @given(st.integers(min_value=2, max_value=60), st.data())
     @settings(max_examples=200)
@@ -212,6 +228,21 @@ class TestCensus:
         by_point = {e.point_id(): e for e in census(fam(95)).entries}
         assert by_point["OtOw"].r == 11
         assert "Ow" not in by_point
+
+
+    def test_digest_of_every_small_quadruple(self):
+        # the records, or the exception's class and message, of the census
+        # of each of the 17,550 quadruples with a4 <= 24
+        lines = []
+        for w in combinations_with_replacement(range(1, 25), 4):
+            try:
+                out = repr(census(Family.of(*w)).entries)
+            except (NonTerminal, EdgeContained, NoEliminatingMonomial) as e:
+                out = f"{type(e).__name__}: {e}"
+            lines.append(f"{w} {out}")
+        assert len(lines) == 17550
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "3004617e78de99acb78f20192259476ab0cb96f81c237028548881ba4fb060f3")
 
 
 class TestTerminalFamily:

@@ -645,6 +645,7 @@ class TestErrorBoundary:
         ("report", "1", "--variant", "special"),
         ("report", "95", "--variant", "a1=0,a1=nonzero"),
         ("report", "95", "--variant", "a1=0,a_1=0"),
+        ("report", "5", "--variant", "=0"),
         ("report", "95", "--golden", "{missing}"),
         ("search", "1,1,1,4", "--golden", "{missing}"),
         ("report", "95", "--golden", "{unknown_method}"),
@@ -665,6 +666,7 @@ class TestErrorBoundary:
             "order-variant-flag", "report-variant-special",
             "report-variant-special-no-points",
             "report-variant-repeated", "report-variant-repeated-alias",
+            "report-variant-empty-flag",
             "report-missing-golden", "search-missing-golden",
             "report-golden-unknown-method", "report-golden-no-A3-column",
             "report-golden-short-weights", "report-golden-short-row",

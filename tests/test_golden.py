@@ -93,6 +93,10 @@ class TestGrammar:
         assert parse_variant("special") == {"special": "yes"}
         with pytest.raises(UnknownVariantFlag):
             parse_variant("a1=maybe")
+        for tok in ("=0", "_=0", "a1"):
+            with pytest.raises(UnknownVariantFlag,
+                               match=f"^bad variant flag '{tok}'$"):
+                parse_variant(tok)
 
     def test_canonical_atom(self):
         assert canonical_atom("a_1") == "a1"

@@ -45,11 +45,13 @@ def installed_tracer():
 def test_enumeration_counts_every_quasismoothness_test(installed_tracer):
     # an inlined test would leave the per-layer counts at 0; the 258
     # quadruples past the bare-weight tests meet the terminal test first,
-    # and only its 95 passes reach the quasi-smoothness test
+    # which takes one census each, and only its 95 passes reach the
+    # quasi-smoothness test
     wps = sys.modules["wfano.wps"]
     assert len(wps.enumerate_families(33)) == 95
     taken = installed_tracer.take()
     assert taken["layers"]["census.is_terminal_family"][0] == 258
+    assert taken["layers"]["census.census"][0] == 258
     assert taken["layers"]["wps.general_quasismooth"][0] == 95
     assert taken["counters"]["wps.qs_passed"] == 95
 

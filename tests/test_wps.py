@@ -12,7 +12,8 @@ from wfano.census import (is_terminal_family, no_singular_curves,
                           vertex_elimination_candidates, vertex_singularity)
 from wfano.exactmath import COORDS, _reduce_to_chart
 from wfano.wps import (Family, UnknownSpecialMember, _eliminating_monomials,
-                       _extend_mask, anticanonical_degree, bare_weight_a4s,
+                       _extend_mask, anticanonical_degree,
+                       bare_weight_candidates,
                        eliminating_monomial, enumerate_families,
                        general_quasismooth, generic_member, hat_lcms,
                        is_wellformed, normal_form_support, special_member)
@@ -223,25 +224,33 @@ class TestEnumeration:
     @settings(max_examples=400, deadline=None)
     def test_candidate_filter_keeps_every_quasismooth_quadruple(self, w):
         f = Family.of(*w)
-        if general_quasismooth(f).ok:
-            a1, a2, a3, a4 = w
-            assert a4 in bare_weight_a4s(a1, a2, a3, a4)
+        a1, a2, a3, a4 = w
+        if general_quasismooth(f).ok and gcd(a1, a2, a3) == 1:
+            assert (a3, a4) in bare_weight_candidates(a1, a2, a4)
 
     def test_candidates_are_the_large_divisors(self):
         # n, n/2 and n/3 for n in s, s-1, s-a1, s-a2, s-a3, read literally,
-        # that pass the vertex test; no value may come twice
+        # that pass the vertex test, for every a3 in [a2, bound] that shares
+        # no factor with a1 and a2; no pair may come twice.  The bound 72
+        # runs a3 past the cap at max(72 - a1, a1 + a2).
         for a1 in range(1, 25):
             for a2 in range(a1, 25):
-                for a3 in range(a2, 25):
-                    s = a1 + a2 + a3
-                    for bound in (a3, 24, 3 * 24):
-                        expected = sorted(a4 for a4 in {
-                            n // q for n in (s, s - 1, s - a1, s - a2, s - a3)
-                            for q in (1, 2, 3)
-                            if n % q == 0 and a3 <= n // q <= bound}
-                            if vertex_tests_pass(Family.of(a1, a2, a3, a4)))
-                        assert sorted(bare_weight_a4s(a1, a2, a3, bound)) \
-                            == expected
+                for bound in (a2, 24, 3 * 24):
+                    expected = []
+                    for a3 in range(a2, bound + 1):
+                        if gcd(a1, a2, a3) != 1:
+                            continue
+                        s = a1 + a2 + a3
+                        for a4 in sorted({
+                                n // q for n in (s, s - 1, s - a1, s - a2,
+                                                 s - a3)
+                                for q in (1, 2, 3)
+                                if n % q == 0 and a3 <= n // q <= bound}):
+                            if vertex_tests_pass(Family.of(a1, a2, a3, a4)):
+                                expected.append((a3, a4))
+                    got = list(bare_weight_candidates(a1, a2, bound))
+                    assert len(got) == len(set(got))
+                    assert sorted(got) == expected, (a1, a2, bound)
 
     # each pre-test rejecting a quadruple that the other two keep
     @example((1, 1, 1, 4)).via("a4 not a candidate")
@@ -253,20 +262,22 @@ class TestEnumeration:
     @settings(max_examples=400, deadline=None)
     def test_bare_weight_rejection_is_never_a_family(self, w):
         a1, a2, a3, a4 = w
-        if (a4 in bare_weight_a4s(a1, a2, a3, a4)
+        if ((a3, a4) in bare_weight_candidates(a1, a2, a4)
                 and no_singular_curves((1, *w))):
             return
         f = Family.of(*w)
         assert not (general_quasismooth(f).ok and is_terminal_family(f))
 
     def test_vertex_conditions_read_the_elimination_candidates(self):
+        # a triple that shares a factor yields no a4 at all
         for a1 in range(1, 16):
             for a2 in range(a1, 16):
+                kept = set(bare_weight_candidates(a1, a2, 15))
                 for a3 in range(a2, 16):
                     for a4 in range(a3, 16):
                         f = Family.of(a1, a2, a3, a4)
-                        assert (a4 in bare_weight_a4s(a1, a2, a3, a4)) \
-                            == vertex_tests_pass(f), f
+                        assert ((a3, a4) in kept) == (
+                            gcd(a1, a2, a3) == 1 and vertex_tests_pass(f)), f
 
     def test_matches_four_loop_scan(self):
         assert [(f.d, *f.w[1:]) for f in enumerate_families(20)] == \
