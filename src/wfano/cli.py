@@ -97,6 +97,12 @@ def _member_chart(f: Family, i: int, member) -> int | None:
                key=lambda e: (f.w[e], e), default=None)
 
 
+def _print_payload(args, payload: dict, render) -> int:
+    """Print the payload as JSON or text; exit 1 iff it has a discrepancy."""
+    print(report_mod.to_json(payload) if args.json else render(payload))
+    return MISMATCH if payload["discrepancies"] else 0
+
+
 # ------------------------------------------------------------- subcommands
 
 def cmd_enumerate(args) -> int:
@@ -156,11 +162,7 @@ def cmd_report(args) -> int:
     f = _resolve_family(args.family, dataset)
     rep = report_mod.build_report(f.entry_no,
                                   parse_variant(args.variant or ""), dataset)
-    if args.json:
-        print(report_mod.to_json(rep))
-    else:
-        print(report_mod.render_text(rep))
-    return 0 if not rep["discrepancies"] else MISMATCH
+    return _print_payload(args, rep, report_mod.render_text)
 
 
 def cmd_check_tables(args) -> int:
@@ -168,21 +170,7 @@ def cmd_check_tables(args) -> int:
     only = (None if args.family is None
             else _resolve_family(args.family, dataset).entry_no)
     result = report_mod.check_tables(dataset, family_filter=only)
-    if args.json:
-        print(report_mod.to_json({
-            "summary": result.summary(),
-            "discrepancies": result.discrepancies,
-            "documented": result.documented,
-        }))
-    else:
-        print(result.summary())
-        for d in result.documented:
-            print(f"  documented {d['kind']}: No. {d['family']} {d['point']}: "
-                  f"{d['note']}")
-        for d in result.discrepancies:
-            print(f"  DISCREPANCY No. {d['family']} {d['point']} "
-                  f"[{d.get('condition', '')}]: {d['reason']}")
-    return 0 if result.clean else MISMATCH
+    return _print_payload(args, result, report_mod.render_check_text)
 
 
 def cmd_order(args) -> int:

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Optional
+from typing import Optional, Sequence
 
 from .census import QuotientSingularity, census
 from .golden import (GoldenData, METHOD_SYMBOLS, default_assignment,
                      match_rows)
-from .rigidity import (Certificate, certify_row, curve_status,
+from .rigidity import (Certificate, Check, certify_row, curve_status,
                        smooth_point_status, super_rigid)
 from .wps import COORDS, anticanonical_degree
 
@@ -53,14 +53,17 @@ def build_report(no: int, variant: Optional[dict[str, str]],
     }
     if not cens.entries:
         report["note"] = "no singular points"
-    for point in dataset.points_of(no):
-        rows = match_rows(dataset, no, point, variant)
-        for row in rows:
+    points = dataset.points_of(no)
+    report["discrepancies"] += _rowless_points(no, cens.entries, points)
+    for point in points:
+        for row in match_rows(dataset, no, point, variant):
             cert = certify_row(f, row, cens.entries)
             report["points"].append(_point_entry(cert))
-            if cert.undocumented_failures:
-                report["discrepancies"].append(
-                    _discrepancy(cert, "certificate check failed"))
+            failures = cert.undocumented_failures
+            if failures:
+                report["discrepancies"].append(_discrepancy(
+                    no, point, "certificate check failed",
+                    row.condition_raw, failures))
     return report
 
 
@@ -95,14 +98,24 @@ def _point_entry(cert: Certificate) -> dict:
     return entry
 
 
-def _discrepancy(cert: Certificate, reason: str) -> dict:
-    return {
-        "family": cert.row.family_no,
-        "point": cert.row.point,
-        "condition": cert.row.condition_raw,
-        "reason": reason,
-        "failed_checks": [c.name for c in cert.undocumented_failures],
-    }
+def _discrepancy(no: int, point: str, reason: str, condition: str = "",
+                 failed: Sequence[Check] = ()) -> dict:
+    """The record of one discrepancy; only a row's has `failed_checks`."""
+    record = {"family": no, "point": point, "condition": condition,
+              "reason": reason}
+    if failed:
+        record["failed_checks"] = [c.name for c in failed]
+    return record
+
+
+def _rowless_points(no: int, entries: Sequence[QuotientSingularity],
+                    points: list[str]) -> list[dict]:
+    """The discrepancy of the census points with no table row, if any; a
+    row at a point the census lacks, or whose count, r or type is not the
+    census's, fails its own "quotient type" check instead."""
+    unmatched = [e.point_id() for e in entries if e.point_id() not in points]
+    return [_discrepancy(no, "-", f"census points {unmatched} have no "
+                                  f"table row")] if unmatched else []
 
 
 def render_text(report: dict) -> str:
@@ -153,9 +166,10 @@ def render_text(report: dict) -> str:
     if report["discrepancies"]:
         lines.append("discrepancies:")
         for d in report["discrepancies"]:
+            failed = d.get("failed_checks")
             lines.append(f"  {d['family']} {d['point']} "
-                         f"[{d['condition']}]: {d['reason']} "
-                         f"({', '.join(d['failed_checks'])})")
+                         f"[{d['condition']}]: {d['reason']}"
+                         + (f" ({', '.join(failed)})" if failed else ""))
     else:
         lines.append("discrepancies: none")
     return "\n".join(lines)
@@ -163,25 +177,14 @@ def render_text(report: dict) -> str:
 
 # --------------------------------------------------------------- the suite
 
-class CheckResult(NamedTuple):
-    families: int
-    rows: int
-    discrepancies: list[dict]
-    documented: list[dict]
-
-    @property
-    def clean(self) -> bool:
-        return not self.discrepancies
-
-    def summary(self) -> str:
-        ncorr = sum(1 for d in self.documented if d["kind"] != "defect")
-        ndef = sum(1 for d in self.documented if d["kind"] == "defect")
-        ndisc = len(self.discrepancies)
-        return (f"{_count(self.families, 'family', 'families')}, "
-                f"{_count(self.rows, 'golden row')}, "
-                f"{_count(ndisc, 'discrepancy', 'discrepancies')} "
-                f"({_count(ncorr, 'documented source correction')}, "
-                f"{_count(ndef, 'documented certificate defect')})")
+def check_summary(families: int, rows: int, discrepancies: int,
+                  corrections: int, defects: int) -> str:
+    """The first line of `check-tables`, from its counts."""
+    return (f"{_count(families, 'family', 'families')}, "
+            f"{_count(rows, 'golden row')}, "
+            f"{_count(discrepancies, 'discrepancy', 'discrepancies')} "
+            f"({_count(corrections, 'documented source correction')}, "
+            f"{_count(defects, 'documented certificate defect')})")
 
 
 def _count(n: int, one: str, many: str = "") -> str:
@@ -190,16 +193,12 @@ def _count(n: int, one: str, many: str = "") -> str:
 
 
 def check_tables(dataset: GoldenData,
-                 family_filter: Optional[int] = None) -> CheckResult:
-    """Re-derive every golden row and audit census/variant coverage."""
+                 family_filter: Optional[int] = None) -> dict:
+    """Re-derive every golden row and audit census/variant coverage; the
+    payload `check-tables --json` prints."""
     discrepancies: list[dict] = []
     documented: list[dict] = []
-    nrows = 0
-    nfam = 0
-
-    def discrepancy(no: int, point: str, reason: str, condition: str = ""):
-        discrepancies.append({"family": no, "point": point,
-                              "condition": condition, "reason": reason})
+    nrows = nfam = 0
 
     for note in dataset.notes:
         if family_filter is not None and note.no != family_filter:
@@ -218,37 +217,30 @@ def check_tables(dataset: GoldenData,
         nfam += 1
         f = rec.family
 
-        A3 = anticanonical_degree(f)
-        if A3 != rec.A3:
-            discrepancy(no, "-", f"A^3 mismatch: computed {A3}, "
-                                 f"stored {rec.A3}")
-        superrigid = super_rigid(dataset, no)
-        if superrigid != rec.superrigid:
-            discrepancy(no, "-", f"super-rigidity mismatch: computed "
-                                 f"{superrigid}, stored {rec.superrigid}")
+        for name, computed, stored in (
+                ("A^3", anticanonical_degree(f), rec.A3),
+                ("super-rigidity", super_rigid(dataset, no), rec.superrigid)):
+            if computed != stored:
+                discrepancies.append(_discrepancy(
+                    no, "-", f"{name} mismatch: computed {computed}, "
+                             f"stored {stored}"))
 
         cens = census(f)
         points = dataset.points_of(no)
-        # a row at a point the census lacks fails its own "quotient type"
-        # check, and so does a row whose count, r or type is not the
-        # census's; only a census point without a row needs a line here
-        unmatched = [e.point_id() for e in cens.entries
-                     if e.point_id() not in points]
-        if unmatched:
-            discrepancy(no, "-", f"census points {unmatched} have no "
-                                 f"table row")
+        discrepancies += _rowless_points(no, cens.entries, points)
 
         for row in dataset.rows_for(no):
             nrows += 1
-            cert = certify_row(f, row, cens.entries)
-            failures = cert.undocumented_failures
+            failures = certify_row(f, row, cens.entries).undocumented_failures
             if failures:
                 discrepancies.append(_discrepancy(
-                    cert, "; ".join(f"{c.name}: {c.detail}"
-                                    for c in failures)))
+                    no, row.point, "; ".join(f"{c.name}: {c.detail}"
+                                             for c in failures),
+                    row.condition_raw, failures))
 
         # variant coverage: every combination of a point's condition atoms
-        # must be answered by some row
+        # must be answered by some row; the record names it in --variant
+        # syntax
         for point in points:
             atoms = sorted(dataset.atoms_for(no, point))
             if not atoms:
@@ -258,9 +250,28 @@ def check_tables(dataset: GoldenData,
             for combo in itertools.product(*values):
                 variant = dict(zip(atoms, combo))
                 if not match_rows(dataset, no, point, variant):
-                    discrepancy(no, point, "variant combination not covered "
-                                           "by any golden row", str(variant))
-    return CheckResult(nfam, nrows, discrepancies, documented)
+                    discrepancies.append(_discrepancy(
+                        no, point, "variant combination not covered by any "
+                                   "golden row",
+                        ",".join(f"{a}={v}" for a, v in variant.items())))
+    ncorr = sum(1 for d in documented if d["kind"] != "defect")
+    return {
+        "summary": check_summary(nfam, nrows, len(discrepancies), ncorr,
+                                 len(documented) - ncorr),
+        "discrepancies": discrepancies,
+        "documented": documented,
+    }
+
+
+def render_check_text(result: dict) -> str:
+    lines = [result["summary"]]
+    for d in result["documented"]:
+        lines.append(f"  documented {d['kind']}: No. {d['family']} "
+                     f"{d['point']}: {d['note']}")
+    for d in result["discrepancies"]:
+        lines.append(f"  DISCREPANCY No. {d['family']} {d['point']} "
+                     f"[{d['condition']}]: {d['reason']}")
+    return "\n".join(lines)
 
 
 def to_json(obj) -> str:

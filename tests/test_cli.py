@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: formats, exit codes, fault injection."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -18,7 +19,7 @@ import wfano
 from wfano import blowup, cli
 from wfano.census import vertex_singularity
 from wfano.cli import MAX_ENUMERATE_WEIGHT, main
-from wfano.report import CheckResult
+from wfano.report import check_summary
 
 
 def run(capsys, *argv):
@@ -100,6 +101,16 @@ def golden_edited(tmp_path, name, edit):
     assert edited != text, f"the edit left {name} unchanged"
     path.write_text(edited)
     return tmp_path
+
+
+def golden_without_rows(tmp_path, no, point, method=None):
+    """A `--golden` copy without the table rows of No. `no` at the point,
+    or without only those of the method if one is given."""
+    def dropped(cells):
+        return cells[:2] == [str(no), point] and method in (None, cells[4])
+    return golden_edited(tmp_path, "golden_tables.tsv", lambda text: "".join(
+        line for line in text.splitlines(True)
+        if not dropped(line.split("\t"))))
 
 
 def stray_cell(line_no):
@@ -422,6 +433,22 @@ class TestReport:
         assert "q7" in err
 
 
+def test_digest_of_the_packaged_payloads():
+    # exit code and stdout of `check-tables` and of every family report, in
+    # text and JSON, on the packaged data; a change to any of these outputs
+    # changes the digest
+    argvs = [["check-tables"], ["check-tables", "--json"]]
+    argvs += [["report", str(no), *flag] for no in range(1, 96)
+              for flag in ([], ["--json"])]
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = run_in_process(argv)
+        assert err == ""
+        digest.update(f"{argv} {code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "2dc2525d3887b94c6b8581b5ee39d8231cc421b72cb228a29800e8f49b5e249b")
+
+
 class TestCheckTables:
     def test_clean(self, capsys):
         code, out, _ = run(capsys, "check-tables")
@@ -461,11 +488,7 @@ class TestCheckTables:
          "defect)"),
     ], ids=["plural", "family", "row", "discrepancy", "correction", "defect"])
     def test_summary_is_singular_for_a_count_of_one(self, counts, expected):
-        families, rows, ndisc, ncorr, ndef = counts
-        documented = ([{"kind": "correction"}] * ncorr
-                      + [{"kind": "defect"}] * ndef)
-        result = CheckResult(families, rows, [{}] * ndisc, documented)
-        assert result.summary() == expected
+        assert check_summary(*counts) == expected
 
     @pytest.mark.parametrize("no,point,column,old,new", [
         (19, "OzOt", "b3", "0", "+"),
@@ -513,6 +536,44 @@ class TestCheckTables:
         code, out, _ = run(capsys, "report", "95", "--golden", str(tmp_path))
         assert code == 1
         assert "  OyOz (b) exclude  |  T in |5B+2E|  -> FAILED\n" in out
+
+    def test_census_point_without_a_row_fails_the_report_too(self, tmp_path,
+                                                             capsys):
+        golden_without_rows(tmp_path, 95, "OzOt")
+        record = {"family": 95, "point": "-", "condition": "",
+                  "reason": "census points ['OzOt'] have no table row"}
+        for argv in (["check-tables", "--family", "95"], ["report", "95"]):
+            code, out, _ = run(capsys, *argv, "--json",
+                               "--golden", str(tmp_path))
+            assert code == 1 and json.loads(out)["discrepancies"] == [record]
+        code, out, _ = run(capsys, "report", "95", "--golden", str(tmp_path))
+        assert code == 1
+        assert out.endswith("\ndiscrepancies:\n  95 - []: census points "
+                            "['OzOt'] have no table row\n")
+
+    def test_uncovered_variant_is_named_in_variant_syntax(self, tmp_path,
+                                                          capsys):
+        golden_without_rows(tmp_path, 23, "Oz", "IOTA1")
+        code, out, _ = run(capsys, "check-tables", "--json",
+                           "--golden", str(tmp_path))
+        assert code == 1
+        (d,) = json.loads(out)["discrepancies"]
+        assert (d["family"], d["point"], d["condition"]) == (
+            23, "Oz", "a1=zero,c=zero")
+        # the condition pastes back as a --variant, and no row answers it
+        code, out, _ = run(capsys, "report", "23", "--variant",
+                           d["condition"], "--json", "--golden", str(tmp_path))
+        assert code != 2
+        assert "Oz" not in [p["point"] for p in json.loads(out)["points"]]
+
+    def test_stored_anticanonical_degree_is_checked(self, tmp_path, capsys):
+        golden_with_family_cell(tmp_path, 52, "A3", "1/20", "1/2")
+        code, out, _ = run(capsys, "check-tables", "--golden", str(tmp_path),
+                           "--json")
+        assert code == 1
+        assert json.loads(out)["discrepancies"] == [
+            {"family": 52, "point": "-", "condition": "",
+             "reason": "A^3 mismatch: computed 1/20, stored 1/2"}]
 
     def test_stale_printed_weights_column_is_ignored(self, tmp_path,
                                                      capsys):

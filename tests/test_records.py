@@ -9,7 +9,6 @@ import pytest
 from wfano import golden
 from wfano.blowup import B, format_class
 from wfano.census import census
-from wfano.report import check_tables
 from wfano.rigidity import (certify_row, curve_status, involution_case,
                             smooth_point_status)
 from wfano.wps import Family, general_quasismooth
@@ -57,7 +56,6 @@ def _records():
         (smooth_point_status(f), "kind"), (curve_status(f), "kind"),
         (involution_case(f23, "Oz", {"a1": "zero", "c": "zero"}), "label"),
         (general_quasismooth(f), "ok"),
-        (check_tables(data, family_filter=95), "rows"),
     ]
 
 
