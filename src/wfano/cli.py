@@ -1,16 +1,17 @@
 """Command-line interface.
 
-Subcommands: enumerate, census, report, check-tables, order, search.
-Exit codes: 0 success, 1 verification mismatch, 2 usage error.
+Subcommands: enumerate, census, report, check-tables, order, search, all
+read from the one table `COMMANDS`.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error, a malformed
+command line included.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import golden, report as report_mod
 from .blowup import DEFAULT_CUTOFF, CrossCheckFailed, divisor_multiplicity
@@ -240,68 +241,150 @@ def cmd_search(args) -> int:
     return 0
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every later
-    `main` call in the process; it depends on no input."""
-    p = argparse.ArgumentParser(
-        prog="wfano",
-        description="Arithmetic certificate checker for the 95 weighted "
-                    "Fano threefold hypersurface families")
-    sub = p.add_subparsers(dest="command", required=True)
+# ------------------------------------------------------------- the table
 
-    sp = sub.add_parser("enumerate", help="rediscover the 95 families")
-    sp.add_argument("--max-weight", type=int, default=33,
-                    help=f"largest a4 scanned, 1..{MAX_ENUMERATE_WEIGHT}")
-    sp.add_argument("--diff-paper", action="store_true",
-                    help="show the documented source-list corrections")
-    sp.set_defaults(func=cmd_enumerate)
+# Option kinds: an int, a string, an on/off flag, or a string that must be
+# given.  Each option is (name, kind, default, help); its value lands on
+# the attribute named like the option without dashes, `_` for `-`.
+INT, STR, FLAG, REQUIRED = "int", "str", "flag", "required"
+FAMILY = ("family", "entry number or a1,a2,a3,a4")
+JSON = ("--json", FLAG, False, "emit JSON instead of text")
+GOLDEN = ("--golden", STR, None, "directory overriding the packaged dataset")
 
-    sp = sub.add_parser("census", help="singular points of a family")
-    sp.add_argument("family", help="entry number or a1,a2,a3,a4")
-    sp.set_defaults(func=cmd_census)
+# Each command: (handler, help, positionals as (name, help), options).
+COMMANDS = {
+    "enumerate": (cmd_enumerate, "rediscover the 95 families", (), (
+        ("--max-weight", INT, 33,
+         f"largest a4 scanned, 1..{MAX_ENUMERATE_WEIGHT}"),
+        ("--diff-paper", FLAG, False,
+         "show the documented source-list corrections"),
+        JSON, GOLDEN)),
+    "census": (cmd_census, "singular points of a family", (FAMILY,),
+               (JSON, GOLDEN)),
+    "report": (cmd_report, "full certificate report", (FAMILY,), (
+        ("--variant", STR, None, "condition flags, e.g. a1=0,c=0"),
+        JSON, GOLDEN)),
+    "check-tables": (cmd_check_tables, "run the consistency suite", (), (
+        ("--family", STR, None,
+         "restrict to one family: entry number or a1,a2,a3,a4"),
+        JSON, GOLDEN)),
+    # `order` prints one number, so it takes no --json
+    "order": (cmd_order, "vanishing order at a vertex point", (FAMILY,), (
+        ("--point", REQUIRED, None, "Oy, Oz, Ot or Ow"),
+        ("--poly", REQUIRED, None, "polynomial, e.g. 'y*z+x*t'"),
+        ("--variant", STR, None, "member variant, e.g. special"),
+        ("--cutoff", INT, None,
+         f"cap on the series depth; an order of cutoff/r or more reports "
+         f"over-cutoff; at most {MAX_CUTOFF}r (default {DEFAULT_CUTOFF}r)"),
+        ("--seed", INT, 0, "seed for the generic member coefficients"),
+        GOLDEN)),
+    "search": (cmd_search, "probe a raw weight quadruple",
+               (("weights", "a1,a2,a3,a4"),), (JSON, GOLDEN)),
+}
+HELP = ("-h", "--help")
 
-    sp = sub.add_parser("report", help="full certificate report")
-    sp.add_argument("family", help="entry number or a1,a2,a3,a4")
-    sp.add_argument("--variant", help="condition flags, e.g. a1=0,c=0")
-    sp.set_defaults(func=cmd_report)
 
-    sp = sub.add_parser("check-tables", help="run the consistency suite")
-    sp.add_argument("--family",
-                    help="restrict to one family: entry number or a1,a2,a3,a4")
-    sp.set_defaults(func=cmd_check_tables)
+def _attribute(option: str) -> str:
+    return option[2:].replace("-", "_")
 
-    sp = sub.add_parser("order", help="vanishing order at a vertex point")
-    sp.add_argument("family", help="entry number or a1,a2,a3,a4")
-    sp.add_argument("--point", required=True, help="Oy, Oz, Ot or Ow")
-    sp.add_argument("--poly", required=True,
-                    help="polynomial, e.g. 'y*z+x*t'")
-    sp.add_argument("--variant", help="member variant, e.g. special")
-    sp.add_argument("--cutoff", type=int,
-                    help=f"cap on the series depth; an order of cutoff/r "
-                         f"or more reports over-cutoff; at most {MAX_CUTOFF}r "
-                         f"(default {DEFAULT_CUTOFF}r)")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for the generic member coefficients")
-    sp.set_defaults(func=cmd_order)
 
-    sp = sub.add_parser("search", help="probe a raw weight quadruple")
-    sp.add_argument("weights", help="a1,a2,a3,a4")
-    sp.set_defaults(func=cmd_search)
+def parse_args(argv: list[str]):
+    """The handler and the arguments for `argv`, read from `COMMANDS`.
 
-    for name, sp in sub.choices.items():
-        if name != "order":  # `order` prints one number
-            sp.add_argument("--json", action="store_true",
-                            help="emit JSON instead of text")
-        sp.add_argument("--golden", metavar="PATH",
-                        help="directory overriding the packaged dataset")
-    return p
+    A token that starts with `--` names an option, as `--opt value` or
+    `--opt=value`; the token after a valued option is always its value.  A
+    repeated option keeps its last value.  Every other token is a
+    positional.  `-h` or `--help` selects `print_help`.
+    """
+    command, *rest = argv or [""]
+    if command in HELP:
+        return print_help, SimpleNamespace(command=None)
+    if command not in COMMANDS:
+        raise UsageError(f"expected a command, one of {', '.join(COMMANDS)}; "
+                         f"got {command!r}")
+    handler, _help, positionals, options = COMMANDS[command]
+    kinds = {name: kind for name, kind, _default, _ in options}
+    args = SimpleNamespace(command=command, **{
+        _attribute(name): default for name, _kind, default, _ in options})
+    given: list[str] = []
+    tokens = iter(rest)
+    for token in tokens:
+        if token in HELP:
+            return print_help, SimpleNamespace(command=command)
+        if not token.startswith("--"):
+            given.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        kind = kinds.get(name)
+        if kind is None:
+            raise UsageError(f"{command} takes no option {name}")
+        if kind == FLAG:
+            if eq:
+                raise UsageError(f"{name} takes no value")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"{name} expects a value")
+        if kind == INT:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{name} expects an integer, got "
+                                 f"{value!r}") from None
+        setattr(args, _attribute(name), value)
+    for name, kind, _default, _ in options:
+        if kind == REQUIRED and getattr(args, _attribute(name)) is None:
+            raise UsageError(f"{command} needs {name}")
+    if len(given) < len(positionals):
+        raise UsageError(f"{command} needs the argument "
+                         f"{positionals[len(given)][0]}")
+    if len(given) > len(positionals):
+        raise UsageError(f"{command} takes no argument "
+                         f"{given[len(positionals)]!r}")
+    for (name, _), value in zip(positionals, given):
+        setattr(args, name, value)
+    return handler, args
+
+
+def print_help(args) -> int:
+    """Print the help of `args.command`, or of the program if it is None."""
+    if args.command is None:
+        print("usage: wfano <command> [options]\n\nArithmetic certificate "
+              "checker for the 95 weighted Fano threefold hypersurface "
+              "families\n\ncommands:")
+        _print_rows([(name, entry[1]) for name, entry in COMMANDS.items()])
+        print("\n`wfano <command> --help` lists the options of a command.")
+        return 0
+    _handler, summary, positionals, options = COMMANDS[args.command]
+    usage = [name for name, _ in positionals] + [
+        f"{name} {_attribute(name).upper()}" for name, kind, _, _ in options
+        if kind == REQUIRED] + ["[options]"]
+    print(f"usage: wfano {args.command} {' '.join(usage)}\n\n{summary}")
+    if positionals:
+        print("\narguments:")
+        _print_rows(positionals)
+    print("\noptions:")
+    _print_rows([
+        (name if kind == FLAG else f"{name} {_attribute(name).upper()}",
+         help + (" (required)" if kind == REQUIRED else "")
+         + (f" (default {default})" if kind == INT and default is not None
+            else ""))
+        for name, kind, default, help in options]
+        + [("-h, --help", "show this help")])
+    return 0
+
+
+def _print_rows(rows) -> None:
+    width = max(len(left) for left, _ in rows)
+    for left, right in rows:
+        print(f"  {left:<{width}}  {right}")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        handler, args = parse_args(sys.argv[1:] if argv is None else argv)
+        code = handler(args)
         sys.stdout.flush()
         return code
     except USAGE_ERRORS as exc:

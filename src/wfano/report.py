@@ -62,8 +62,7 @@ def build_report(no: int, variant: Optional[dict[str, str]],
             failures = cert.undocumented_failures
             if failures:
                 report["discrepancies"].append(_discrepancy(
-                    no, point, "certificate check failed",
-                    row.condition_raw, failures))
+                    no, point, condition=row.condition_raw, failed=failures))
     return report
 
 
@@ -98,12 +97,15 @@ def _point_entry(cert: Certificate) -> dict:
     return entry
 
 
-def _discrepancy(no: int, point: str, reason: str, condition: str = "",
+def _discrepancy(no: int, point: str, reason: str = "", condition: str = "",
                  failed: Sequence[Check] = ()) -> dict:
-    """The record of one discrepancy; only a row's has `failed_checks`."""
+    """The record of one discrepancy.  A row's record is given its failed
+    checks in place of a reason; they make its reason, "<check>: <detail>"
+    for each, and its `failed_checks`."""
     record = {"family": no, "point": point, "condition": condition,
               "reason": reason}
     if failed:
+        record["reason"] = "; ".join(f"{c.name}: {c.detail}" for c in failed)
         record["failed_checks"] = [c.name for c in failed]
     return record
 
@@ -166,10 +168,8 @@ def render_text(report: dict) -> str:
     if report["discrepancies"]:
         lines.append("discrepancies:")
         for d in report["discrepancies"]:
-            failed = d.get("failed_checks")
             lines.append(f"  {d['family']} {d['point']} "
-                         f"[{d['condition']}]: {d['reason']}"
-                         + (f" ({', '.join(failed)})" if failed else ""))
+                         f"[{d['condition']}]: {d['reason']}")
     else:
         lines.append("discrepancies: none")
     return "\n".join(lines)
@@ -234,9 +234,8 @@ def check_tables(dataset: GoldenData,
             failures = certify_row(f, row, cens.entries).undocumented_failures
             if failures:
                 discrepancies.append(_discrepancy(
-                    no, row.point, "; ".join(f"{c.name}: {c.detail}"
-                                             for c in failures),
-                    row.condition_raw, failures))
+                    no, row.point, condition=row.condition_raw,
+                    failed=failures))
 
         # variant coverage: every combination of a point's condition atoms
         # must be answered by some row; the record names it in --variant

@@ -29,21 +29,18 @@ def run(capsys, *argv):
 
 
 def run_in_process(argv):
-    """(exit code, stdout, stderr) of `main(argv)`, argparse exits included."""
+    """(exit code, stdout, stderr) of `main(argv)`, outside pytest's
+    capture."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
 def run_in_fresh_process(argv, code="import sys; from wfano.cli import main; "
                                      "sys.exit(main(sys.argv[1:]))"):
     """(exit code, stdout, stderr) of `code` in a new interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(Path(wfano.__file__).parents[1]),
-               COLUMNS="80")
+    env = dict(os.environ, PYTHONPATH=str(Path(wfano.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
@@ -566,6 +563,25 @@ class TestCheckTables:
         assert code != 2
         assert "Oz" not in [p["point"] for p in json.loads(out)["points"]]
 
+    def test_failed_row_has_one_record_in_report_and_check_tables(
+            self, tmp_path, capsys):
+        golden_with_cell(tmp_path, 19, "OzOt", "b3", "0", "+")
+        records = []
+        for argv in (["report", "19"], ["check-tables"]):
+            code, out, _ = run(capsys, *argv, "--json",
+                               "--golden", str(tmp_path))
+            assert code == 1
+            records.append(json.loads(out)["discrepancies"])
+        assert records[0] == records[1] == [
+            {"family": 19, "point": "OzOt", "condition": "",
+             "reason": "B^3 sign: B^3 = 0 (0) vs table '+'",
+             "failed_checks": ["B^3 sign"]}]
+        # the text names the failed check once, in the reason
+        code, out, _ = run(capsys, "report", "19", "--golden", str(tmp_path))
+        assert code == 1 and out.endswith(
+            "\ndiscrepancies:\n  19 OzOt []: B^3 sign: B^3 = 0 (0) vs table "
+            "'+'\n")
+
     def test_stored_anticanonical_degree_is_checked(self, tmp_path, capsys):
         golden_with_family_cell(tmp_path, 52, "A3", "1/20", "1/2")
         code, out, _ = run(capsys, "check-tables", "--golden", str(tmp_path),
@@ -616,6 +632,10 @@ class TestOrder:
         (("order", "23", "--point", "Ow", "--poly", "x"), "1/5"),
         (("order", "50", "--point", "Ot", "--poly", "y", "--cutoff", "56"),
          "8/7"),
+        (("order", "50", "--point=Ot", "--poly=y", "--cutoff=56"), "8/7"),
+        # a repeated option keeps its last value
+        (("order", "50", "--point", "Oz", "--poly", "y", "--point", "Ot"),
+         "8/7"),
         # y^1000000 lies far above the cutoff and costs nothing
         (("order", "50", "--point", "Ot", "--poly", "y^1000000 + y"), "8/7"),
     ])
@@ -637,6 +657,12 @@ class TestOrder:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_negative_cutoff_reaches_the_range_check(self, capsys):
+        code, out, err = run(capsys, "order", "50", "--point", "Ot", "--poly",
+                             "y", "--cutoff", "-7")
+        assert (code, out) == (2, "")
+        assert err == "error: --cutoff must be between 1 and 8r = 56 at Ot\n"
 
     def test_missing_point(self, capsys):
         code, _, err = run(capsys, "order", "1", "--point", "Ow",
@@ -673,10 +699,10 @@ class TestSearch:
 
 
 def test_order_takes_no_json_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["order", "50", "--point", "Ot", "--poly", "y", "--json"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --json" in capsys.readouterr().err
+    code, out, err = run(capsys, "order", "50", "--point", "Ot", "--poly", "y",
+                         "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: order takes no option --json\n"
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
@@ -723,6 +749,20 @@ class TestErrorBoundary:
         ("enumerate", "--max-weight", "0"),
         ("enumerate", "--max-weight", "-3"),
         ("enumerate", "--max-weight", str(MAX_ENUMERATE_WEIGHT + 1)),
+        # command-line errors
+        (),
+        ("frobnicate", "23"),
+        ("report", "23", "--no-such-flag"),
+        ("report", "23", "--variant"),
+        ("order", "50", "--point", "Ot", "--poly", "y", "--cutoff=abc"),
+        ("enumerate", "--max-weight", "x"),
+        ("order", "50", "--poly", "y"),
+        ("order", "50", "--point", "Ot"),
+        ("report",),
+        ("report", "23", "24"),
+        ("census", "95", "--json=yes"),
+        ("enumerate", "--max", "8"),
+        ("report", "--", "23"),
     ], ids=["search-not-int", "search-zero-weight", "order-no-special-member",
             "order-variant-flag", "report-variant-special",
             "report-variant-special-no-points",
@@ -737,7 +777,11 @@ class TestErrorBoundary:
             "check-family-0",
             "check-family-96", "search-weight-over-bound",
             "enumerate-max-weight-0", "enumerate-max-weight-negative",
-            "enumerate-max-weight-over-bound"])
+            "enumerate-max-weight-over-bound", "no-command", "unknown-command",
+            "unknown-option", "missing-value", "cutoff-not-int",
+            "max-weight-not-int", "missing-point", "missing-poly",
+            "missing-positional", "extra-positional", "flag-with-value",
+            "abbreviated-option", "separator"])
     def test_usage_error_exits_2_in_one_line(self, capsys, tmp_path, argv):
         for name, (make, _message) in BAD_GOLDEN.items():
             if f"{{{name}}}" in argv:
@@ -791,32 +835,52 @@ class TestErrorBoundary:
 
 
 class TestParserReuse:
-    def test_parser_is_built_once_and_lazily(self):
-        assert cli.build_parser() is cli.build_parser()
-        code, out, _ = run_in_fresh_process(
-            [], "import wfano.cli as c; print(c.build_parser.cache_info())")
-        assert code == 0 and "currsize=0" in out
-
-    def test_calls_in_one_process_match_fresh_processes(self, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage
+    def test_calls_in_one_process_match_fresh_processes(self):
         sequence = [
             ["report", "23", "--json"],
-            ["report", "23", "--no-such-flag"],   # argparse exits 2
+            ["report", "23", "--no-such-flag"],   # command-line error, exit 2
             ["check-tables", "--family", "0"],    # usage error, exit 2
             ["order", "5", "--point", "Ow", "--poly", "z"],
             ["report", "23", "--json"],
         ]
         results = [run_in_process(argv) for argv in sequence]
         assert [code for code, _out, _err in results] == [0, 2, 2, 0, 0]
-        assert results[1][2].endswith(
-            "error: unrecognized arguments: --no-such-flag\n")
+        assert results[1][1:] == (
+            "", "error: report takes no option --no-such-flag\n")
         assert results[3][1] == "4/3\n"
         assert results[0] == results[4]
         for argv, got in zip(sequence[:4], results):
             assert got == run_in_fresh_process(argv), argv
 
 
+class TestHelp:
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_names_every_command(self, capsys, flag):
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (0, "")
+        assert all(f"\n  {name} " in out for name in cli.COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_command_help_names_its_arguments(self, capsys, command):
+        _handler, _help, positionals, options = cli.COMMANDS[command]
+        # help wins over the other arguments, wherever it stands
+        for argv in ([command, "--help"], [command, "23", "-h", "--json"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert all(f"\n  {name} " in out for name, *_ in positionals)
+            assert all(f"\n  {name} " in out for name, *_ in options)
+
+
 class TestStartup:
+    def test_setup_does_not_import_argparse_or_gettext(self):
+        # the command line is read from `cli.COMMANDS`; argparse would load
+        # gettext for its messages
+        code, out, err = run_in_fresh_process([], (
+            "import sys, wfano.cli; wfano.golden.data(); "
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"))
+        assert code == 0, err
+        assert out == "[]\n"
+
     def test_setup_loads_neither_dataclasses_nor_inspect(self):
         # every command pays for what `wfano.cli` and the golden load import
         code, out, err = run_in_fresh_process([], (
@@ -856,6 +920,10 @@ POINTS = st.one_of(st.sampled_from(["Oy", "Oz", "Ot", "Ow"]),
 # short junk keeps the drawn polynomials small
 POLYS = st.one_of(st.sampled_from(["x", "y", "y*z+x*t", "t^2", "w-w"]),
                   st.text("xyztw+-*^ 2", max_size=5))
+# an unknown option, an option with no value, a non-integer, a flag with a
+# value, an abbreviation, and --json, which `order` does not take
+MALFORMED = st.sampled_from(["--no-such-flag", "--variant", "--cutoff=abc",
+                             "--json=1", "--max", "--json"])
 
 
 @st.composite
@@ -871,6 +939,8 @@ def cli_argv(draw):
             argv += ["--cutoff", str(draw(st.integers(-2, 8)))]
     if command != "order" and draw(st.booleans()):
         argv.append("--json")
+    if draw(st.integers(0, 3)) == 0:  # a quarter of the command lines
+        argv.append(draw(MALFORMED))
     return argv
 
 
@@ -879,11 +949,7 @@ def cli_argv(draw):
 def test_any_argv_keeps_the_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
-            assert exc.code == 2
-            return
+        code = main(argv)
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""
