@@ -52,7 +52,9 @@ MISMATCHES = (NonTerminal, EdgeContained, NoEliminatingMonomial,
 
 
 def _dataset(args):
-    if args.golden:
+    if args.golden == "":  # as from an unset shell variable
+        raise UsageError("--golden expects a directory, got ''")
+    if args.golden is not None:
         try:
             return golden.load(Path(args.golden))
         except (OSError, ValueError) as exc:

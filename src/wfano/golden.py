@@ -132,6 +132,11 @@ def canonical_atom(name: str) -> str:
     return name.replace("_", "").strip()
 
 
+def atom_values(name: str) -> tuple[str, str]:
+    """The two values of a condition atom, the generic value first."""
+    return ("I", "II") if name == "type" else ("nonzero", "zero")
+
+
 class Note(NamedTuple):
     no: int
     point: str
@@ -235,7 +240,7 @@ def _read_tsv(directory: Path, name: str
     and its other `_COLUMNS` cells in that order.
 
     The file is in the module docstring's format.  Its header may name more
-    columns than `load` reads, in any order.
+    columns than `load` reads, in any order, but none that it reads twice.
     """
     # decoding as utf-8 and dropping a leading byte-order mark is what the
     # 'utf-8-sig' codec does, without importing it
@@ -244,8 +249,9 @@ def _read_tsv(directory: Path, name: str
     header = lines[0].split("\t") if lines else []
     index = {column: i for i, column in enumerate(header)}
     for column in _COLUMNS[name]:
-        if column not in index:
-            raise ValueError(f"{name}: missing column {column!r}")
+        if header.count(column) != 1:
+            problem = "missing" if column not in index else "repeated"
+            raise ValueError(f"{name}: {problem} column {column!r}")
     width, at_no = len(header), index["no"]
     pick = itemgetter(*(index[column] for column in _COLUMNS[name][1:]))
     rows = []
@@ -320,7 +326,10 @@ def _golden_row(no: int, point: str, count: str, type_raw: str,
     added to `used`."""
     type_fix = notes.get(("type_typo", no, point, type_raw))
     surface_fix = notes.get(("surface_typo", no, point, surface_raw))
-    defect = notes.get(("certificate_defect", no, point, "-"))
+    # the defect note is about the printed (n) certificate; a row that
+    # reads another method is not the documented one
+    defect = (notes.get(("certificate_defect", no, point, "-"))
+              if method == "N" else None)
     used.update(filter(None, (type_fix, surface_fix, defect)))
     if method not in METHOD_SYMBOLS:
         raise ValueError(f"unknown method {method!r}")
@@ -343,9 +352,7 @@ def _golden_row(no: int, point: str, count: str, type_raw: str,
         normalized, method, b3, linsys_raw, linsys, surface, vanishing,
         condition_raw, parse_condition(condition_raw),
         witness_raw, parse_monomials(witness_raw), type_fix is not None,
-        # the defect note is about the printed (n) certificate; a row that
-        # reads another method is not the documented one
-        defect if method == "N" else None)
+        defect)
 
 
 def _row_name(no: int, cells: tuple[str, ...]) -> str:
@@ -382,7 +389,7 @@ def load(path: Optional[Path] = None) -> GoldenData:
                   for no, cells in _read_tsv(directory, "golden_notes.tsv"))
     # A note applies where a cell reads the text it is keyed by: a type or
     # surface note where a row at its point prints its printed text, a
-    # defect note (printed '-') at each row of its point, and a list note
+    # defect note (printed '-') at the (n) row of its point, and a list note
     # where families.tsv lists its corrected weights.
     by_key = {}
     for n in notes:
@@ -466,17 +473,12 @@ def parse_variant(text: str) -> dict[str, str]:
             if not (sep and name):
                 raise UnknownVariantFlag(f"bad variant flag {tok!r}")
             value = value.strip()
-            if name == "type":
-                if value not in ("I", "II"):
-                    raise UnknownVariantFlag(
-                        f"type must be I or II, got {value!r}")
-            elif value in ("0", "zero"):
-                value = "zero"
-            elif value in ("nz", "nonzero"):
-                value = "nonzero"
-            else:
+            if name != "type":
+                value = {"0": "zero", "nz": "nonzero"}.get(value, value)
+            if value not in atom_values(name):
                 raise UnknownVariantFlag(
-                    f"variant value must be 0 or nonzero, got {tok!r}")
+                    f"type must be I or II, got {value!r}" if name == "type"
+                    else f"variant value must be 0 or nonzero, got {tok!r}")
         if name in out:
             raise UnknownVariantFlag(
                 f"variant flag {name!r} given twice in {text!r}")
@@ -489,9 +491,7 @@ def default_assignment(dataset: GoldenData, no: int,
     """Complete a variant with the generic defaults (everything nonzero,
     Type I), validating flags against the family's closed atom world."""
     atoms = dataset.atoms_for(no)
-    assignment = {}
-    for name in atoms:
-        assignment[name] = "I" if name == "type" else "nonzero"
+    assignment = {name: atom_values(name)[0] for name in atoms}
     for name, value in variant.items():
         if name not in atoms:
             raise UnknownVariantFlag(

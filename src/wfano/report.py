@@ -6,8 +6,8 @@ import itertools
 from typing import Optional, Sequence
 
 from .census import QuotientSingularity, census
-from .golden import (GoldenData, METHOD_SYMBOLS, default_assignment,
-                     match_rows)
+from .golden import (GoldenData, GoldenRow, METHOD_SYMBOLS, atom_values,
+                     default_assignment, match_rows)
 from .rigidity import (Certificate, Check, certify_row, curve_status,
                        smooth_point_status, super_rigid)
 from .wps import COORDS, anticanonical_degree
@@ -30,12 +30,15 @@ def census_record(e: QuotientSingularity) -> dict:
 def build_report(no: int, variant: Optional[dict[str, str]],
                  dataset: GoldenData) -> dict:
     """Assemble the per-family report as a JSON-stable ordered dict."""
-    rec = dataset.family(no)
     variant = variant or {}
     # rejects an unknown flag also at a family with no singular point
-    default_assignment(dataset, no, variant)
-    f = rec.family
-    cens = census(f)
+    assignment = default_assignment(dataset, no, variant)
+    matches = [(point, match_rows(dataset, no, point, variant))
+               for point in dataset.points_of(no)]
+    entries, certs, discrepancies = _certify_family(
+        dataset, no, [row for _point, rows in matches for row in rows],
+        [(point, assignment) for point, rows in matches if not rows])
+    f = dataset.family(no).family
     sps = smooth_point_status(f)
     cs = curve_status(f)
     report: dict = {
@@ -47,23 +50,43 @@ def build_report(no: int, variant: Optional[dict[str, str]],
         "smooth_points": {"kind": sps.kind, "case": sps.case,
                           "detail": sps.detail},
         "curves": {"kind": cs.kind, "max_degree": cs.max_degree},
-        "census": [census_record(e) for e in cens.entries],
-        "points": [],
-        "discrepancies": [],
+        "census": [census_record(e) for e in entries],
+        "points": [_point_entry(cert) for cert in certs],
+        "discrepancies": discrepancies,
     }
-    if not cens.entries:
+    if not entries:
         report["note"] = "no singular points"
-    points = dataset.points_of(no)
-    report["discrepancies"] += _rowless_points(no, cens.entries, points)
-    for point in points:
-        for row in match_rows(dataset, no, point, variant):
-            cert = certify_row(f, row, cens.entries)
-            report["points"].append(_point_entry(cert))
-            failures = cert.undocumented_failures
-            if failures:
-                report["discrepancies"].append(_discrepancy(
-                    no, point, condition=row.condition_raw, failed=failures))
     return report
+
+
+def _certify_family(dataset: GoldenData, no: int, rows: list[GoldenRow],
+                    unanswered: list[tuple[str, dict[str, str]]]) -> tuple:
+    """(census entries, certificates, discrepancies) of family `no`: the
+    certificate of each row, and as discrepancies the census points with no
+    table row, then the failed rows, then each (point, assignment) that no
+    row answers, named in --variant syntax over the point's atoms."""
+    f = dataset.family(no).family
+    entries = census(f).entries
+    # a row at a point the census lacks, or whose count, r or type is not
+    # the census's, fails its own "quotient type" check instead
+    points = dataset.points_of(no)
+    unmatched = [e.point_id() for e in entries if e.point_id() not in points]
+    discrepancies = []
+    if unmatched:
+        discrepancies.append(_discrepancy(
+            no, "-", f"census points {unmatched} have no table row"))
+    certs = [certify_row(f, row, entries) for row in rows]
+    for row, cert in zip(rows, certs):
+        failures = cert.undocumented_failures
+        if failures:
+            discrepancies.append(_discrepancy(
+                no, row.point, condition=row.condition_raw, failed=failures))
+    for point, assignment in unanswered:
+        atoms = sorted(dataset.atoms_for(no, point))
+        discrepancies.append(_discrepancy(
+            no, point, "variant combination not covered by any golden row",
+            ",".join(f"{a}={assignment[a]}" for a in atoms)))
+    return entries, certs, discrepancies
 
 
 def _point_entry(cert: Certificate) -> dict:
@@ -108,16 +131,6 @@ def _discrepancy(no: int, point: str, reason: str = "", condition: str = "",
         record["reason"] = "; ".join(f"{c.name}: {c.detail}" for c in failed)
         record["failed_checks"] = [c.name for c in failed]
     return record
-
-
-def _rowless_points(no: int, entries: Sequence[QuotientSingularity],
-                    points: list[str]) -> list[dict]:
-    """The discrepancy of the census points with no table row, if any; a
-    row at a point the census lacks, or whose count, r or type is not the
-    census's, fails its own "quotient type" check instead."""
-    unmatched = [e.point_id() for e in entries if e.point_id() not in points]
-    return [_discrepancy(no, "-", f"census points {unmatched} have no "
-                                  f"table row")] if unmatched else []
 
 
 def render_text(report: dict) -> str:
@@ -215,44 +228,28 @@ def check_tables(dataset: GoldenData,
         if family_filter is not None and no != family_filter:
             continue
         nfam += 1
-        f = rec.family
-
         for name, computed, stored in (
-                ("A^3", anticanonical_degree(f), rec.A3),
+                ("A^3", anticanonical_degree(rec.family), rec.A3),
                 ("super-rigidity", super_rigid(dataset, no), rec.superrigid)):
             if computed != stored:
                 discrepancies.append(_discrepancy(
                     no, "-", f"{name} mismatch: computed {computed}, "
                              f"stored {stored}"))
 
-        cens = census(f)
-        points = dataset.points_of(no)
-        discrepancies += _rowless_points(no, cens.entries, points)
-
-        for row in dataset.rows_for(no):
-            nrows += 1
-            failures = certify_row(f, row, cens.entries).undocumented_failures
-            if failures:
-                discrepancies.append(_discrepancy(
-                    no, row.point, condition=row.condition_raw,
-                    failed=failures))
-
-        # variant coverage: every combination of a point's condition atoms
-        # must be answered by some row; the record names it in --variant
-        # syntax
-        for point in points:
+        # every combination of a point's condition atoms must be answered
+        # by some row
+        unanswered = []
+        for point in dataset.points_of(no):
             atoms = sorted(dataset.atoms_for(no, point))
             if not atoms:
                 continue
-            values = [("I", "II") if a == "type" else ("nonzero", "zero")
-                      for a in atoms]
-            for combo in itertools.product(*values):
+            for combo in itertools.product(*map(atom_values, atoms)):
                 variant = dict(zip(atoms, combo))
                 if not match_rows(dataset, no, point, variant):
-                    discrepancies.append(_discrepancy(
-                        no, point, "variant combination not covered by any "
-                                   "golden row",
-                        ",".join(f"{a}={v}" for a, v in variant.items())))
+                    unanswered.append((point, variant))
+        rows = dataset.rows_for(no)
+        nrows += len(rows)
+        discrepancies += _certify_family(dataset, no, rows, unanswered)[2]
     ncorr = sum(1 for d in documented if d["kind"] != "defect")
     return {
         "summary": check_summary(nfam, nrows, len(discrepancies), ncorr,

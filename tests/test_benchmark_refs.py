@@ -1,0 +1,58 @@
+"""The outputs the benchmark checks each op against (`perfbench/refs`).
+
+`perfbench/run.py` fails an op whose output differs from its recorded
+reference; these tests hold the program to the same references, so that
+a change which would fail the benchmark's gate fails here first.
+"""
+
+import json
+from pathlib import Path
+
+from wfano import golden
+from wfano.cli import main
+
+REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+
+
+def ref(name):
+    return json.loads((REFS / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_series_orders_at_seed_0(capsys):
+    wrong = []
+    for pt in ref("series"):
+        argv = ("order", str(pt["family"]), "--point", pt["point"],
+                "--poly", pt["poly"], "--seed", "0")
+        code, out = run(capsys, *argv)
+        if (code, out.strip()) != (0, pt["order"]):
+            wrong.append((argv, code, out.strip(), pt["order"]))
+    assert wrong == []
+
+
+def test_check_tables_summary_and_documented_count(capsys):
+    want = ref("audit")
+    code, out = run(capsys, "check-tables", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["summary"] == want["summary"]
+    assert payload["discrepancies"] == []
+    assert len(payload["documented"]) == want["documented"]
+
+
+def test_condition_atoms_of_each_family():
+    data = golden.data()
+    atoms = {str(rec.family.entry_no):
+             sorted(data.atoms_for(rec.family.entry_no))
+             for rec in data.families}
+    assert atoms == ref("audit")["atoms"]
+
+
+def test_enumerate(capsys):
+    code, out = run(capsys, "enumerate", "--json")
+    assert code == 0
+    assert json.loads(out) == ref("enumerate")

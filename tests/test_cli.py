@@ -121,6 +121,7 @@ def stray_cell(line_no):
 
 NOTE_96 = "96\tOz\tcertificate_defect\tinequality\t-\t-\tnot a family\n"
 NOTE_95_OX = "95\tOx\tcertificate_defect\tinequality\t-\t-\tnot a point\n"
+NOTE_95_OY = "95\tOy\tcertificate_defect\tinequality\t-\t-\tbogus\n"
 # Malformed `--golden` directories, each with the start of its message.
 BAD_GOLDEN = {
     # a row with a condition, so the error names it by point and condition
@@ -265,6 +266,24 @@ BAD_GOLDEN = {
             "\tlist_typo\tweights\t1,3,4,5,88\t1,3,4,5,9\t")),
         "golden_notes.tsv: the list_typo note at No. 45 - ('1,3,4,5,88' -> "
         "'1,3,4,5,9') applies to no row or family"),
+    # a defect note documents the printed (n) certificate, so it needs an
+    # (n) row at its point: No. 95 Oy has (b) rows only
+    "defect_note_without_n_row": (
+        lambda p: golden_edited(p, "golden_notes.tsv",
+                                lambda t: t + NOTE_95_OY),
+        "golden_notes.tsv: the certificate_defect note at No. 95 Oy ('-' -> "
+        "'-') applies to no row or family"),
+    # the one row at No. 52 Oz reads (b), so its defect note excuses nothing
+    "defect_note_at_a_b_row": (
+        lambda p: golden_with_cell(p, 52, "Oz", "method", "N", "B"),
+        "golden_notes.tsv: the certificate_defect note at No. 52 Oz ('-' -> "
+        "'-') applies to no row or family"),
+    # a second A3 column, which the load would read in place of the first
+    "repeated_A3_column": (
+        lambda p: golden_edited(p, "families.tsv", lambda t: "".join(
+            line + ("\tA3" if i == 0 else "\t1/2") + "\n"
+            for i, line in enumerate(t.splitlines()))),
+        "families.tsv: repeated column 'A3'"),
 }
 
 
@@ -491,8 +510,6 @@ class TestCheckTables:
         (19, "OzOt", "b3", "0", "+"),
         # the row's documented defect excuses its failed inequality only
         (52, "Oz", "b3", "-", "+"),
-        # and only on the (n) certificate that its note documents
-        (52, "Oz", "method", "N", "B"),
         # the two-ray game of No. 21 holds at O_t, not at this edge
         (21, "OzOt", "method", "B", "P"),
         # subscripts that leave w, which O_y cannot eliminate, to the chart
@@ -503,8 +520,7 @@ class TestCheckTables:
         (95, "Oy", "count", "1", "2"),
         # a wrong printed order, with no `r` column to repeat it
         (95, "Oy", "type_raw", "1/5(1_x,2_t,3_w)", "1/4(1_x,1_t,3_w)"),
-    ], ids=["19-OzOt-b3", "52-Oz-documented-defect-b3",
-            "52-Oz-documented-defect-method", "21-OzOt-method-P",
+    ], ids=["19-OzOt-b3", "52-Oz-documented-defect-b3", "21-OzOt-method-P",
             "95-Oy-subscripts", "95-Oy-type", "95-Oy-count", "95-Oy-order"])
     def test_fault_injection_names_the_row(self, tmp_path, capsys, no, point,
                                            column, old, new):
@@ -551,16 +567,16 @@ class TestCheckTables:
     def test_uncovered_variant_is_named_in_variant_syntax(self, tmp_path,
                                                           capsys):
         golden_without_rows(tmp_path, 23, "Oz", "IOTA1")
-        code, out, _ = run(capsys, "check-tables", "--json",
-                           "--golden", str(tmp_path))
-        assert code == 1
-        (d,) = json.loads(out)["discrepancies"]
-        assert (d["family"], d["point"], d["condition"]) == (
-            23, "Oz", "a1=zero,c=zero")
-        # the condition pastes back as a --variant, and no row answers it
-        code, out, _ = run(capsys, "report", "23", "--variant",
-                           d["condition"], "--json", "--golden", str(tmp_path))
-        assert code != 2
+        record = {"family": 23, "point": "Oz", "condition": "a1=zero,c=zero",
+                  "reason": "variant combination not covered by any golden "
+                            "row"}
+        # the condition pastes back as a --variant, under which the report
+        # lists the same record and no row at Oz
+        for argv in (["check-tables"], ["check-tables", "--family", "23"],
+                     ["report", "23", "--variant", record["condition"]]):
+            code, out, _ = run(capsys, *argv, "--json",
+                               "--golden", str(tmp_path))
+            assert code == 1 and json.loads(out)["discrepancies"] == [record]
         assert "Oz" not in [p["point"] for p in json.loads(out)["points"]]
 
     def test_failed_row_has_one_record_in_report_and_check_tables(
@@ -743,6 +759,8 @@ class TestErrorBoundary:
         ("check-tables", "--golden", "{orphan_note}"),
         ("check-tables", "--golden", "{orphan_point_note}"),
         ("check-tables", "--golden", "{family_numbers_gap}"),
+        ("census", "95", "--golden", ""),
+        ("check-tables", "--golden="),
         ("check-tables", "--family", "0"),
         ("check-tables", "--family", "96"),
         ("search", "1,1,1,1000001"),
@@ -773,7 +791,8 @@ class TestErrorBoundary:
             "report-golden-short-weights", "report-golden-short-row",
             "check-golden-orphan-row",
             "check-golden-orphan-note", "check-golden-orphan-point-note",
-            "check-golden-family-numbers-gap",
+            "check-golden-family-numbers-gap", "census-golden-empty",
+            "check-golden-empty",
             "check-family-0",
             "check-family-96", "search-weight-over-bound",
             "enumerate-max-weight-0", "enumerate-max-weight-negative",
