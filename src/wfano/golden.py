@@ -31,7 +31,7 @@ from functools import cache
 from importlib import resources
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .census import LOCATIONS, try_normalize_type
 from .exactmath import COORD_INDEX, Exp5, parse_poly
@@ -486,25 +486,19 @@ def parse_variant(text: str) -> dict[str, str]:
     return out
 
 
-def default_assignment(dataset: GoldenData, no: int,
-                       variant: dict[str, str]) -> dict[str, str]:
-    """Complete a variant with the generic defaults (everything nonzero,
-    Type I), validating flags against the family's closed atom world."""
-    atoms = dataset.atoms_for(no)
-    assignment = {name: atom_values(name)[0] for name in atoms}
-    for name, value in variant.items():
-        if name not in atoms:
-            raise UnknownVariantFlag(
-                f"family {no} has no condition flag {name!r}; "
-                f"known: {sorted(atoms) or 'none'}")
-        assignment[name] = value
-    return assignment
+def holds(condition: Iterable[tuple[str, str]],
+          variant: dict[str, str]) -> bool:
+    """Whether each (atom, value) of a condition holds under the variant.
+
+    An atom the variant does not name takes its generic value, the first
+    of `atom_values`: every coefficient nonzero, Type I.
+    """
+    return all(variant.get(name, atom_values(name)[0]) == value
+               for name, value in condition)
 
 
 def match_rows(dataset: GoldenData, no: int, point: str,
                variant: dict[str, str]) -> list[GoldenRow]:
     """Golden rows at the point whose conditions hold under the variant."""
-    assignment = default_assignment(dataset, no, variant)
     return [row for row in dataset.rows_for(no, point)
-            if all(assignment.get(name) == want
-                   for name, want in row.condition)]
+            if holds(row.condition, variant)]

@@ -6,8 +6,8 @@ import itertools
 from typing import Optional, Sequence
 
 from .census import QuotientSingularity, census
-from .golden import (GoldenData, GoldenRow, METHOD_SYMBOLS, atom_values,
-                     default_assignment, match_rows)
+from .golden import (GoldenData, GoldenRow, METHOD_SYMBOLS,
+                     UnknownVariantFlag, atom_values, holds, match_rows)
 from .rigidity import (Certificate, Check, certify_row, curve_status,
                        smooth_point_status, super_rigid)
 from .wps import COORDS, anticanonical_degree
@@ -27,17 +27,24 @@ def census_record(e: QuotientSingularity) -> dict:
     }
 
 
-def build_report(no: int, variant: Optional[dict[str, str]],
+def build_report(no: int, variant: dict[str, str],
                  dataset: GoldenData) -> dict:
-    """Assemble the per-family report as a JSON-stable ordered dict."""
-    variant = variant or {}
-    # rejects an unknown flag also at a family with no singular point
-    assignment = default_assignment(dataset, no, variant)
+    """Assemble the per-family report as a JSON-stable ordered dict.
+
+    A variant flag that no condition of the family names raises
+    `UnknownVariantFlag`, also at a family with no singular point.
+    """
+    atoms = dataset.atoms_for(no)
+    for name in variant:
+        if name not in atoms:
+            raise UnknownVariantFlag(
+                f"family {no} has no condition flag {name!r}; "
+                f"known: {sorted(atoms) or 'none'}")
     matches = [(point, match_rows(dataset, no, point, variant))
                for point in dataset.points_of(no)]
     entries, certs, discrepancies = _certify_family(
         dataset, no, [row for _point, rows in matches for row in rows],
-        [(point, assignment) for point, rows in matches if not rows])
+        [(point, variant) for point, rows in matches if not rows])
     f = dataset.family(no).family
     sps = smooth_point_status(f)
     cs = curve_status(f)
@@ -63,8 +70,9 @@ def _certify_family(dataset: GoldenData, no: int, rows: list[GoldenRow],
                     unanswered: list[tuple[str, dict[str, str]]]) -> tuple:
     """(census entries, certificates, discrepancies) of family `no`: the
     certificate of each row, and as discrepancies the census points with no
-    table row, then the failed rows, then each (point, assignment) that no
-    row answers, named in --variant syntax over the point's atoms."""
+    table row, then the failed rows, then each (point, variant) that no
+    row answers, named in --variant syntax by the value that holds of each
+    of the point's atoms."""
     f = dataset.family(no).family
     entries = census(f).entries
     # a row at a point the census lacks, or whose count, r or type is not
@@ -81,11 +89,11 @@ def _certify_family(dataset: GoldenData, no: int, rows: list[GoldenRow],
         if failures:
             discrepancies.append(_discrepancy(
                 no, row.point, condition=row.condition_raw, failed=failures))
-    for point, assignment in unanswered:
-        atoms = sorted(dataset.atoms_for(no, point))
+    for point, variant in unanswered:
         discrepancies.append(_discrepancy(
             no, point, "variant combination not covered by any golden row",
-            ",".join(f"{a}={assignment[a]}" for a in atoms)))
+            ",".join(f"{a}={v}" for a in sorted(dataset.atoms_for(no, point))
+                     for v in atom_values(a) if holds({(a, v)}, variant))))
     return entries, certs, discrepancies
 
 
@@ -236,13 +244,11 @@ def check_tables(dataset: GoldenData,
                     no, "-", f"{name} mismatch: computed {computed}, "
                              f"stored {stored}"))
 
-        # every combination of a point's condition atoms must be answered
-        # by some row
+        # every combination of a point's condition atoms, the empty one at
+        # a point with none, must be answered by some row
         unanswered = []
         for point in dataset.points_of(no):
             atoms = sorted(dataset.atoms_for(no, point))
-            if not atoms:
-                continue
             for combo in itertools.product(*map(atom_values, atoms)):
                 variant = dict(zip(atoms, combo))
                 if not match_rows(dataset, no, point, variant):

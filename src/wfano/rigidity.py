@@ -23,7 +23,7 @@ from .blowup import (NonIntegral, b_cubed, format_class, monomial_order,
                      s_class_ks, transform_beta_E)
 from .census import (LOCATIONS, QuotientSingularity, canonical_type, census,
                      vertex_elimination_candidates)
-from .golden import GoldenData, GoldenRow
+from .golden import GoldenData, GoldenRow, holds, parse_condition
 from .wps import (COORDS, Family, anticanonical_degree, general_quasismooth,
                   hat_lcms)
 
@@ -162,13 +162,19 @@ def curve_status(f: Family) -> CurveStatus:
 
 # -------------------------------------------------------------- involutions
 
+# The elliptic and invisible elliptic involutions, by (family, point): each
+# entry is a label and the condition, in the tables' grammar, under which
+# the involution exists.  `involution_case` takes the first that holds.
 ELLIPTIC_POINTS = {
-    "EPS": {(7, "OzOt"), (23, "Ot"), (40, "Ot"), (44, "Ot"),
-            (61, "Ot"), (76, "Ot")},
-    "EPS1": {(36, "Oz")},
-    "EPS2": {(20, "Oz")},
-    "IOTA": {(7, "OzOt")},
-    "IOTA1": {(23, "Oz")},
+    (7, "OzOt"): (("EPS", "Type I"), ("IOTA", "Type II")),
+    (20, "Oz"): (("EPS2", ""),),
+    (23, "Ot"): (("EPS", ""),),
+    (23, "Oz"): (("IOTA1", "a_1=c=0"),),
+    (36, "Oz"): (("EPS1", ""),),
+    (40, "Ot"): (("EPS", ""),),
+    (44, "Ot"): (("EPS", ""),),
+    (61, "Ot"): (("EPS", ""),),
+    (76, "Ot"): (("EPS", ""),),
 }
 
 
@@ -188,7 +194,8 @@ def involution_case(f: Family, point: str,
     x_j (then biregular, and the point is excluded instead).  The fallback
     [tau1] covers O_t with coprime a3, a4 and 2 a3 + a4 = d, where members
     without the w t^2 monomial are excluded directly.  Elliptic and
-    invisible-elliptic cases are fixed family/point lists.
+    invisible-elliptic cases are read from `ELLIPTIC_POINTS`, under the
+    variant as `golden.holds` reads it.
     """
     variant = variant or {}
     w5, d = f.w, f.d
@@ -209,20 +216,13 @@ def involution_case(f: Family, point: str,
                     "TAU", witness=witness,
                     note="biregular (excludes) when the x_{i4}-linear "
                          "coefficient is divisible by " + COORDS[i3])
-    no = f.entry_no
-    typ = variant.get("type", "I")
     elliptic = "elliptic involution at " + "".join(
         "O_" + COORDS[i] for i in LOCATIONS[point][1:])
-    if (no, point) in ELLIPTIC_POINTS["EPS"] and (no != 7 or typ == "I"):
-        return InvolutionCase("EPS", note=elliptic)
-    if (no, point) in ELLIPTIC_POINTS["IOTA"] and typ == "II":
-        return InvolutionCase("IOTA", note="invisible elliptic involution")
-    for label in ("EPS1", "EPS2"):
-        if (no, point) in ELLIPTIC_POINTS[label]:
-            return InvolutionCase(label, note=elliptic)
-    if ((no, point) in ELLIPTIC_POINTS["IOTA1"]
-            and variant.get("a1") == "zero" and variant.get("c") == "zero"):
-        return InvolutionCase("IOTA1", note="invisible elliptic involution")
+    for label, condition in ELLIPTIC_POINTS.get((f.entry_no, point), ()):
+        if holds(parse_condition(condition), variant):
+            return InvolutionCase(
+                label, note=elliptic if label.startswith("EPS")
+                else "invisible elliptic involution")
     return None
 
 

@@ -5,6 +5,7 @@ reference; these tests hold the program to the same references, so that
 a change which would fail the benchmark's gate fails here first.
 """
 
+import itertools
 import json
 from pathlib import Path
 
@@ -50,6 +51,28 @@ def test_condition_atoms_of_each_family():
              sorted(data.atoms_for(rec.family.entry_no))
              for rec in data.families}
     assert atoms == ref("audit")["atoms"]
+
+
+def test_every_audit_report_is_clean(capsys):
+    # the audit workload draws each family's report under a variant that
+    # names every atom of the family's `atoms` entry, spelt with the values
+    # below, and fails an op whose report exits nonzero or lists a
+    # discrepancy
+    spelling = {"type": ("I", "II")}
+    dirty = []
+    for no, atoms in ref("audit")["atoms"].items():
+        values = [spelling.get(a, ("0", "nonzero")) for a in atoms]
+        for combo in itertools.product(*values):
+            argv = ["report", no, "--json"]
+            if atoms:
+                argv += ["--variant",
+                         ",".join(f"{a}={v}" for a, v in zip(atoms, combo))]
+            code, out = run(capsys, *argv)
+            payload = json.loads(out) if code == 0 else {}
+            if (code, payload.get("family"), payload.get("discrepancies")) \
+                    != (0, int(no), []):
+                dirty.append((argv, code))
+    assert dirty == []
 
 
 def test_enumerate(capsys):

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wfano
-from wfano import blowup, cli
+from wfano import blowup, cli, golden
 from wfano.census import vertex_singularity
 from wfano.cli import MAX_ENUMERATE_WEIGHT, main
 from wfano.report import check_summary
@@ -463,6 +464,33 @@ def test_digest_of_the_packaged_payloads():
         digest.update(f"{argv} {code}\n{out}".encode())
     assert digest.hexdigest() == (
         "2dc2525d3887b94c6b8581b5ee39d8231cc421b72cb228a29800e8f49b5e249b")
+
+
+def report_variants():
+    """(family number, `--variant` text) for every combination of values of
+    each family's condition atoms, in `golden.atom_values` spelling; the
+    text is empty at a family with no atom."""
+    data = golden.data()
+    for rec in data.families:
+        no = rec.family.entry_no
+        atoms = sorted(data.atoms_for(no))
+        for combo in itertools.product(*map(golden.atom_values, atoms)):
+            yield no, ",".join(f"{a}={v}" for a, v in zip(atoms, combo))
+
+
+def test_digest_of_the_reports_under_every_variant():
+    # exit code and stdout of every family report under every combination
+    # of its condition atoms, in text and JSON, on the packaged data
+    argvs = [["report", str(no), *flag] + (["--variant", v] if v else [])
+             for no, v in report_variants() for flag in ([], ["--json"])]
+    assert len(argvs) == 432
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = run_in_process(argv)
+        assert err == ""
+        digest.update(f"{argv} {code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "56b847e800cb5a0d900b81688ad005d03eb3183a48db203f89486063b182c9b2")
 
 
 class TestCheckTables:

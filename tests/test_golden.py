@@ -8,10 +8,10 @@ from hypothesis import given, strategies as st
 
 from wfano import golden
 from wfano.exactmath import COORD_INDEX
-from wfano.golden import (UnknownVariantFlag, canonical_atom,
-                          default_assignment, match_rows, parse_condition,
-                          parse_linear_system, parse_monomials, parse_type,
-                          parse_variant)
+from wfano.golden import (UnknownVariantFlag, canonical_atom, holds,
+                          match_rows, parse_condition, parse_linear_system,
+                          parse_monomials, parse_type, parse_variant)
+from wfano.report import build_report
 
 DATA = golden.data()
 
@@ -206,8 +206,21 @@ class TestVariantMatching:
                 assert len(rows) == 1, (no, point, len(rows))
 
     def test_unknown_flag_raises(self):
-        with pytest.raises(UnknownVariantFlag):
-            default_assignment(DATA, 23, {"bogus": "zero"})
+        with pytest.raises(UnknownVariantFlag, match="no condition flag "
+                                                     "'bogus'"):
+            build_report(23, {"bogus": "zero"}, DATA)
+
+    def test_an_unnamed_atom_reads_its_generic_value(self):
+        assert holds(parse_condition("a_1!=0"), {})
+        assert not holds(parse_condition("a_1=0"), {})
+        assert holds(parse_condition("Type I"), {})
+        assert not holds(parse_condition("Type II"), {"c": "zero"})
+
+    def test_a_named_atom_overrides_its_generic_value(self):
+        assert holds(parse_condition("a_1=c=0"), {"a1": "zero", "c": "zero"})
+        assert not holds(parse_condition("a_1=c=0"), {"a1": "zero"})
+        assert not holds(parse_condition("a_1!=0"), {"a1": "zero"})
+        assert holds(parse_condition("Type II"), {"type": "II"})
 
     def test_type_flag(self):
         rows = match_rows(DATA, 7, "OzOt", {"type": "II"})

@@ -2,7 +2,6 @@
 
 import contextlib
 import io
-import itertools
 import json
 from fractions import Fraction
 
@@ -11,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from wfano import cli, golden, report
 from wfano.report import to_json
+
+from test_cli import report_variants
 
 # strings with quotes, backslashes, control characters and non-ASCII
 texts = st.text(alphabet=st.one_of(
@@ -55,14 +56,9 @@ def cli_payloads():
         no = str(rec.family.entry_no)
         argvs += [["census", no, "--json"],
                   ["search", ",".join(map(str, rec.family.w[1:])), "--json"]]
-        atoms = sorted({a for point in data.points_of(rec.family.entry_no)
-                        for a in data.atoms_for(rec.family.entry_no, point)})
-        values = [("I", "II") if a == "type" else ("nonzero", "zero")
-                  for a in atoms]
-        for combo in itertools.product(*values):
-            variant = ",".join(f"{a}={v}" for a, v in zip(atoms, combo))
-            argvs.append(["report", no, "--json"]
-                         + (["--variant", variant] if variant else []))
+    argvs += [["report", str(no), "--json"]
+              + (["--variant", variant] if variant else [])
+              for no, variant in report_variants()]
     return argvs
 
 

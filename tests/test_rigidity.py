@@ -12,6 +12,7 @@ from wfano.census import (canonical_type, census, default_eliminated,
                           edge_singularities, vertex_elimination_candidates,
                           vertex_singularity)
 from wfano.golden import UnknownVariantFlag, match_rows
+from wfano.report import build_report
 from wfano.rigidity import (Check, NotSymmetric, _subscript_chart,
                             certify_row, curve_status, involution_case,
                             neg_definite, smooth_point_status, super_rigid,
@@ -256,6 +257,8 @@ class TestInvolutionCase:
         assert involution_case(fam(7), "OzOt", {"type": "II"}).label == "IOTA"
         assert involution_case(fam(36), "Oz").label == "EPS1"
         assert involution_case(fam(20), "Oz").label == "EPS2"
+        # without a variant, No. 7 reads Type I
+        assert involution_case(fam(7), "OzOt").label == "EPS"
 
     def test_invisible(self):
         case = involution_case(fam(23), "Oz",
@@ -297,8 +300,11 @@ class TestClassifyPoint:
             assert cert.row.method == method and cert.valid
 
     def test_unknown_flag(self):
-        with pytest.raises(UnknownVariantFlag):
-            match_rows(DATA, 23, "Oz", {"zz": "zero"})
+        # the flag is checked where the variant enters the report, also at
+        # a family with no singular point
+        for no in (23, 1):
+            with pytest.raises(UnknownVariantFlag):
+                build_report(no, {"zz": "zero"}, DATA)
 
     def test_no_matching_row(self):
         assert match_rows(DATA, 23, "Oy", {}) == []  # not a singular point
