@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .exactmath import COORDS, NoEliminatingMonomial
+from .exactmath import COORDS, Exp5, NoEliminatingMonomial, Poly
 
 if TYPE_CHECKING:
     from .wps import Family
@@ -111,6 +111,24 @@ def vertex_elimination_candidates(f: Family, i: int) -> list[int]:
     w5, d = f.w, f.d
     return [j for j in range(5)
             if j != i and (d - w5[j]) % w5[i] == 0 and (d - w5[j]) >= w5[i]]
+
+
+def eliminating_monomial(f: Family, i: int, e: int) -> Exp5:
+    """x_i^k * x_e of degree d, the monomial solving for x_e at O_i."""
+    k = (f.d - f.w[e]) // f.w[i]
+    return tuple(k if j == i else int(j == e) for j in range(5))
+
+
+def member_chart(f: Family, i: int, member: Poly) -> Optional[int]:
+    """The coordinate the member's equation solves for at O_i: the heaviest
+    x_e whose monomial x_i^k * x_e it contains, largest index on ties, or
+    None if there is none.  The candidates come in index order and the
+    weights never decrease along the coordinates, so the last one the
+    member contains is the heaviest."""
+    for e in reversed(vertex_elimination_candidates(f, i)):
+        if eliminating_monomial(f, i, e) in member:
+            return e
+    return None
 
 
 def default_eliminated(f: Family, i: int) -> Optional[int]:

@@ -17,14 +17,12 @@ from . import golden, report as report_mod
 from .blowup import DEFAULT_CUTOFF, CrossCheckFailed, divisor_multiplicity
 from .census import census as compute_census
 from .census import (LOCATIONS, EdgeContained, NonTerminal,
-                     is_terminal_family, vertex_elimination_candidates,
-                     vertex_singularity)
+                     is_terminal_family, member_chart, vertex_singularity)
 from .exactmath import NoEliminatingMonomial, OVERCUTOFF, parse_poly
 from .golden import UnknownVariantFlag, parse_variant
 from .wps import (Family, UnknownSpecialMember, anticanonical_degree,
-                  eliminating_monomial, enumerate_families,
-                  general_quasismooth, generic_member, is_wellformed,
-                  special_member)
+                  enumerate_families, general_quasismooth, generic_member,
+                  is_wellformed, special_member)
 
 USAGE_ERROR = 2
 MISMATCH = 1
@@ -90,14 +88,6 @@ def _resolve_family(selector: str, dataset) -> Family:
         if rec.family.w[1:] == weights:
             return rec.family
     raise UsageError(f"no family with weights {weights}")
-
-
-def _member_chart(f: Family, i: int, member) -> int | None:
-    """The coordinate the member's equation solves for at O_i: the heaviest
-    x_e whose monomial x_i^k * x_e it contains, or None if there is none."""
-    return max((e for e in vertex_elimination_candidates(f, i)
-                if eliminating_monomial(f, i, e) in member),
-               key=lambda e: (f.w[e], e), default=None)
 
 
 def _print_payload(args, payload: dict, render) -> int:
@@ -197,7 +187,7 @@ def cmd_order(args) -> int:
     idx = location[1]
     member = (special_member(f, "special") if variant
               else generic_member(f, seed=args.seed))
-    sing = vertex_singularity(f, idx, _member_chart(f, idx, member))
+    sing = vertex_singularity(f, idx, member_chart(f, idx, member))
     if sing is None:
         raise UsageError(
             f"the general member has no quotient point at {point}")

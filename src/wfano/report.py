@@ -6,11 +6,12 @@ import itertools
 from typing import Optional, Sequence
 
 from .census import QuotientSingularity, census
+from .exactmath import COORDS
 from .golden import (GoldenData, GoldenRow, METHOD_SYMBOLS,
                      UnknownVariantFlag, atom_values, holds, match_rows)
 from .rigidity import (Certificate, Check, certify_row, curve_status,
                        smooth_point_status, super_rigid)
-from .wps import COORDS, anticanonical_degree
+from .wps import anticanonical_degree
 
 
 def census_record(e: QuotientSingularity) -> dict:
@@ -40,11 +41,10 @@ def build_report(no: int, variant: dict[str, str],
             raise UnknownVariantFlag(
                 f"family {no} has no condition flag {name!r}; "
                 f"known: {sorted(atoms) or 'none'}")
-    matches = [(point, match_rows(dataset, no, point, variant))
+    answers = [(point, variant, match_rows(dataset, no, point, variant))
                for point in dataset.points_of(no)]
     entries, certs, discrepancies = _certify_family(
-        dataset, no, [row for _point, rows in matches for row in rows],
-        [(point, variant) for point, rows in matches if not rows])
+        dataset, no, [row for *_, rows in answers for row in rows], answers)
     f = dataset.family(no).family
     sps = smooth_point_status(f)
     cs = curve_status(f)
@@ -67,12 +67,14 @@ def build_report(no: int, variant: dict[str, str],
 
 
 def _certify_family(dataset: GoldenData, no: int, rows: list[GoldenRow],
-                    unanswered: list[tuple[str, dict[str, str]]]) -> tuple:
+                    answers: list[tuple[str, dict[str, str], list[GoldenRow]]]
+                    ) -> tuple:
     """(census entries, certificates, discrepancies) of family `no`: the
     certificate of each row, and as discrepancies the census points with no
-    table row, then the failed rows, then each (point, variant) that no
-    row answers, named in --variant syntax by the value that holds of each
-    of the point's atoms."""
+    table row, then the failed rows, then each (point, variant, matching
+    rows) of `answers` that no row or more than one row answers, named in
+    --variant syntax by the value that holds of each of the point's
+    atoms."""
     f = dataset.family(no).family
     entries = census(f).entries
     # a row at a point the census lacks, or whose count, r or type is not
@@ -89,9 +91,15 @@ def _certify_family(dataset: GoldenData, no: int, rows: list[GoldenRow],
         if failures:
             discrepancies.append(_discrepancy(
                 no, row.point, condition=row.condition_raw, failed=failures))
-    for point, variant in unanswered:
+    for point, variant, matched in answers:
+        if len(matched) == 1:
+            continue
+        reason = (f"variant combination answered by {len(matched)} golden "
+                  f"rows (methods {', '.join(r.method for r in matched)})"
+                  if matched else
+                  "variant combination not covered by any golden row")
         discrepancies.append(_discrepancy(
-            no, point, "variant combination not covered by any golden row",
+            no, point, reason,
             ",".join(f"{a}={v}" for a in sorted(dataset.atoms_for(no, point))
                      for v in atom_values(a) if holds({(a, v)}, variant))))
     return entries, certs, discrepancies
@@ -245,17 +253,17 @@ def check_tables(dataset: GoldenData,
                              f"stored {stored}"))
 
         # every combination of a point's condition atoms, the empty one at
-        # a point with none, must be answered by some row
-        unanswered = []
+        # a point with none, must be answered by exactly one row
+        answers = []
         for point in dataset.points_of(no):
             atoms = sorted(dataset.atoms_for(no, point))
             for combo in itertools.product(*map(atom_values, atoms)):
                 variant = dict(zip(atoms, combo))
-                if not match_rows(dataset, no, point, variant):
-                    unanswered.append((point, variant))
+                answers.append((point, variant,
+                                match_rows(dataset, no, point, variant)))
         rows = dataset.rows_for(no)
         nrows += len(rows)
-        discrepancies += _certify_family(dataset, no, rows, unanswered)[2]
+        discrepancies += _certify_family(dataset, no, rows, answers)[2]
     ncorr = sum(1 for d in documented if d["kind"] != "defect")
     return {
         "summary": check_summary(nfam, nrows, len(discrepancies), ncorr,

@@ -23,9 +23,9 @@ from .blowup import (NonIntegral, b_cubed, format_class, monomial_order,
                      s_class_ks, transform_beta_E)
 from .census import (LOCATIONS, QuotientSingularity, canonical_type, census,
                      vertex_elimination_candidates)
+from .exactmath import COORDS
 from .golden import GoldenData, GoldenRow, holds, parse_condition
-from .wps import (COORDS, Family, anticanonical_degree, general_quasismooth,
-                  hat_lcms)
+from .wps import Family, anticanonical_degree, general_quasismooth, hat_lcms
 
 
 class NotSymmetric(ValueError):

@@ -16,7 +16,8 @@ from functools import total_ordering
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .census import default_eliminated, is_terminal_family, no_singular_curves
+from .census import (default_eliminated, eliminating_monomial,
+                     is_terminal_family, no_singular_curves)
 from .exactmath import COORDS, Exp5, Poly, parse_poly
 
 
@@ -278,12 +279,6 @@ class UnknownSpecialMember(KeyError):
     """`special_member` has no member of that name for the family."""
 
     __str__ = LookupError.__str__  # the message, not KeyError's repr of it
-
-
-def eliminating_monomial(f: Family, i: int, e: int) -> Exp5:
-    """x_i^k * x_e of degree d, the monomial solving for x_e at O_i."""
-    k = (f.d - f.w[e]) // f.w[i]
-    return tuple(k if j == i else int(j == e) for j in range(5))
 
 
 def _eliminating_monomials(f: Family) -> dict[Exp5, tuple[int, int]]:

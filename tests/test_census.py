@@ -12,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 from wfano import golden
 from wfano.census import (EdgeContained, NonTerminal, canonical_type, census,
                           default_eliminated, edge_point_count,
-                          edge_singularities, is_terminal_family,
-                          normalize_type, try_normalize_type,
-                          vertex_elimination_candidates, vertex_singularity)
+                          edge_singularities, eliminating_monomial,
+                          is_terminal_family, member_chart, normalize_type,
+                          try_normalize_type, vertex_elimination_candidates,
+                          vertex_singularity)
 from wfano.exactmath import NoEliminatingMonomial
-from wfano.wps import Family
+from wfano.wps import Family, generic_member, special_member
 
 from oracles import normalized_types
 
@@ -125,6 +126,38 @@ class TestVertex:
                     key=lambda j: (f.w[j], j)), (f, i)
                 points += 1
         assert points == 139
+
+
+class TestMemberChart:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_generic_member_solves_for_the_census_chart(self, seed):
+        points = 0
+        for rec in golden.data().families:
+            f = rec.family
+            member = generic_member(f, seed=seed)
+            for i in range(1, 5):
+                e = default_eliminated(f, i)
+                if e is not None:
+                    assert member_chart(f, i, member) == e, (f, i)
+                    points += 1
+        assert points == 139
+
+    def test_special_member_of_23(self):
+        # z^4*y and no z^3*w: the member solves for y at O_z, where the
+        # census eliminates w; at O_t and O_w it keeps the census chart
+        f = fam(23)
+        member = special_member(f, "special")
+        assert default_eliminated(f, 2) == 4
+        assert member_chart(f, 2, member) == 1
+        for i, e in ((3, 1), (4, 3)):
+            assert member_chart(f, i, member) == default_eliminated(f, i) == e
+
+    def test_heaviest_contained_candidate_wins(self):
+        # O_z of No. 23 has the candidates y (z^4*y) and w (z^3*w)
+        f = fam(23)
+        both = {eliminating_monomial(f, 2, e): 1 for e in (1, 4)}
+        assert member_chart(f, 2, both) == 4
+        assert member_chart(f, 2, {}) is None
 
 
 class TestEdges:

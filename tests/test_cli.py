@@ -607,6 +607,31 @@ class TestCheckTables:
             assert code == 1 and json.loads(out)["discrepancies"] == [record]
         assert "Oz" not in [p["point"] for p in json.loads(out)["points"]]
 
+    def test_variant_answered_by_two_rows_is_named(self, tmp_path, capsys):
+        # the a_1!=0 row of No. 9 at O_z, repeated under method N
+        row = "9\tOz\t1\t1/2(1_x,1_y,1_t)\tB\t0\tB\ty\ty\ta_1!=0\t\n"
+        golden_edited(tmp_path, "golden_tables.tsv", lambda text: text.replace(
+            row, row + row.replace("\tB\t0\t", "\tN\t0\t"), 1))
+        record = {"family": 9, "point": "Oz", "condition": "a1=nonzero",
+                  "reason": "variant combination answered by 2 golden rows "
+                            "(methods B, N)"}
+        for argv in (["check-tables"], ["check-tables", "--family", "9"],
+                     ["report", "9"],
+                     ["report", "9", "--variant", record["condition"]]):
+            code, out, _ = run(capsys, *argv, "--json",
+                               "--golden", str(tmp_path))
+            assert code == 1 and json.loads(out)["discrepancies"] == [record]
+        assert [p["method"] for p in json.loads(out)["points"]
+                if p["point"] == "Oz"] == ["B", "N"]
+        code, out, _ = run(capsys, "check-tables", "--golden", str(tmp_path))
+        assert code == 1 and ("\n  DISCREPANCY No. 9 Oz [a1=nonzero]: variant "
+                              "combination answered by 2 golden rows "
+                              "(methods B, N)") in out
+        # the other value of a_1 is answered by one row
+        code, out, _ = run(capsys, "report", "9", "--variant", "a1=0",
+                           "--golden", str(tmp_path))
+        assert code == 0 and out.endswith("\ndiscrepancies: none\n")
+
     def test_failed_row_has_one_record_in_report_and_check_tables(
             self, tmp_path, capsys):
         golden_with_cell(tmp_path, 19, "OzOt", "b3", "0", "+")

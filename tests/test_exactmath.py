@@ -4,6 +4,7 @@ import ast
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,19 +321,38 @@ def test_source_has_no_assert_statement():
     assert found == []
 
 
+def test_the_package_binds_no_name_but_its_docstring():
+    """`wfano/__init__.py` re-exports nothing: each name is imported from
+    the one module that defines it."""
+    path = Path(wfano.__file__)
+    body = ast.parse(path.read_text(), str(path)).body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr)
+    assert isinstance(body[0].value.value, str)
+
+
+def test_import_as_gives_each_module():
+    """`import wfano.<m> as x` binds the module: no package attribute of
+    the same name shadows it, as a re-exported `census` function did."""
+    names = sorted(path.stem for path in Path(wfano.__file__).parent.glob(
+        "*.py") if path.stem != "__init__")
+    assert len(names) > 5
+    for name in names:
+        namespace = {}
+        exec(f"import wfano.{name} as x", namespace)
+        assert isinstance(namespace["x"], ModuleType), name
+
+
 def test_every_top_level_name_has_a_caller_in_the_package():
     """Each top-level def, class and assigned name of a package module is
-    read by package code (a load, an attribute or an import), `__init__`'s
-    re-exports aside; a test oracle lives in `tests/oracles.py` instead.
-    The names that the benchmark's tracer wraps are exempt."""
+    read by package code (a load, an attribute or an import); a test oracle
+    lives in `tests/oracles.py` instead.  The names that the benchmark's
+    tracer wraps are exempt."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
                                                   TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     defined, read = set(), set()
     for path in Path(wfano.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(), str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):

@@ -163,7 +163,7 @@ class TestDataset:
                 assert row.kind == "untwist"
 
     def test_point_and_witness_are_parsed_at_load(self):
-        from wfano.wps import COORDS
+        from wfano.exactmath import COORDS
         for row in DATA.rows:
             assert "".join("O" + COORDS[i]
                            for i in row.location[1:]) == row.point
