@@ -48,8 +48,9 @@ def _unit_slot(r: int, v: int, p: int, q: int) -> Optional[tuple]:
         return 1, a, r - a
 
 
-def try_normalize_type(r: int, residues) -> Optional[tuple[int, int, int]]:
-    """Normalize residues to (1, a, r-a) by a unit mod r, or None.
+def normalize_type(r: int, residues) -> tuple[int, int, int]:
+    """Normalize residues to (1, a, r-a) by a unit mod r, or raise
+    `NonTerminal`.
 
     The slot carrying the 1 is chosen as early as possible, so an input
     already of the shape (1, a, r-a) is returned unchanged.
@@ -57,14 +58,8 @@ def try_normalize_type(r: int, residues) -> Optional[tuple[int, int, int]]:
     if len(residues) != 3:
         raise ValueError("need exactly three residues")
     x, y, z = residues
-    return (_unit_slot(r, x, y, z) or _unit_slot(r, y, x, z)
-            or _unit_slot(r, z, x, y))
-
-
-def normalize_type(r: int, residues) -> tuple[int, int, int]:
-    if r < 2:
-        raise ValueError("quotient order must be at least 2")
-    nt = try_normalize_type(r, residues)
+    nt = (_unit_slot(r, x, y, z) or _unit_slot(r, y, x, z)
+          or _unit_slot(r, z, x, y))
     if nt is None:
         raise NonTerminal(f"1/{r}{tuple(residues)} is not a terminal type")
     return nt

@@ -143,11 +143,16 @@ def cmd_census(args) -> int:
             [report_mod.census_record(e) for e in cens.entries]))
     else:
         print(f)
-        if not cens.entries:
-            print("  smooth: no singular points")
-        for e in cens.entries:
-            print(f"  {e}")
+        _print_census(cens.entries)
     return 0
+
+
+def _print_census(entries) -> None:
+    """One indented line per census point, or one saying there is none."""
+    if not entries:
+        print("  smooth: no singular points")
+    for e in entries:
+        print(f"  {e}")
 
 
 def cmd_report(args) -> int:
@@ -169,8 +174,7 @@ def cmd_check_tables(args) -> int:
 def cmd_order(args) -> int:
     dataset = _dataset(args)
     f = _resolve_family(args.family, dataset)
-    variant = parse_variant(args.variant or "")
-    if set(variant) - {"special"}:
+    if args.variant not in (None, "", "special"):
         raise UsageError(f"order takes no --variant but special, "
                          f"got {args.variant!r}")
     point = args.point
@@ -185,7 +189,7 @@ def cmd_order(args) -> int:
         raise UsageError("--poly is the zero polynomial, which has no order")
 
     idx = location[1]
-    member = (special_member(f, "special") if variant
+    member = (special_member(f) if args.variant
               else generic_member(f, seed=args.seed))
     sing = vertex_singularity(f, idx, member_chart(f, idx, member))
     if sing is None:
@@ -220,8 +224,8 @@ def cmd_search(args) -> int:
     if qs.ok:
         info["terminal"] = is_terminal_family(f)
         if info["terminal"]:
-            info["census"] = [report_mod.census_record(e)
-                              for e in compute_census(f).entries]
+            entries = compute_census(f).entries
+            info["census"] = [report_mod.census_record(e) for e in entries]
             match = next((rec.family.entry_no for rec in dataset.families
                           if rec.family.w == f.w), None)
             info["entry_no"] = match
@@ -229,7 +233,11 @@ def cmd_search(args) -> int:
         print(report_mod.to_json(info))
     else:
         for key, value in info.items():
-            print(f"{key}: {value}")
+            if key == "census":
+                print("census:")
+                _print_census(entries)
+            else:
+                print(f"{key}: {value}")
     return 0
 
 
@@ -264,7 +272,7 @@ COMMANDS = {
     "order": (cmd_order, "vanishing order at a vertex point", (FAMILY,), (
         ("--point", REQUIRED, None, "Oy, Oz, Ot or Ow"),
         ("--poly", REQUIRED, None, "polynomial, e.g. 'y*z+x*t'"),
-        ("--variant", STR, None, "member variant, e.g. special"),
+        ("--variant", STR, None, "special: the special member of No. 23"),
         ("--cutoff", INT, None,
          f"cap on the series depth; an order of cutoff/r or more reports "
          f"over-cutoff; at most {MAX_CUTOFF}r (default {DEFAULT_CUTOFF}r)"),

@@ -33,7 +33,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
-from .census import LOCATIONS, try_normalize_type
+from .census import LOCATIONS, normalize_type
 from .exactmath import COORD_INDEX, Exp5, parse_poly
 from .wps import Family
 
@@ -298,12 +298,12 @@ def _family_cell(no: int, column: str, text: str, parse, expected: str):
 @cache
 def _type_cell(text: str) -> tuple[int, tuple[int, int, int],
                                    Optional[tuple[int, int, int]],
-                                   Optional[tuple[int, int, int]]]:
-    """(r, residues, local params or None, normalized residues or None if
-    the type is not terminal) of a singularity type."""
+                                   tuple[int, int, int]]:
+    """(r, residues, local params or None, normalized residues) of a
+    singularity type; `NonTerminal` if the type is not terminal."""
     r, residues, subs = parse_type(text)
     return (r, residues, None if None in subs else subs,
-            try_normalize_type(r, residues))
+            normalize_type(r, residues))
 
 
 @cache
@@ -338,8 +338,6 @@ def _golden_row(no: int, point: str, count: str, type_raw: str,
         raise ValueError(f"unknown point {point!r}")
     type_str = type_fix.corrected if type_fix else type_raw
     r, residues, local_params, normalized = _type_cell(type_str)
-    if normalized is None:
-        raise ValueError(f"non-terminal type {type_str!r}")
     linsys = parse_linear_system(linsys_raw) if linsys_raw else None
     surface = _surface_cell(surface_fix.corrected if surface_fix
                             else surface_raw)
@@ -453,7 +451,7 @@ class UnknownVariantFlag(ValueError):
 
 
 def parse_variant(text: str) -> dict[str, str]:
-    """CLI variant syntax: 'a1=0,c=nonzero,type=II' (or the name 'special').
+    """CLI variant syntax: 'a1=0,c=nonzero,type=II'.
 
     A flag given twice, also under two spellings that `canonical_atom`
     folds to one name, is an error.
@@ -465,20 +463,17 @@ def parse_variant(text: str) -> dict[str, str]:
         tok = tok.strip()
         if not tok:
             continue
-        if tok == "special":
-            name, value = "special", "yes"
-        else:
-            name, sep, value = tok.partition("=")
-            name = canonical_atom(name)
-            if not (sep and name):
-                raise UnknownVariantFlag(f"bad variant flag {tok!r}")
-            value = value.strip()
-            if name != "type":
-                value = {"0": "zero", "nz": "nonzero"}.get(value, value)
-            if value not in atom_values(name):
-                raise UnknownVariantFlag(
-                    f"type must be I or II, got {value!r}" if name == "type"
-                    else f"variant value must be 0 or nonzero, got {tok!r}")
+        name, sep, value = tok.partition("=")
+        name = canonical_atom(name)
+        if not (sep and name):
+            raise UnknownVariantFlag(f"bad variant flag {tok!r}")
+        value = value.strip()
+        if name != "type":
+            value = {"0": "zero", "nz": "nonzero"}.get(value, value)
+        if value not in atom_values(name):
+            raise UnknownVariantFlag(
+                f"type must be I or II, got {value!r}" if name == "type"
+                else f"variant value must be 0 or nonzero, got {tok!r}")
         if name in out:
             raise UnknownVariantFlag(
                 f"variant flag {name!r} given twice in {text!r}")

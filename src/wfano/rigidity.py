@@ -22,8 +22,8 @@ from typing import NamedTuple, Optional, Sequence
 from .blowup import (NonIntegral, b_cubed, format_class, monomial_order,
                      s_class_ks, transform_beta_E)
 from .census import (LOCATIONS, QuotientSingularity, canonical_type, census,
-                     vertex_elimination_candidates)
-from .exactmath import COORDS
+                     vertex_singularity)
+from .exactmath import COORDS, NoEliminatingMonomial
 from .golden import GoldenData, GoldenRow, holds, parse_condition
 from .wps import Family, anticanonical_degree, general_quasismooth, hat_lcms
 
@@ -270,22 +270,23 @@ def certify_row(f: Family, row: GoldenRow,
     its location.  Where the row's subscripts name another coordinate to
     eliminate at a vertex O_i, the census point still serves: with r = a_i,
     every candidate x_e has a_e = d mod r, so the three local parameters of
-    any chart have the same residues, and r, count and type do not depend
-    on the chart.
+    any chart have the same residues, and r, count and the type up to
+    a <-> r-a do not depend on the chart.
 
     A row at a point where the census has no quotient point, or whose
-    subscripts name a coordinate that cannot be eliminated there, gets a
-    certificate whose one check, "quotient type", fails.
+    subscripts leave a coordinate that `vertex_singularity` refuses as the
+    chart, gets a certificate whose one check, "quotient type", fails.
     """
     sing = next((e for e in entries if e.location == row.location), None)
     chart = _subscript_chart(row)
     problem = None
     if sing is None:
         problem = f"the census has no quotient point at {row.point}"
-    elif (chart is not None
-          and chart not in vertex_elimination_candidates(f, row.location[1])):
-        problem = (f"{COORDS[chart]} cannot be eliminated at "
-                   f"O_{COORDS[row.location[1]]}")
+    elif chart is not None and chart != sing.eliminated:
+        try:
+            vertex_singularity(f, row.location[1], chart)
+        except NoEliminatingMonomial as exc:
+            problem = str(exc)
     if problem:
         return Certificate(row, (Check("quotient type", False, problem),))
     checks = [Check(

@@ -275,10 +275,8 @@ def enumerate_families(max_weight: int = 33) -> list[Family]:
 
 # ------------------------------------------------------- concrete members
 
-class UnknownSpecialMember(KeyError):
-    """`special_member` has no member of that name for the family."""
-
-    __str__ = LookupError.__str__  # the message, not KeyError's repr of it
+class UnknownSpecialMember(ValueError):
+    """`special_member` has no member for the family."""
 
 
 def _eliminating_monomials(f: Family) -> dict[Exp5, tuple[int, int]]:
@@ -344,18 +342,18 @@ def generic_member(f: Family, seed: int = 0) -> Poly:
             for exps in sorted(normal_form_support(f, units))}
 
 
-def special_member(f: Family, name: str) -> Poly:
-    """Named non-generic members used by untwisting certificates.
+def special_member(f: Family) -> Poly:
+    """The non-generic member of No. 23 used by an untwisting certificate.
 
-    ``23:special`` is the degree-14 hypersurface in P(1,2,3,4,5) whose
-    z-vertex carries the invisible elliptic involution: the z^3-coefficient
-    of w and the z^2 t^2 term both vanish, forcing the monomials z^4 y and
-    x t z^3.
+    It is the degree-14 hypersurface in P(1,2,3,4,5) whose z-vertex carries
+    the invisible elliptic involution: the z^3-coefficient of w and the
+    z^2 t^2 term both vanish, forcing the monomials z^4 y and x t z^3.
+    Any other family raises `UnknownSpecialMember`.
     """
-    key = f"{f.entry_no}:{name}"
-    if key == "23:special":
+    if f.entry_no == 23:
         return parse_poly(
             "t*w^2 + y^2*w^2"          # (t + b y^2) w^2 with b = 1
             "+ y*t^3 - 3*y^3*t^2 + 2*y^5*t"  # y t (t - y^2)(t - 2 y^2)
             "+ z^4*y + x*t*z^3")
-    raise UnknownSpecialMember(f"unknown special member {key!r}")
+    raise UnknownSpecialMember(
+        f"unknown special member '{f.entry_no}:special'")

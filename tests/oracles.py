@@ -16,7 +16,7 @@ decides another way, so the tests can compare the two:
   `wps.normal_form_support`;
 - `normalized_types`: every residue triple mod r that a unit scales to
   (1, a, r-a), built forward from the shapes, against
-  `census.try_normalize_type`;
+  `census.normalize_type`;
 - `row_point`: the quotient point a golden row names, in the chart its
   subscripts pick, where `rigidity.certify_row` takes the census point,
   whose r, count and type are the same in every chart.

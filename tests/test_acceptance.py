@@ -193,7 +193,7 @@ def test_criterion_07_smooth_point_partition():
 
 def test_criterion_08_orbifold_multiplicity_oracle():
     f23 = fam(23)
-    member = special_member(f23, "special")
+    member = special_member(f23)
     sing = vertex_singularity(f23, 2, eliminated=1)
     assert divisor_multiplicity(sing, parse_poly("y"), member,
                                 cutoff=4 * 3) == Fraction(2, 3)

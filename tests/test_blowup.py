@@ -245,7 +245,7 @@ class TestDivisorMultiplicity:
     def test_special_member_two_thirds(self):
         f, sing = vertex_point(23, 2, eliminated=1)
         got = divisor_multiplicity(sing, parse_poly("y"),
-                                   special_member(f, "special"))
+                                   special_member(f))
         assert got == Fraction(2, 3)
 
     def test_local_parameter_is_one_over_r(self):
@@ -257,7 +257,7 @@ class TestDivisorMultiplicity:
 
     def test_overcutoff_propagates(self):
         f, sing = vertex_point(23, 2, eliminated=1)
-        member = special_member(f, "special")
+        member = special_member(f)
         assert divisor_multiplicity(sing, member, member) is OVERCUTOFF
 
     def test_refuses_an_edge_point(self):

@@ -198,6 +198,11 @@ BAD_GOLDEN = {
         lambda p: golden_with_cell(p, 95, "OzOt", "condition", "", "Type"),
         "golden_tables.tsv: the row No. 95 OzOt [Type]: cannot parse "
         "condition 'Type'"),
+    "non_terminal_type": (
+        lambda p: golden_with_cell(p, 95, "OzOt", "type_raw",
+                                   "1/2(1_x,1_y,1_w)", "1/4(1_x,1_y,1_w)"),
+        "golden_tables.tsv: the row No. 95 OzOt []: 1/4(1, 1, 1) is not a "
+        "terminal type"),
     "exclusion_without_linsys": (
         lambda p: golden_with_cell(p, 95, "OtOw", "linsys", "5B", ""),
         "golden_tables.tsv: the row No. 95 OtOw []: an exclusion row needs"),
@@ -651,6 +656,22 @@ class TestCheckTables:
             "\ndiscrepancies:\n  19 OzOt []: B^3 sign: B^3 = 0 (0) vs table "
             "'+'\n")
 
+    def test_chart_the_vertex_cannot_take_is_one_record(self, tmp_path,
+                                                        capsys):
+        # subscripts x, z, t leave w to the chart, and O_y of No. 95 can
+        # eliminate only x or z; the residues still normalize
+        golden_with_cell(tmp_path, 95, "Oy", "type_raw", "1/5(1_x,2_t,3_w)",
+                         "1/5(1_x,2_z,3_t)")
+        reason = "quotient type: w cannot be eliminated at O_y"
+        for argv in (["report", "95"], ["check-tables"]):
+            code, out, _ = run(capsys, *argv, "--json",
+                               "--golden", str(tmp_path))
+            assert code == 1 and json.loads(out)["discrepancies"] == [
+                {"family": 95, "point": "Oy", "condition": "a_1!=0",
+                 "reason": reason, "failed_checks": ["quotient type"]}]
+            code, out, _ = run(capsys, *argv, "--golden", str(tmp_path))
+            assert code == 1 and f" Oy [a_1!=0]: {reason}\n" in out
+
     def test_stored_anticanonical_degree_is_checked(self, tmp_path, capsys):
         golden_with_family_cell(tmp_path, 52, "A3", "1/20", "1/2")
         code, out, _ = run(capsys, "check-tables", "--golden", str(tmp_path),
@@ -727,6 +748,19 @@ class TestOrder:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("variant", [
+        "zz", "a1=0", "special,special", " special", "special,"])
+    def test_special_is_the_only_variant(self, capsys, variant):
+        code, out, err = run(capsys, "order", "23", "--point", "Oz",
+                             "--poly", "x", "--variant", variant)
+        assert (code, out) == (2, "")
+        assert err == (f"error: order takes no --variant but special, "
+                       f"got {variant!r}\n")
+
+    def test_empty_variant_is_the_generic_member(self, capsys):
+        argv = ("order", "23", "--point", "Oz", "--poly", "x")
+        assert run(capsys, *argv, "--variant", "") == run(capsys, *argv)
+
     def test_negative_cutoff_reaches_the_range_check(self, capsys):
         code, out, err = run(capsys, "order", "50", "--point", "Ot", "--poly",
                              "y", "--cutoff", "-7")
@@ -765,6 +799,18 @@ class TestSearch:
         assert code == 0
         info = json.loads(out)
         assert info["quasismooth"] is False
+
+    @pytest.mark.parametrize("weights,census_lines", [
+        ("2,3,5,7", "  Oy = 1/2(1, 1, 1)\n  Oz = 1/3(1, 2, 1)\n"
+                    "  Ot = 1/5(1, 2, 3)\n  Ow = 1/7(1, 2, 5)\n"),
+        ("1,1,1,1", "  smooth: no singular points\n"),
+    ], ids=["2,3,5,7", "1,1,1,1"])
+    def test_text_lists_the_census_as_census_does(self, capsys, weights,
+                                                  census_lines):
+        code, out, _ = run(capsys, "search", weights)
+        assert code == 0
+        assert f"\nterminal: True\ncensus:\n{census_lines}entry_no: " in out
+        assert run(capsys, "census", weights)[1].endswith(census_lines)
 
 
 def test_order_takes_no_json_flag(capsys):

@@ -90,10 +90,10 @@ class TestGrammar:
         assert parse_variant("a1=0,c=nonzero") == {
             "a1": "zero", "c": "nonzero"}
         assert parse_variant("type=II") == {"type": "II"}
-        assert parse_variant("special") == {"special": "yes"}
         with pytest.raises(UnknownVariantFlag):
             parse_variant("a1=maybe")
-        for tok in ("=0", "_=0", "a1"):
+        # `order` alone reads the name special, not as a condition flag
+        for tok in ("=0", "_=0", "a1", "special"):
             with pytest.raises(UnknownVariantFlag,
                                match=f"^bad variant flag '{tok}'$"):
                 parse_variant(tok)

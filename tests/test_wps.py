@@ -351,7 +351,7 @@ class TestMembers:
 
     def test_special_member_support(self):
         f = golden.data().family(23).family
-        member = special_member(f, "special")
+        member = special_member(f)
         assert (0, 1, 4, 0, 0) in member       # z^4 y
         assert (1, 0, 3, 1, 0) in member       # x t z^3
         assert (0, 0, 3, 0, 1) not in member   # no z^3 w
@@ -360,5 +360,6 @@ class TestMembers:
                    for exps in member)
 
     def test_unknown_special_member(self):
-        with pytest.raises(UnknownSpecialMember):
-            special_member(golden.data().family(7).family, "special")
+        with pytest.raises(UnknownSpecialMember,
+                           match="^unknown special member '7:special'$"):
+            special_member(golden.data().family(7).family)
