@@ -99,13 +99,11 @@ def parse_poly(text: str) -> Poly:
 
 
 class Series(NamedTuple):
-    """A solved series: `parts[D]` holds its terms of weighted degree D.
-
-    `weights` are the scaled local weights (weight residues in (0, r)); the
-    cutoff is `len(parts)`, and `parts[0]` is empty.
+    """A solved series: `parts[D]` holds its terms of weighted degree D in
+    the scaled local weights.  The cutoff is `len(parts)`, and `parts[0]`
+    is empty.
     """
 
-    weights: Exp3
     parts: list[Part]
 
     @property
@@ -245,12 +243,11 @@ def implicit_eliminate(support: Mapping[Exp5, Coeff], chart_vertex: int,
                        cutoff: int) -> Series:
     """The unique series s with f(..., 1, ..., s, ...) = 0 modulo weighted
     degree `cutoff`, solved to the full cutoff (see `_eliminate`)."""
-    weights = tuple(local_weights)
     parts: list[Part] = []
-    for _ in _eliminate(support, chart_vertex, eliminated, weights, cutoff,
-                        parts):
+    for _ in _eliminate(support, chart_vertex, eliminated,
+                        tuple(local_weights), cutoff, parts):
         pass
-    return Series(weights, parts)
+    return Series(parts)
 
 
 def series_order(g: Mapping[Exp5, Coeff], member: Mapping[Exp5, Coeff],

@@ -171,8 +171,10 @@ def render_text(report: dict) -> str:
             elim = f", eliminates {e['eliminated']}" if e["eliminated"] else ""
             lines.append(f"  {e['point']} = {mult}1/{e['r']}({t})"
                          f"  [params {''.join(e['local_params'])}{elim}]")
-    failed_at = {(d["point"], d["condition"])
-                 for d in report["discrepancies"]}
+    # the failed checks that no documented defect excuses, by row
+    failed_at = {(d["point"], d["condition"], name)
+                 for d in report["discrepancies"]
+                 for name in d.get("failed_checks", ())}
     for p in report["points"]:
         head = (f"  {p['point']} {p['symbol']} {p['kind']}"
                 + (f"  [{p['condition']}]" if p["condition"] else ""))
@@ -186,8 +188,10 @@ def render_text(report: dict) -> str:
         if "witness" in p:
             bits.append(f"witness {p['witness']}")
         status = "ok" if p["valid"] else (
-            "DOCUMENTED DEFECT" if "documented_defect" in p
-            and (p["point"], p["condition"]) not in failed_at else "FAILED")
+            "FAILED" if any((p["point"], p["condition"], c["name"])
+                            in failed_at for c in p["checks"]
+                            if not c["passed"])
+            else "DOCUMENTED DEFECT")
         lines.append(head + ("  |  " + "; ".join(bits) if bits else "")
                      + f"  -> {status}")
         if not p["valid"]:

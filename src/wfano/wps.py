@@ -1,18 +1,17 @@
 """Weighted projective spaces P(1,a1,a2,a3,a4) and their Fano hypersurfaces.
 
 A family is a weight quadruple a1 <= a2 <= a3 <= a4 together with the
-anticanonical degree d = a1+a2+a3+a4, held in an immutable, ordered and
-hashable `Family`.  The module decides well-formedness and
-quasi-smoothness of the general member combinatorially, enumerates all
-families with terminal singularities, and builds concrete general members
-with deterministic pseudo-random coefficients for order computations.
+anticanonical degree d = a1+a2+a3+a4, held in an immutable `Family`.  The
+module decides well-formedness and quasi-smoothness of the general member
+combinatorially, enumerates all families with terminal singularities, and
+builds concrete general members with deterministic pseudo-random
+coefficients for order computations.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import total_ordering
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -25,13 +24,13 @@ from .exactmath import COORDS, Exp5, Poly, parse_poly
 _set = object.__setattr__
 
 
-@total_ordering
 class Family:
     """An anticanonically embedded hypersurface family X_d in P(1,a1..a4).
 
     `w` is the 5-vector (1, a1, a2, a3, a4) with 0 < a1 <= a2 <= a3 <= a4,
     and the degree d = a1+a2+a3+a4 is derived from it.  Families are
-    immutable, and compare, sort and hash by (w, entry_no, d).
+    immutable and compare by identity: code that compares two families
+    compares their `w`.
     """
 
     __slots__ = ("w", "entry_no", "d")
@@ -56,25 +55,6 @@ class Family:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     __setattr__ = __delattr__ = _frozen
-
-    def _key(self):
-        return self.w, self.entry_no, self.d
-
-    def __eq__(self, other):
-        if other.__class__ is not Family:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __lt__(self, other):
-        if other.__class__ is not Family:
-            return NotImplemented
-        return self._key() < other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __reduce__(self):
-        return Family, (self.w, self.entry_no)
 
     def __repr__(self):
         return f"Family(w={self.w!r}, entry_no={self.entry_no!r}, d={self.d!r})"
@@ -279,19 +259,18 @@ class UnknownSpecialMember(ValueError):
     """`special_member` has no member for the family."""
 
 
-def _eliminating_monomials(f: Family) -> dict[Exp5, tuple[int, int]]:
-    """x_i^k * x_e -> (i, e) for each quotient point O_i of the general
-    member, where x_e is the coordinate the census eliminates there."""
+def _eliminating_monomials(f: Family) -> dict[Exp5, int]:
+    """x_i^k * x_e -> i for each quotient point O_i of the general member,
+    where x_e is the coordinate the census eliminates there."""
     out = {}
     for i in range(1, 5):
         e = default_eliminated(f, i)
         if e is not None:
-            out[eliminating_monomial(f, i, e)] = i, e
+            out[eliminating_monomial(f, i, e)] = i
     return out
 
 
-def normal_form_support(f: Family, kept: dict[Exp5, tuple[int, int]]
-                        ) -> set[Exp5]:
+def normal_form_support(f: Family, kept: dict[Exp5, int]) -> set[Exp5]:
     """Support of the general member after the standard linear normalizations.
 
     At each singular vertex O_i the coordinate x_e eliminated there
@@ -300,7 +279,7 @@ def normal_form_support(f: Family, kept: dict[Exp5, tuple[int, int]]
     x_i^k * m with deg(m) = a_e, where x_i^k * x_e is the eliminating
     monomial.  Those are left out, so the series order of x_e at O_i is the
     one the certificate tables read off.  `kept` maps each eliminating
-    monomial to its (i, e), as `_eliminating_monomials(f)` gives it.
+    monomial to its vertex i, as `_eliminating_monomials(f)` gives it.
 
     A degree-d monomial is x_i^k * m with deg(m) = a_e exactly when its
     exponent of x_i is at least k, so the support is every degree-d
@@ -311,7 +290,7 @@ def normal_form_support(f: Family, kept: dict[Exp5, tuple[int, int]]
     _, a1, a2, a3, a4 = f.w
     d = f.d
     caps = [d] * 5
-    for unit, (i, _e) in kept.items():
+    for unit, i in kept.items():
         caps[i] = unit[i] - 1
     _, cap1, cap2, cap3, cap4 = caps
     support = set(kept)

@@ -344,6 +344,20 @@ class TestEnumerate:
                               "(4 documented source corrections, 1 "
                               "documented certificate defect)\n")
 
+    def test_list_the_scan_disagrees_with_exits_1(self, tmp_path, capsys):
+        # a No. 95 that no scan finds: every bound that reaches it fails
+        golden_edited(tmp_path, "families.tsv", lambda text: text.replace(
+            "95\t66\t1,5,6,22,33\t", "95\t67\t1,5,6,22,34\t"))
+        for flags in ([], ["--json"]):
+            code, _, err = run(capsys, "enumerate", *flags,
+                               "--golden", str(tmp_path))
+            assert code == 1 and err == (
+                "error: enumeration returned 95 families and diverges from "
+                "the embedded list\n")
+        code, out, err = run(capsys, "enumerate", "--max-weight", "20",
+                             "--golden", str(tmp_path))
+        assert (code, err) == (0, "") and len(out.splitlines()) == 87
+
     def test_stable_at_higher_bound(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--max-weight", "50")
         assert code == 0
@@ -636,6 +650,23 @@ class TestCheckTables:
         code, out, _ = run(capsys, "report", "9", "--variant", "a1=0",
                            "--golden", str(tmp_path))
         assert code == 0 and out.endswith("\ndiscrepancies: none\n")
+
+    def test_repeated_defect_row_stays_a_documented_defect(self, tmp_path,
+                                                          capsys):
+        # the No. 52 O_z (n) row twice: its documented defect excuses the
+        # failed inequality on both, and only the coverage record is listed
+        row = "52\tOz\t1\t1/4(1_x,1_t,3_w)\tN\t-\t5B+E\txz, t\txz, t\t\t\n"
+        golden_edited(tmp_path, "golden_tables.tsv",
+                      lambda text: text.replace(row, row + row, 1))
+        code, out, _ = run(capsys, "report", "52", "--golden", str(tmp_path))
+        assert code == 1
+        oz = [line for line in out.splitlines() if line.startswith("  Oz (n) ")]
+        assert len(oz) == 2
+        assert all(line.endswith("-> DOCUMENTED DEFECT") for line in oz)
+        assert out.count("failed: nef-divisor inequality: ") == 2
+        assert out.endswith(
+            "\ndiscrepancies:\n  52 Oz []: variant combination answered by "
+            "2 golden rows (methods N, N)\n")
 
     def test_failed_row_has_one_record_in_report_and_check_tables(
             self, tmp_path, capsys):

@@ -187,7 +187,7 @@ class TestImplicitEliminate:
         cutoff = 10
         series = implicit_eliminate(support, chart_vertex=2, eliminated=4,
                                     local_weights=weights, cutoff=cutoff)
-        assert substituted_order(support, series, cutoff) is None
+        assert substituted_order(support, series, weights, cutoff) is None
         assert series_order(support, support, 2, 4, weights, cutoff,
                             r=1) is OVERCUTOFF
         assert len(series.parts) == cutoff and series.parts[0] == {}
@@ -205,7 +205,7 @@ class TestImplicitEliminate:
             for exps, c in support.items():
                 g[exps] = g.get(exps, 0) + c
         g = {e: Fraction(c) for e, c in g.items() if c} or dict(support)
-        expected = substituted_order(g, series, cutoff)
+        expected = substituted_order(g, series, weights, cutoff)
         got = series_order(g, support, 2, 4, weights, cutoff, r=1)
         if expected is None:
             assert got is OVERCUTOFF
@@ -222,11 +222,12 @@ class TestImplicitEliminate:
         assert order_23(g) == Fraction(2, 3)
 
 
-def substituted_order(g, series, cutoff):
-    """First surviving degree of g on the chart z = 1 with w := series,
-    expanded by plain truncated products; None if nothing survives."""
+def substituted_order(g, series, weights, cutoff):
+    """First surviving degree of g on the chart z = 1 with w := series, in
+    the local weights of x, y, t, expanded by plain truncated products;
+    None if nothing survives."""
     def degree(exps):
-        return sum(e * w for e, w in zip(exps, series.weights))
+        return sum(e * w for e, w in zip(exps, weights))
 
     def times(p, q):
         out = {}
@@ -310,6 +311,15 @@ def test_source_has_no_floating_point():
                 assert {a.name for a in node.names} <= INTEGER_MATH, where
 
 
+def test_source_parses_as_python_3_10():
+    """The package keeps `requires-python >= 3.10`: no module uses syntax
+    that a 3.10 parser rejects."""
+    sources = sorted(Path(wfano.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 def test_source_has_no_assert_statement():
     """Every check in the package raises a named exception: `python -O`
     strips `assert` statements, and the check with them."""
@@ -378,9 +388,9 @@ def test_every_class_member_is_read_in_the_package():
     """Each annotated field and each method or property of a package class,
     dunders aside, is read by package code as an attribute or a name: a
     record field that only the tests read is dead weight.  It matches
-    member names only, so a read of another class's same-named member
+    member names only, so a read of a same-named attribute elsewhere
     counts: `Census.family` passed while only `FamilyRecord.family` was
-    read."""
+    read, and `Series.weights` while only `args.weights` was."""
     members, read = set(), set()
     for path in Path(wfano.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

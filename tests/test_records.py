@@ -1,7 +1,5 @@
-"""The record types: immutable, ordered where they were, printed as before."""
+"""The record types: immutable, and printed as before."""
 
-import functools
-import pickle
 from fractions import Fraction
 
 import pytest
@@ -14,31 +12,6 @@ from wfano.rigidity import (certify_row, curve_status, involution_case,
 from wfano.wps import Family, general_quasismooth
 
 from oracles import E
-
-
-def test_family_orders_by_weights_then_entry_number():
-    fams = [rec.family for rec in golden.data().families]
-    assert sorted(fams[::-1]) == sorted(
-        fams, key=lambda f: (f.w, f.entry_no))
-    a, b = Family.of(2, 3, 4, 5, entry_no=1), Family.of(2, 3, 4, 5,
-                                                         entry_no=2)
-    assert a < b and a <= b and b > a and b >= a and not b < a
-    assert Family.of(1, 1, 1, 1) < Family.of(1, 1, 1, 2)
-
-
-def test_family_is_a_cache_key():
-    f = Family.of(2, 3, 4, 5, entry_no=23)
-    g = Family((1, 2, 3, 4, 5), 23)
-    assert f == g and hash(f) == hash(g) and f is not g
-    assert f != Family.of(2, 3, 4, 5) and f != (f.w, 23, 14)
-
-    @functools.lru_cache(maxsize=None)
-    def degree(family):
-        return family.d
-
-    assert degree(f) == degree(g) == 14
-    assert degree.cache_info().hits == 1
-    assert pickle.loads(pickle.dumps(f)) == f
 
 
 def _records():
