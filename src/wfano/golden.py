@@ -202,8 +202,8 @@ class GoldenData:
         return (f"GoldenData(families={self.families!r}, rows={self.rows!r}, "
                 f"notes={self.notes!r})")
 
-    def family(self, no: int) -> FamilyRecord:
-        return self.families[no - 1]
+    def family(self, no: int) -> Family:
+        return self.families[no - 1].family
 
     def rows_for(self, no: int, point: Optional[str] = None
                  ) -> list[GoldenRow]:

@@ -43,9 +43,9 @@ def build_report(no: int, variant: dict[str, str],
                 f"known: {sorted(atoms) or 'none'}")
     answers = [(point, variant, match_rows(dataset, no, point, variant))
                for point in dataset.points_of(no)]
-    entries, certs, discrepancies = _certify_family(
+    entries, certs, superrigid, discrepancies = _certify_family(
         dataset, no, [row for *_, rows in answers for row in rows], answers)
-    f = dataset.family(no).family
+    f = dataset.family(no)
     sps = smooth_point_status(f)
     cs = curve_status(f)
     report: dict = {
@@ -53,7 +53,7 @@ def build_report(no: int, variant: dict[str, str],
         "degree": f.d,
         "weights": list(f.w),
         "anticanonical_degree": str(anticanonical_degree(f)),
-        "superrigid": super_rigid(dataset, no),
+        "superrigid": superrigid,
         "smooth_points": {"kind": sps.kind, "case": sps.case,
                           "detail": sps.detail},
         "curves": {"kind": cs.kind, "max_degree": cs.max_degree},
@@ -69,19 +69,28 @@ def build_report(no: int, variant: dict[str, str],
 def _certify_family(dataset: GoldenData, no: int, rows: list[GoldenRow],
                     answers: list[tuple[str, dict[str, str], list[GoldenRow]]]
                     ) -> tuple:
-    """(census entries, certificates, discrepancies) of family `no`: the
-    certificate of each row, and as discrepancies the census points with no
+    """(census entries, certificates, super-rigid flag, discrepancies) of
+    family `no`: the certificate of each row, the flag from all the
+    family's rows, and as discrepancies the stored A3 and superrigid cells
+    that differ from the computed values, then the census points with no
     table row, then the failed rows, then each (point, variant, matching
     rows) of `answers` that no row or more than one row answers, named in
     --variant syntax by the value that holds of each of the point's
     atoms."""
-    f = dataset.family(no).family
+    f, stored_A3, stored_flag = dataset.families[no - 1]
     entries = census(f).entries
+    superrigid = super_rigid(dataset.rows_for(no), entries)
+    discrepancies = [
+        _discrepancy(no, "-", f"{name} mismatch: computed {computed}, "
+                              f"stored {stored}")
+        for name, computed, stored in (
+            ("A^3", anticanonical_degree(f), stored_A3),
+            ("super-rigidity", superrigid, stored_flag))
+        if computed != stored]
     # a row at a point the census lacks, or whose count, r or type is not
     # the census's, fails its own "quotient type" check instead
     points = dataset.points_of(no)
     unmatched = [e.point_id() for e in entries if e.point_id() not in points]
-    discrepancies = []
     if unmatched:
         discrepancies.append(_discrepancy(
             no, "-", f"census points {unmatched} have no table row"))
@@ -102,7 +111,7 @@ def _certify_family(dataset: GoldenData, no: int, rows: list[GoldenRow],
             no, point, reason,
             ",".join(f"{a}={v}" for a in sorted(dataset.atoms_for(no, point))
                      for v in atom_values(a) if holds({(a, v)}, variant))))
-    return entries, certs, discrepancies
+    return entries, certs, superrigid, discrepancies
 
 
 def _point_entry(cert: Certificate) -> dict:
@@ -248,14 +257,6 @@ def check_tables(dataset: GoldenData,
         if family_filter is not None and no != family_filter:
             continue
         nfam += 1
-        for name, computed, stored in (
-                ("A^3", anticanonical_degree(rec.family), rec.A3),
-                ("super-rigidity", super_rigid(dataset, no), rec.superrigid)):
-            if computed != stored:
-                discrepancies.append(_discrepancy(
-                    no, "-", f"{name} mismatch: computed {computed}, "
-                             f"stored {stored}"))
-
         # every combination of a point's condition atoms, the empty one at
         # a point with none, must be answered by exactly one row
         answers = []
@@ -267,7 +268,7 @@ def check_tables(dataset: GoldenData,
                                 match_rows(dataset, no, point, variant)))
         rows = dataset.rows_for(no)
         nrows += len(rows)
-        discrepancies += _certify_family(dataset, no, rows, answers)[2]
+        discrepancies += _certify_family(dataset, no, rows, answers)[3]
     ncorr = sum(1 for d in documented if d["kind"] != "defect")
     return {
         "summary": check_summary(nfam, nrows, len(discrepancies), ncorr,

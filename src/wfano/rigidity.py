@@ -21,10 +21,10 @@ from typing import NamedTuple, Optional, Sequence
 
 from .blowup import (NonIntegral, b_cubed, format_class, monomial_order,
                      s_class_ks, transform_beta_E)
-from .census import (LOCATIONS, QuotientSingularity, canonical_type, census,
+from .census import (LOCATIONS, QuotientSingularity, canonical_type,
                      vertex_singularity)
 from .exactmath import COORDS, NoEliminatingMonomial
-from .golden import GoldenData, GoldenRow, holds, parse_condition
+from .golden import GoldenRow, holds, parse_condition
 from .wps import Family, anticanonical_degree, general_quasismooth, hat_lcms
 
 
@@ -395,13 +395,12 @@ def _certify_involution(f: Family, row: GoldenRow,
     return Certificate(row, tuple(checks))
 
 
-def super_rigid(dataset: GoldenData, no: int) -> bool:
-    """Whether every golden row of the family excludes its point.
+def super_rigid(rows: Sequence[GoldenRow],
+                entries: Sequence[QuotientSingularity]) -> bool:
+    """Whether every golden row of a family, `rows`, excludes its point;
+    `entries` is the family's census.
 
     Families 1 and 3 have no singular points at all; their (super)rigidity
     is classical and they carry no table rows.
     """
-    rows = dataset.rows_for(no)
-    if not rows:
-        return not census(dataset.family(no).family).entries
-    return all(r.kind == "exclude" for r in rows)
+    return all(r.kind == "exclude" for r in rows) if rows else not entries

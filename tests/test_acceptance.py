@@ -28,7 +28,7 @@ DATA = golden.data()
 
 
 def fam(no):
-    return DATA.family(no).family
+    return DATA.family(no)
 
 
 def done(label):
@@ -239,7 +239,8 @@ def test_criterion_09_super_rigid_audit():
                 75, 77, 78, 80, 81, 82, 83, 84, 85, 86, 87, 88, 89, 90, 91,
                 92, 93, 94, 95}
     assert len(expected) == 50
-    got = {no for no in range(1, 96) if super_rigid(DATA, no)}
+    got = {no for no in range(1, 96)
+           if super_rigid(DATA.rows_for(no), census(fam(no)).entries)}
     assert got == expected
     assert got == {rec.family.entry_no for rec in DATA.families
                    if rec.superrigid}

@@ -20,7 +20,7 @@ from oracles import E, proper_transform_class, row_point, s_class
 
 
 def fam(no):
-    return golden.data().family(no).family
+    return golden.data().family(no)
 
 
 def vertex_point(no, i, eliminated=None):

@@ -22,7 +22,7 @@ from oracles import normalized_types
 
 
 def fam(no):
-    return golden.data().family(no).family
+    return golden.data().family(no)
 
 
 class TestNormalizeType:

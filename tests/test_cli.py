@@ -705,12 +705,13 @@ class TestCheckTables:
 
     def test_stored_anticanonical_degree_is_checked(self, tmp_path, capsys):
         golden_with_family_cell(tmp_path, 52, "A3", "1/20", "1/2")
-        code, out, _ = run(capsys, "check-tables", "--golden", str(tmp_path),
-                           "--json")
-        assert code == 1
-        assert json.loads(out)["discrepancies"] == [
-            {"family": 52, "point": "-", "condition": "",
-             "reason": "A^3 mismatch: computed 1/20, stored 1/2"}]
+        for argv in (["check-tables"], ["report", "52"]):
+            code, out, _ = run(capsys, *argv, "--golden", str(tmp_path),
+                               "--json")
+            assert code == 1
+            assert json.loads(out)["discrepancies"] == [
+                {"family": 52, "point": "-", "condition": "",
+                 "reason": "A^3 mismatch: computed 1/20, stored 1/2"}]
 
     def test_stale_printed_weights_column_is_ignored(self, tmp_path,
                                                      capsys):
@@ -729,18 +730,46 @@ class TestCheckTables:
                 run(capsys, *argv)
 
     def test_stored_superrigid_flag_is_checked(self, tmp_path, capsys):
-        # the report prints the computed flag, and check-tables names the
+        # the report prints the computed flag, and both commands name the
         # stored one that disagrees
         golden_with_family_cell(tmp_path, 95, "superrigid", "1", "0")
         code, out, _ = run(capsys, "report", "95", "--json",
                            "--golden", str(tmp_path))
-        assert code == 0 and json.loads(out)["superrigid"] is True
+        report = json.loads(out)
+        assert code == 1 and report["superrigid"] is True
         code, out, _ = run(capsys, "check-tables", "--golden", str(tmp_path),
                            "--json")
         assert code == 1
-        (d,) = json.loads(out)["discrepancies"]
-        assert d["family"] == 95 and d["reason"] == (
-            "super-rigidity mismatch: computed True, stored False")
+        assert report["discrepancies"] == json.loads(out)["discrepancies"] == [
+            {"family": 95, "point": "-", "condition": "",
+             "reason": "super-rigidity mismatch: computed True, stored False"}]
+
+    @pytest.mark.parametrize("no,fault,reasons", [
+        (50, lambda tmp: golden_with_family_cell(tmp, 50, "A3", "2/21",
+                                                 "1/2"),
+         ["A^3 mismatch: computed 2/21, stored 1/2"]),
+        (60, lambda tmp: golden_with_family_cell(tmp, 60, "superrigid", "0",
+                                                 "1"),
+         ["super-rigidity mismatch: computed False, stored True"]),
+        (95, lambda tmp: golden_edited(
+            tmp, "golden_tables.tsv", lambda text: "".join(
+                line for line in text.splitlines(True)
+                if not line.startswith("95\t"))),
+         ["super-rigidity mismatch: computed False, stored True",
+          "census points ['Oy', 'OzOt', 'OzOw', 'OtOw'] have no table row"]),
+    ], ids=["A3", "superrigid", "no-rows"])
+    def test_report_and_check_tables_list_the_same_family_records(
+            self, tmp_path, capsys, no, fault, reasons):
+        fault(tmp_path)
+        for argv in (["report", str(no)],
+                     ["check-tables", "--family", str(no)]):
+            code, out, _ = run(capsys, *argv, "--json",
+                               "--golden", str(tmp_path))
+            assert code == 1
+            assert [d for d in json.loads(out)["discrepancies"]
+                    if d["point"] == "-"] == [
+                {"family": no, "point": "-", "condition": "", "reason": r}
+                for r in reasons]
 
 
 class TestOrder:
@@ -968,7 +997,7 @@ class TestErrorBoundary:
         real = blowup.triple
         monkeypatch.setattr(blowup, "triple",
                             lambda *args: real(*args) + 1)
-        f = wfano.golden.data().family(23).family
+        f = wfano.golden.data().family(23)
         with pytest.raises(blowup.CrossCheckFailed):
             blowup.b_cubed(f, vertex_singularity(f, 2))
         code, out, err = run(capsys, "check-tables")

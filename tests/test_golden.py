@@ -121,10 +121,10 @@ class TestDataset:
         assert sorted(notes) == [45, 93]
         assert (notes[45].printed, notes[45].corrected) == (
             "1,3,4,5,89", "1,3,4,5,8")
-        assert DATA.family(45).family.w == (1, 3, 4, 5, 8)
+        assert DATA.family(45).w == (1, 3, 4, 5, 8)
         assert (notes[93].printed, notes[93].corrected) == (
             "1,3,5,16,24", "1,7,8,10,25")
-        assert DATA.family(93).family.w == (1, 7, 8, 10, 25)
+        assert DATA.family(93).w == (1, 7, 8, 10, 25)
 
     def test_type_corrections_applied(self):
         row35 = DATA.rows_for(35, "OzOw")[0]

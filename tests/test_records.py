@@ -17,13 +17,13 @@ from oracles import E
 def _records():
     """One record of each type, with a field to try to overwrite."""
     data = golden.data()
-    f = data.family(95).family
+    f = data.family(95)
     cens = census(f)
     row = data.rows_for(23, "Oz")[0]
-    f23 = data.family(23).family
+    f23 = data.family(23)
     cert = certify_row(f23, row, census(f23).entries)
     return [
-        (f, "w"), (data.family(95), "A3"), (data.notes[0], "note"),
+        (f, "w"), (data.families[94], "A3"), (data.notes[0], "note"),
         (row, "method"), (cert, "checks"), (cert.checks[0], "passed"),
         (cens, "entries"), (cens.entries[0], "r"),
         (smooth_point_status(f), "kind"), (curve_status(f), "kind"),
@@ -48,14 +48,14 @@ def test_records_are_immutable(record, field):
 
 def test_str_and_repr_are_unchanged():
     data = golden.data()
-    f95 = data.family(95).family
+    f95 = data.family(95)
     assert str(f95) == "No. 95: X_66 in P(1, 5, 6, 22, 33)"
     assert str(Family.of(1, 1, 1, 1)) == "X_4 in P(1, 1, 1, 1, 1)"
     assert repr(f95) == "Family(w=(1, 5, 6, 22, 33), entry_no=95, d=66)"
     assert [str(e) for e in census(f95).entries] == [
         "Oy = 1/5(1, 2, 3)", "OzOt = 1/2(1, 1, 1)", "OzOw = 1/3(1, 2, 1)",
         "OtOw = 1/11(1, 5, 6)"]
-    assert [str(e) for e in census(data.family(7).family).entries] == [
+    assert [str(e) for e in census(data.family(7)).entries] == [
         "Ow = 1/3(1, 1, 2)", "OzOt = 4x1/2(1, 1, 1)"]
     assert repr(census(f95).entries[0]) == (
         "QuotientSingularity(r=5, type_=(1, 2, 3), location=('vertex', 1), "

@@ -24,7 +24,7 @@ DATA = golden.data()
 
 
 def fam(no):
-    return DATA.family(no).family
+    return DATA.family(no)
 
 
 def vertex_point(no, i):
@@ -350,6 +350,8 @@ class TestSuperRigid:
                     72, 73, 75, 77, 78, 80, 81, 82, 83, 84, 85, 86, 87, 88,
                     89, 90, 91, 92, 93, 94, 95}
         assert len(expected) == 50
-        assert {no for no in range(1, 96) if super_rigid(DATA, no)} == expected
+        got = {no for no in range(1, 96)
+               if super_rigid(DATA.rows_for(no), census(fam(no)).entries)}
+        assert got == expected
         assert expected == {rec.family.entry_no for rec in DATA.families
                             if rec.superrigid}

@@ -67,7 +67,7 @@ def test_every_traced_function_exists():
 
 def test_observed_results_have_the_attributes_read():
     data = golden.data()
-    f = data.family(95).family
+    f = data.family(95)
     row = data.rows_for(95)[0]
     # z*w + x^2 = 0 in the chart z = 1 gives w = -x^2
     series = implicit_eliminate(parse_poly("z*w + x^2"), chart_vertex=2,

@@ -134,7 +134,7 @@ class TestQuasiSmooth:
         # of the twelve hard families, exactly these admit quasi-smooth
         # members through the t-w line
         hits = {no for no in (2, 5, 12, 13, 20, 23, 25, 33, 40, 58, 61, 76)
-                if general_quasismooth(golden.data().family(no).family,
+                if general_quasismooth(golden.data().family(no),
                                        exclude_pure=(3, 4)).ok}
         assert hits == {2, 5, 12, 13, 20, 25, 33, 58}
 
@@ -286,7 +286,7 @@ class TestEnumeration:
 
 class TestMembers:
     def test_normal_form_drops_absorbed_monomials(self):
-        f50 = golden.data().family(50).family
+        f50 = golden.data().family(50)
         support = normal_form_support(f50, _eliminating_monomials(f50))
         assert (0, 1, 0, 3, 0) in support      # y t^3 stays
         assert (1, 0, 0, 3, 0) not in support  # x t^3 absorbed into it
@@ -313,7 +313,7 @@ class TestMembers:
                 == support | units, f
 
     def test_generic_member_is_deterministic(self):
-        f = golden.data().family(23).family
+        f = golden.data().family(23)
         assert generic_member(f) == generic_member(f)
         assert generic_member(f, seed=1) != generic_member(f, seed=2)
 
@@ -350,7 +350,7 @@ class TestMembers:
         assert charts == 139
 
     def test_special_member_support(self):
-        f = golden.data().family(23).family
+        f = golden.data().family(23)
         member = special_member(f)
         assert (0, 1, 4, 0, 0) in member       # z^4 y
         assert (1, 0, 3, 1, 0) in member       # x t z^3
@@ -362,4 +362,4 @@ class TestMembers:
     def test_unknown_special_member(self):
         with pytest.raises(UnknownSpecialMember,
                            match="^unknown special member '7:special'$"):
-            special_member(golden.data().family(7).family)
+            special_member(golden.data().family(7))
