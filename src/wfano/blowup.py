@@ -12,7 +12,6 @@ E^3 = r^2/(a(r-a)); the mixed products A^2 E and A E^2 vanish.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .census import QuotientSingularity
 from .exactmath import Poly, series_order
@@ -123,7 +122,7 @@ def transform_beta_E(r: int, c: int, m: int) -> int:
 
 
 def divisor_multiplicity(sing: QuotientSingularity, g: Poly, member: Poly,
-                         cutoff: Optional[int] = None):
+                         cutoff: int | None = None):
     """Vanishing order m/r of g at the point, on the given member.
 
     The point must be a vertex with an eliminated coordinate, or

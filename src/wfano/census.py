@@ -10,13 +10,10 @@ quasi-smoothness monomial.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
-from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .exactmath import COORDS, Exp5, NoEliminatingMonomial, Poly
-
-if TYPE_CHECKING:
-    from .wps import Family
 
 
 # The 4 vertices and 6 edges that carry quotient points, by name, as
@@ -41,7 +38,7 @@ class EdgeContained(ValueError):
     """The coordinate edge lies inside every member of the family."""
 
 
-def _unit_slot(r: int, v: int, p: int, q: int) -> Optional[tuple]:
+def _unit_slot(r: int, v: int, p: int, q: int) -> tuple | None:
     """(v, p, q) / v mod r if that is (1, a, r-a) with v and a units."""
     if r > 1 and gcd(v, r) == gcd(p, r) == 1 and (p + q) % r == 0:
         a = pow(v, -1, r) * p % r
@@ -70,16 +67,18 @@ def canonical_type(t: tuple[int, int, int]) -> tuple[int, int, int]:
     return (1, min(t[1], t[2]), max(t[1], t[2]))
 
 
-class QuotientSingularity(NamedTuple):
+class QuotientSingularity(namedtuple("QuotientSingularity", (
+        "r",
+        "type_",          # normalized (1, a, r-a)
+        "location",       # ("vertex", i) or ("edge", i, j)
+        "count",
+        "local_params",   # ambient coordinate indices
+        "residues",       # weights of local_params mod r
+        "eliminated",     # vertex charts only; None by default
+), defaults=(None,))):
     """One cyclic quotient point (or orbit of identical points) on X."""
 
-    r: int
-    type_: tuple[int, int, int]          # normalized (1, a, r-a)
-    location: tuple                       # ("vertex", i) or ("edge", i, j)
-    count: int
-    local_params: tuple[int, int, int]    # ambient coordinate indices
-    residues: tuple[int, int, int]        # weights of local_params mod r
-    eliminated: Optional[int] = None      # vertex charts only
+    __slots__ = ()
 
     @property
     def a(self) -> int:
@@ -97,8 +96,7 @@ class QuotientSingularity(NamedTuple):
         return f"{self.point_id()} = {mult}1/{self.r}{self.type_}"
 
 
-class Census(NamedTuple):
-    entries: tuple[QuotientSingularity, ...]
+Census = namedtuple("Census", "entries")  # tuple[QuotientSingularity, ...]
 
 
 def vertex_elimination_candidates(f: Family, i: int) -> list[int]:
@@ -114,7 +112,7 @@ def eliminating_monomial(f: Family, i: int, e: int) -> Exp5:
     return tuple(k if j == i else int(j == e) for j in range(5))
 
 
-def member_chart(f: Family, i: int, member: Poly) -> Optional[int]:
+def member_chart(f: Family, i: int, member: Poly) -> int | None:
     """The coordinate the member's equation solves for at O_i: the heaviest
     x_e whose monomial x_i^k * x_e it contains, largest index on ties, or
     None if there is none.  The candidates come in index order and the
@@ -126,7 +124,7 @@ def member_chart(f: Family, i: int, member: Poly) -> Optional[int]:
     return None
 
 
-def default_eliminated(f: Family, i: int) -> Optional[int]:
+def default_eliminated(f: Family, i: int) -> int | None:
     """The coordinate eliminated at the quotient point O_i by default.
 
     None when a_i = 1 (smooth point) or a_i | d (the general member misses
@@ -146,8 +144,8 @@ def default_eliminated(f: Family, i: int) -> Optional[int]:
 
 
 def vertex_singularity(f: Family, i: int,
-                       eliminated: Optional[int] = None
-                       ) -> Optional[QuotientSingularity]:
+                       eliminated: int | None = None
+                       ) -> QuotientSingularity | None:
     """The quotient point at the vertex O_i of the general member.
 
     None when a_i = 1 (smooth point) or a_i | d (the general member misses
@@ -192,7 +190,7 @@ def edge_point_count(f: Family, i: int, j: int) -> int:
 
 
 def edge_singularities(f: Family, i: int, j: int
-                       ) -> Optional[QuotientSingularity]:
+                       ) -> QuotientSingularity | None:
     """Quotient points along the edge O_iO_j, or None when gcd = 1 or empty."""
     if not (1 <= i < j <= 4):
         raise ValueError("edge indices must satisfy 1 <= i < j <= 4")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import golden, report as report_mod
@@ -54,7 +53,7 @@ def _dataset(args):
         raise UsageError("--golden expects a directory, got ''")
     if args.golden is not None:
         try:
-            return golden.load(Path(args.golden))
+            return golden.load(args.golden)
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load --golden: {exc}") from None
     return golden.data()

@@ -30,11 +30,11 @@ by r internally and divided out only at the API boundary.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
+from collections import namedtuple
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, Mapping, NamedTuple
 
 Exp5 = tuple[int, int, int, int, int]
 Exp3 = tuple[int, int, int]
@@ -62,9 +62,32 @@ OVERCUTOFF = object()
 
 # ----------------------------------------------------------------- parsing
 
-_SIGN = re.compile(r"([+-])")
-_TERM = re.compile(r"[\s*]*(?:(\d+)[\s*]*)?((?:[xyztw](?:\^\d+)?[\s*]*)*)")
-_FACTOR = re.compile(r"([xyztw])(?:\^(\d+))?")
+def _exponents(tokens: list[str]) -> list[int] | None:
+    """The exponent vector of the factors in the tokens, each a run of
+    factors like ``x^2yz^3``; None if a token is not one.  Exponents are
+    converted once every token has been read."""
+    found = []  # (coordinate, exponent digits or '')
+    for token in tokens:
+        i, n = 0, len(token)
+        while i < n:
+            k = COORD_INDEX.get(token[i])
+            if k is None:
+                return None
+            i += 1
+            exp = ""
+            if token.startswith("^", i):
+                end = i + 1
+                while end < n and token[end].isdecimal():
+                    end += 1
+                exp = token[i + 1:end]
+                if not exp:
+                    return None
+                i = end
+            found.append((k, exp))
+    exps = [0] * 5
+    for k, exp in found:
+        exps[k] += int(exp) if exp else 1
+    return exps
 
 
 def parse_poly(text: str) -> Poly:
@@ -73,38 +96,48 @@ def parse_poly(text: str) -> Poly:
     Terms like ``3*x^2*y`` joined by ``+``/``-``; the ``*`` and ``^1`` are
     optional, integer coefficients optional, whitespace ignored.  The
     coefficients are `int`.
+
+    A term is a run of factors, optionally led by a decimal coefficient;
+    ``*`` and whitespace may stand before and after the coefficient and
+    each factor, and nowhere else.  Digits are Unicode decimal digits and
+    whitespace is what `str.isspace` accepts.
     """
     poly: dict[Exp5, int] = {}
-    pieces = _SIGN.split(text)  # term, sign, term, sign, ..., term
-    for i in range(0, len(pieces), 2):
-        m = _TERM.fullmatch(pieces[i])
-        if not m:
-            raise ValueError(f"cannot parse term {pieces[i].strip()!r} "
-                             f"of polynomial {text!r}")
-        num, factors = m.groups()
-        if not (num or factors):
+    # split at each sign; each '-' becomes '+-', so a piece after the
+    # first opens with '-' exactly when a minus sign led it
+    for i, piece in enumerate(text.replace("-", "+-").split("+")):
+        negative = piece.startswith("-")
+        term = piece[1:] if negative else piece
+        tokens = term.replace("*", " ").split()
+        if not tokens:
             if i == 0:  # nothing before a leading sign, or empty text
                 continue
             raise ValueError(f"dangling sign in polynomial: {text!r}")
-        exps = [0] * 5
-        for var, exp in _FACTOR.findall(factors):
-            exps[COORD_INDEX[var]] += int(exp) if exp else 1
+        head = tokens[0]
+        digits = 0
+        while digits < len(head) and head[digits].isdecimal():
+            digits += 1
+        tokens[0] = head[digits:]
+        exps = _exponents(tokens)
+        if exps is None:
+            raise ValueError(f"cannot parse term {term.strip()!r} "
+                             f"of polynomial {text!r}")
         key = tuple(exps)
-        sign = -1 if i and pieces[i - 1] == "-" else 1
-        poly[key] = poly.get(key, 0) + sign * int(num or 1)
+        coeff = int(head[:digits]) if digits else 1
+        poly[key] = poly.get(key, 0) + (-coeff if negative else coeff)
     return {k: v for k, v in poly.items() if v}
 
 
 # ------------------------------------------------------------------ series
 
 
-class Series(NamedTuple):
+class Series(namedtuple("Series", "parts")):
     """A solved series: `parts[D]` holds its terms of weighted degree D in
-    the scaled local weights.  The cutoff is `len(parts)`, and `parts[0]`
-    is empty.
+    the scaled local weights, a `list[Part]`.  The cutoff is `len(parts)`,
+    and `parts[0]` is empty.
     """
 
-    parts: list[Part]
+    __slots__ = ()
 
     @property
     def terms(self) -> dict[Exp3, Coeff]:

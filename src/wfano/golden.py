@@ -21,17 +21,14 @@ endings read like ``\n``.  There is no quoting: a ``"`` is read as part of
 its cell.
 """
 
-# No `from __future__ import annotations` here: under it, `NamedTuple`
-# compiles each field's annotation string when its class is made, which
-# for the 33 fields below cost every command a few tenths of a millisecond
-# of start-up.
-import re
+from __future__ import annotations
+
+import os
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
-from importlib import resources
 from operator import itemgetter
-from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
 
 from .census import LOCATIONS, normalize_type
 from .exactmath import COORD_INDEX, Exp5, parse_poly
@@ -44,33 +41,67 @@ METHOD_SYMBOLS = {
     "EPS2": "[eps2]", "IOTA": "[iota]", "IOTA1": "[iota1]",
 }
 
-# A coefficient symbol with at most a one-character subscript, as in
-# 'y-alpha_iz'; a longer pattern would swallow the monomial after it.
-_GREEK = re.compile(r"(alpha|beta|lambda|mu)(_\w)?")
-_TYPE = re.compile(r"1/([1-9]\d*)\((.*)\)")
-_LINEAR_SYSTEM = re.compile(r"(\d*)B(?:([+-])(\d*)E)?")
+# The coefficient symbols of the tables; no two share a first letter.
+_GREEK = ("alpha", "beta", "lambda", "mu")
+
+
+def _strip_coefficients(text: str) -> str:
+    """`text` with each coefficient symbol replaced by a space.
+
+    A symbol is one of the `_GREEK` names, with at most a one-character
+    subscript: '_' and one letter, digit or '_', as in 'y-alpha_iz'; a
+    longer subscript would swallow the monomial after it.  The text is read
+    from the left, and a symbol is replaced where it starts, so a symbol
+    cannot overlap one before it.
+    """
+    if not any(map(text.__contains__, _GREEK)):  # most cells have none
+        return text
+    out = []
+    start = 0  # the text before `start` is read
+    while True:
+        found = [(at, name) for name in _GREEK
+                 if (at := text.find(name, start)) >= 0]
+        if not found:
+            break
+        at, name = min(found)
+        end = at + len(name)
+        sub = text[end + 1:end + 2]  # the subscript, after a '_'
+        if text.startswith("_", end) and (sub.isalnum() or sub == "_"):
+            end += 2
+        out += text[start:at], " "
+        start = end
+    out.append(text[start:])
+    return "".join(out)
 
 
 @cache
 def parse_monomials(text: str) -> tuple[Exp5, ...]:
     """Monomials of one table polynomial, e.g. 'z-alpha_i y^2' -> z, y^2.
 
-    The coefficient symbols are stripped and the rest is read by
-    `parse_poly`, the engine's one grammar for polynomial text.  The tables
-    repeat a few dozen strings, so each is parsed once.
+    The coefficient symbols are stripped (`_strip_coefficients`) and the
+    rest is read by `parse_poly`, the engine's one grammar for polynomial
+    text.  The tables repeat a few dozen strings, so each is parsed once.
     """
-    return tuple(parse_poly(_GREEK.sub(" ", text)))
+    return tuple(parse_poly(_strip_coefficients(text)))
 
 
 def parse_type(text: str) -> tuple[int, tuple[int, int, int],
-                                   tuple[Optional[int], ...]]:
-    """'1/3(1_x,2_y,1_t)' -> (3, (1,2,1), (0,1,3)); subscripts optional."""
-    m = _TYPE.fullmatch(text.replace(" ", ""))
-    if not m:
+                                   tuple[int | None, ...]]:
+    """'1/3(1_x,2_y,1_t)' -> (3, (1,2,1), (0,1,3)); subscripts optional.
+
+    Spaces are ignored.  The order r is a decimal number with no leading
+    zero, and the residues are the text between the first '(' after it and
+    a closing ')' that ends the type; a line break there fails.
+    """
+    head, _, body = text.replace(" ", "").partition("(")
+    order = head[2:]
+    if not (head.startswith("1/") and order.isdecimal()
+            and "1" <= order[0] <= "9" and body.endswith(")")
+            and "\n" not in body):
         raise ValueError(f"cannot parse singularity type {text!r}")
-    r = int(m.group(1))
+    r = int(order)
     residues, subs = [], []
-    for item in m.group(2).split(","):
+    for item in body[:-1].split(","):
         # digits, then optionally '_' and a coordinate
         digits, subscripted, coord = item.partition("_")
         if not digits.isdecimal() or subscripted and coord not in COORD_INDEX:
@@ -84,14 +115,20 @@ def parse_type(text: str) -> tuple[int, tuple[int, int, int],
 
 @cache
 def parse_linear_system(text: str) -> tuple[int, int]:
-    """'5B+2E' -> (5, 2); 'B-E' -> (1, -1); 'B' -> (1, 0)."""
-    m = _LINEAR_SYSTEM.fullmatch(text.replace(" ", ""))
-    if not m:
+    """'5B+2E' -> (5, 2); 'B-E' -> (1, -1); 'B' -> (1, 0).
+
+    Spaces are ignored, and a missing coefficient reads as 1.
+    """
+    head, has_b, tail = text.replace(" ", "").partition("B")
+    e = tail[1:-1]  # the coefficient of E, between its sign and the 'E'
+    if not (has_b and (not head or head.isdecimal())
+            and (not tail or tail[0] in "+-" and tail[-1] == "E"
+                 and (not e or e.isdecimal()))):
         raise ValueError(f"cannot parse linear system {text!r}")
-    c = int(m.group(1) or 1)
+    c = int(head or 1)
     b = 0
-    if m.group(2):
-        b = int(m.group(3) or 1) * (1 if m.group(2) == "+" else -1)
+    if tail:
+        b = int(e or 1) * (1 if tail[0] == "+" else -1)
     return c, b
 
 
@@ -137,52 +174,44 @@ def atom_values(name: str) -> tuple[str, str]:
     return ("I", "II") if name == "type" else ("nonzero", "zero")
 
 
-class Note(NamedTuple):
-    no: int
-    point: str
-    kind: str
-    field: str
-    printed: str
-    corrected: str
-    note: str
+Note = namedtuple("Note", "no point kind field printed corrected note")
 
 
-class GoldenRow(NamedTuple):
+class GoldenRow(namedtuple("GoldenRow", (
+        "family_no",
+        "point",          # e.g. "Oz", "OzOt"
+        "location",       # ("vertex", i) or ("edge", i, j)
+        "count",
+        "r",              # the order of `type_str`
+        "type_str",       # corrected when a documented typo applies
+        "residues",
+        # the local parameters read off the type's subscripts, when all
+        # three are printed; else None
+        "local_params",
+        "normalized",     # the residues normalized to (1, a, r-a)
+        "method",
+        "b3_sign",
+        "linsys_raw",
+        "linsys",         # (c, b) of cB+bE, or None
+        "surface",        # generators' monomials, corrected like `type_str`
+        "vanishing",      # monomials
+        "condition_raw",
+        "condition",      # frozenset of (atom, value) pairs
+        "witness_raw",
+        "witness",        # monomials
+        "corrected",      # the type is corrected; False by default
+        "defect",         # the documented certificate defect, a `Note`
+), defaults=(False, None))):
     """One certificate-table row, with corrections applied."""
 
-    family_no: int
-    point: str                       # e.g. "Oz", "OzOt"
-    location: tuple                  # ("vertex", i) or ("edge", i, j)
-    count: int
-    r: int                           # the order of `type_str`
-    type_str: str                    # corrected when a documented typo applies
-    residues: tuple[int, int, int]
-    # the local parameters read off the type's subscripts, when all three
-    # are printed
-    local_params: Optional[tuple[int, int, int]]
-    normalized: tuple[int, int, int]
-    method: str
-    b3_sign: str
-    linsys_raw: str
-    linsys: Optional[tuple[int, int]]
-    surface: tuple[tuple[Exp5, ...], ...]  # corrected like `type_str`
-    vanishing: tuple[Exp5, ...]
-    condition_raw: str
-    condition: frozenset[tuple[str, str]]
-    witness_raw: str
-    witness: tuple[Exp5, ...]
-    corrected: bool = False          # the type is corrected
-    defect: Optional[Note] = None    # the documented certificate defect
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
         return "exclude" if self.method in EXCLUDE_METHODS else "untwist"
 
 
-class FamilyRecord(NamedTuple):
-    family: Family
-    A3: Fraction
-    superrigid: bool
+FamilyRecord = namedtuple("FamilyRecord", "family A3 superrigid")
 
 
 class GoldenData:
@@ -205,7 +234,7 @@ class GoldenData:
     def family(self, no: int) -> Family:
         return self.families[no - 1].family
 
-    def rows_for(self, no: int, point: Optional[str] = None
+    def rows_for(self, no: int, point: str | None = None
                  ) -> list[GoldenRow]:
         return [r for r in self._by_family.get(no, ())
                 if point is None or r.point == point]
@@ -214,7 +243,7 @@ class GoldenData:
         return list(dict.fromkeys(r.point
                                   for r in self._by_family.get(no, ())))
 
-    def atoms_for(self, no: int, point: Optional[str] = None
+    def atoms_for(self, no: int, point: str | None = None
                   ) -> set[str]:
         names: set[str] = set()
         for r in self.rows_for(no, point):
@@ -234,7 +263,7 @@ _COLUMNS = {
 }
 
 
-def _read_tsv(directory: Path, name: str
+def _read_tsv(directory: str | os.PathLike, name: str
               ) -> list[tuple[int, tuple[str, ...]]]:
     """(no, cells) for each row of the file: its `no` cell read as an int,
     and its other `_COLUMNS` cells in that order.
@@ -244,7 +273,8 @@ def _read_tsv(directory: Path, name: str
     """
     # decoding as utf-8 and dropping a leading byte-order mark is what the
     # 'utf-8-sig' codec does, without importing it
-    text = (directory / name).read_text("utf-8").removeprefix("\ufeff")
+    with open(os.path.join(directory, name), encoding="utf-8") as file:
+        text = file.read().removeprefix("\ufeff")
     lines = text.splitlines()
     header = lines[0].split("\t") if lines else []
     index = {column: i for i, column in enumerate(header)}
@@ -297,7 +327,7 @@ def _family_cell(no: int, column: str, text: str, parse, expected: str):
 
 @cache
 def _type_cell(text: str) -> tuple[int, tuple[int, int, int],
-                                   Optional[tuple[int, int, int]],
+                                   tuple[int, int, int] | None,
                                    tuple[int, int, int]]:
     """(r, residues, local params or None, normalized residues) of a
     singularity type; `NonTerminal` if the type is not terminal."""
@@ -368,10 +398,11 @@ def _note_name(n: Note) -> str:
             f"({n.printed!r} -> {n.corrected!r})")
 
 
-def load(path: Optional[Path] = None) -> GoldenData:
+def load(path: str | os.PathLike | None = None) -> GoldenData:
     """Load the golden dataset, applying documented corrections.
 
-    `path` overrides the packaged data directory; it must contain
+    `path`, a `str` or a path object, overrides the packaged data
+    directory, the ``data`` folder next to this module; it must contain
     families.tsv, golden_tables.tsv and golden_notes.tsv.  Each is a
     tab-separated table under a header line, without quoting, in the format
     the module docstring gives.  Malformed data, including a line with more
@@ -381,8 +412,8 @@ def load(path: Optional[Path] = None) -> GoldenData:
     cell of golden_tables.tsv is parsed here, a corrected cell as its
     note's correction.
     """
-    directory = (resources.files("wfano") / "data" if path is None
-                 else Path(path))
+    directory = (os.path.join(os.path.dirname(__file__), "data")
+                 if path is None else path)
     notes = tuple(Note(no, *cells)
                   for no, cells in _read_tsv(directory, "golden_notes.tsv"))
     # A note applies where a cell reads the text it is keyed by: a type or

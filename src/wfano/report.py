@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .census import QuotientSingularity, census
 from .exactmath import COORDS
@@ -235,7 +235,7 @@ def _count(n: int, one: str, many: str = "") -> str:
 
 
 def check_tables(dataset: GoldenData,
-                 family_filter: Optional[int] = None) -> dict:
+                 family_filter: int | None = None) -> dict:
     """Re-derive every golden row and audit census/variant coverage; the
     payload `check-tables --json` prints."""
     discrepancies: list[dict] = []

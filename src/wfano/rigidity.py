@@ -15,9 +15,10 @@ by the squared coordinate's partner.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple, Optional, Sequence
 
 from .blowup import (NonIntegral, b_cubed, format_class, monomial_order,
                      s_class_ks, transform_beta_E)
@@ -34,10 +35,7 @@ class NotSymmetric(ValueError):
 
 # ------------------------------------------------------------ small tests
 
-class Check(NamedTuple):
-    name: str
-    passed: bool
-    detail: str = ""
+Check = namedtuple("Check", "name passed detail", defaults=("",))
 
 
 # the power p of c and m in the inequality r*a*(r-a)*c^p*A^3 <= k*m^p of
@@ -46,7 +44,7 @@ _INEQUALITIES = {"B": (2, "boundary inequality"),
                  "N": (1, "nef-divisor inequality")}
 
 
-def two_ray_game(f: Family) -> tuple[bool, Optional[int]]:
+def two_ray_game(f: Family) -> tuple[bool, int | None]:
     """Two-ray-game test for method (p) at O_t: 2 a4 = 3 a3 + a_i, i in
     {1, 2}.  Every (p) row of the tables is at O_t."""
     a = f.w
@@ -90,10 +88,11 @@ FIXTURE_MATRICES = {
 
 # ------------------------------------------------------ smooth points etc.
 
-class SmoothPointStatus(NamedTuple):
-    kind: str                      # LEMMA1 | LEMMA2 | MPIM_PAIR | SPECIAL
-    case: Optional[str] = None     # which per-family argument, for SPECIAL
-    detail: str = ""
+SmoothPointStatus = namedtuple("SmoothPointStatus", (
+    "kind",      # LEMMA1 | LEMMA2 | MPIM_PAIR | SPECIAL
+    "case",      # which per-family argument, for SPECIAL; None by default
+    "detail",
+), defaults=(None, ""))
 
 
 # families whose smooth points need a bespoke surface argument, grouped by
@@ -145,9 +144,10 @@ def _is_combination(target: int, a1: int, a2: int) -> bool:
                for m1 in range(target // a1 + 1))
 
 
-class CurveStatus(NamedTuple):
-    kind: str                      # NUMERIC | SPECIAL
-    max_degree: Optional[int] = None
+CurveStatus = namedtuple("CurveStatus", (
+    "kind",         # NUMERIC | SPECIAL
+    "max_degree",
+), defaults=(None,))
 
 
 def curve_status(f: Family) -> CurveStatus:
@@ -178,15 +178,13 @@ ELLIPTIC_POINTS = {
 }
 
 
-class InvolutionCase(NamedTuple):
-    label: str
-    witness: str = ""
-    note: str = ""
+InvolutionCase = namedtuple("InvolutionCase", "label witness note",
+                            defaults=("", ""))
 
 
 def involution_case(f: Family, point: str,
-                    variant: Optional[dict[str, str]] = None
-                    ) -> Optional[InvolutionCase]:
+                    variant: dict[str, str] | None = None
+                    ) -> InvolutionCase | None:
     """Structural involution pattern at the point, or None.
 
     Quadratic: a monomial x_j * x_i^2 of degree d with x_i vanishing at the
@@ -228,16 +226,13 @@ def involution_case(f: Family, point: str,
 
 # -------------------------------------------------------------- certificates
 
-class Certificate(NamedTuple):
+class Certificate(namedtuple("Certificate", "row checks B3 m k",
+                             defaults=(None, None, None))):
     """The checks recomputed on one golden row, and the values an exclusion
     certificate used: B^3, the multiplicity m of the key surface and the
     k values of its class (None where no exclusion was computed)."""
 
-    row: GoldenRow
-    checks: tuple[Check, ...]
-    B3: Optional[Fraction] = None
-    m: Optional[int] = None
-    k: Optional[tuple[int, ...]] = None
+    __slots__ = ()
 
     @property
     def valid(self) -> bool:
@@ -252,7 +247,7 @@ class Certificate(NamedTuple):
                 and not (defect and c.name.endswith(defect.field))]
 
 
-def _subscript_chart(row: GoldenRow) -> Optional[int]:
+def _subscript_chart(row: GoldenRow) -> int | None:
     """The coordinate a vertex row's subscripts leave to be eliminated, when
     they name three local parameters besides the vertex; else None."""
     subs = row.local_params

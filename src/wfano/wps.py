@@ -10,10 +10,10 @@ coefficients for order computations.
 
 from __future__ import annotations
 
-import random
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .census import (default_eliminated, eliminating_monomial,
                      is_terminal_family, no_singular_curves)
@@ -36,7 +36,7 @@ class Family:
     __slots__ = ("w", "entry_no", "d")
 
     def __init__(self, w: tuple[int, int, int, int, int],
-                 entry_no: Optional[int] = None):
+                 entry_no: int | None = None):
         if len(w) != 5 or w[0] != 1:
             raise ValueError("weights must be (1, a1, a2, a3, a4)")
         if not 0 < w[1] <= w[2] <= w[3] <= w[4]:
@@ -48,7 +48,7 @@ class Family:
 
     @classmethod
     def of(cls, a1: int, a2: int, a3: int, a4: int,
-           entry_no: Optional[int] = None) -> "Family":
+           entry_no: int | None = None) -> "Family":
         return cls((1, a1, a2, a3, a4), entry_no)
 
     def _frozen(self, name, value=None):
@@ -104,12 +104,11 @@ def _has_monomial_with(mask: int, t: int, coords: int, w5) -> bool:
     return any(coords >> i & 1 and mask >> (t - w5[i]) & 1 for i in range(5))
 
 
-class QuasiSmoothDiagnostics(NamedTuple):
-    ok: bool
-    detail: str = ""
+QuasiSmoothDiagnostics = namedtuple("QuasiSmoothDiagnostics", "ok detail",
+                                    defaults=("",))
 
 
-def general_quasismooth(f: Family, exclude_pure: Optional[tuple[int, ...]] = None,
+def general_quasismooth(f: Family, exclude_pure: tuple[int, ...] | None = None,
                         ) -> QuasiSmoothDiagnostics:
     """Quasi-smoothness of the general member by the coordinate-subset test.
 
@@ -176,11 +175,13 @@ def bare_weight_candidates(a1: int, a2: int, max_weight: int
     and a1+a2 are below it, and a2 < a3), and the least of them is a1+a3.
     So a3 stops at max_weight - a1 once that is past a1+a2.
 
-    Each value is then tested at O_t, O_z, O_y and O_w in turn (O_t
-    rejects the most): for I = {i}, some x_i^k or x_i^k * x_j has degree
-    d, that is d = a_j mod a_i for some j, where j = i stands for x_i^k
-    alone.  Each is a necessary condition for `general_quasismooth`.  The
-    pairs come in no particular order.
+    Each value is then tested at O_t, O_z and O_y in turn (O_t rejects the
+    most): for I = {i}, some x_i^k or x_i^k * x_j has degree d, that is
+    d = a_j mod a_i for some j, where j = i stands for x_i^k alone.  Each
+    is a necessary condition for `general_quasismooth`.  The test at O_w
+    always holds, so it is not made: a4 divides s or s - a_j, so
+    d = s + a4 = a_j mod a4, with j = w for s.  The pairs come in no
+    particular order.
     """
     g12 = gcd(a1, a2)
     for a3 in range(a2, min(max_weight, max(max_weight - a1, a1 + a2)) + 1):
@@ -192,7 +193,7 @@ def bare_weight_candidates(a1: int, a2: int, max_weight: int
             if not a3 <= a4 <= max_weight:
                 continue
             d = s + a4
-            for a in (a3, a2, a1, a4):
+            for a in (a3, a2, a1):
                 r = d % a
                 if (r != 1 % a and r != a1 % a and r != a2 % a
                         and r != a3 % a and r != a4 % a):
@@ -313,8 +314,12 @@ def generic_member(f: Family, seed: int = 0) -> Poly:
     has coefficient 1, so the series solved from it at O_i has integer
     coefficients.  Every other monomial, in sorted order, draws
     `getrandbits(20) + 1`, uniform in [1, 2^20], from a
-    `random.Random` seeded with the family and `seed`.
+    `random.Random` seeded with the family and `seed`.  The `random`
+    module is imported here, not at module level, so commands that build
+    no member never load it.
     """
+    import random
+
     units = _eliminating_monomials(f)
     draw = random.Random((f.d, f.w, seed).__repr__()).getrandbits
     return {exps: 1 if exps in units else draw(20) + 1

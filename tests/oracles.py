@@ -19,19 +19,23 @@ decides another way, so the tests can compare the two:
   `census.normalize_type`;
 - `row_point`: the quotient point a golden row names, in the chart its
   subscripts pick, where `rigidity.certify_row` takes the census point,
-  whose r, count and type are the same in every chart.
+  whose r, count and type are the same in every chart;
+- `regex_parse_poly`, `regex_strip_coefficients`, `regex_parse_type` and
+  `regex_parse_linear_system`: the text grammars as regular expressions,
+  against the `str`-method parsers of `exactmath` and `golden`.
 
 The inequality oracles are not named `test_*`, so pytest does not collect
 them where a test file imports them.
 """
 
+import re
 from fractions import Fraction
 from math import gcd
 
 from wfano.blowup import B, NonIntegral, transform_beta_E
 from wfano.census import (QuotientSingularity, edge_singularities,
                           vertex_singularity)
-from wfano.exactmath import Exp5
+from wfano.exactmath import COORD_INDEX, Exp5
 from wfano.golden import GoldenRow
 from wfano.rigidity import _subscript_chart
 from wfano.wps import Family, anticanonical_degree
@@ -140,3 +144,73 @@ def row_point(f: Family, row: GoldenRow) -> QuotientSingularity:
     if loc[0] == "vertex":
         return vertex_singularity(f, loc[1], eliminated=_subscript_chart(row))
     return edge_singularities(f, loc[1], loc[2])
+
+
+_SIGN = re.compile(r"([+-])")
+_TERM = re.compile(r"[\s*]*(?:(\d+)[\s*]*)?((?:[xyztw](?:\^\d+)?[\s*]*)*)")
+_FACTOR = re.compile(r"([xyztw])(?:\^(\d+))?")
+
+
+def regex_parse_poly(text: str) -> dict[Exp5, int]:
+    """`exactmath.parse_poly`: signed terms like ``3*x^2*y``, each read by
+    one regular expression."""
+    poly: dict[Exp5, int] = {}
+    pieces = _SIGN.split(text)  # term, sign, term, sign, ..., term
+    for i in range(0, len(pieces), 2):
+        m = _TERM.fullmatch(pieces[i])
+        if not m:
+            raise ValueError(f"cannot parse term {pieces[i].strip()!r} "
+                             f"of polynomial {text!r}")
+        num, factors = m.groups()
+        if not (num or factors):
+            if i == 0:  # nothing before a leading sign, or empty text
+                continue
+            raise ValueError(f"dangling sign in polynomial: {text!r}")
+        exps = [0] * 5
+        for var, exp in _FACTOR.findall(factors):
+            exps[COORD_INDEX[var]] += int(exp) if exp else 1
+        key = tuple(exps)
+        sign = -1 if i and pieces[i - 1] == "-" else 1
+        poly[key] = poly.get(key, 0) + sign * int(num or 1)
+    return {k: v for k, v in poly.items() if v}
+
+
+_GREEK = re.compile(r"(alpha|beta|lambda|mu)(_\w)?")
+_TYPE = re.compile(r"1/([1-9]\d*)\((.*)\)")
+_LINEAR_SYSTEM = re.compile(r"(\d*)B(?:([+-])(\d*)E)?")
+
+
+def regex_strip_coefficients(text: str) -> str:
+    """`golden._strip_coefficients`: each coefficient symbol with at most a
+    one-character subscript becomes a space."""
+    return _GREEK.sub(" ", text)
+
+
+def regex_parse_type(text: str):
+    """`golden.parse_type`: (r, residues, subscript coordinates or None)."""
+    m = _TYPE.fullmatch(text.replace(" ", ""))
+    if not m:
+        raise ValueError(f"cannot parse singularity type {text!r}")
+    r = int(m.group(1))
+    residues, subs = [], []
+    for item in m.group(2).split(","):
+        digits, subscripted, coord = item.partition("_")
+        if not digits.isdecimal() or subscripted and coord not in COORD_INDEX:
+            raise ValueError(f"cannot parse residue {item!r} in {text!r}")
+        residues.append(int(digits))
+        subs.append(COORD_INDEX[coord] if subscripted else None)
+    if len(residues) != 3:
+        raise ValueError(f"expected three residues in {text!r}")
+    return r, tuple(residues), tuple(subs)
+
+
+def regex_parse_linear_system(text: str) -> tuple[int, int]:
+    """`golden.parse_linear_system`: cB+bE as (c, b)."""
+    m = _LINEAR_SYSTEM.fullmatch(text.replace(" ", ""))
+    if not m:
+        raise ValueError(f"cannot parse linear system {text!r}")
+    c = int(m.group(1) or 1)
+    b = 0
+    if m.group(2):
+        b = int(m.group(3) or 1) * (1 if m.group(2) == "+" else -1)
+    return c, b

@@ -39,11 +39,14 @@ def run_in_process(argv):
 
 
 def run_in_fresh_process(argv, code="import sys; from wfano.cli import main; "
-                                     "sys.exit(main(sys.argv[1:]))"):
-    """(exit code, stdout, stderr) of `code` in a new interpreter."""
+                                     "sys.exit(main(sys.argv[1:]))",
+                         flags=()):
+    """(exit code, stdout, stderr) of `code` in a new interpreter, started
+    with the interpreter options `flags`."""
     env = dict(os.environ, PYTHONPATH=str(Path(wfano.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -1081,6 +1084,22 @@ class TestStartup:
             "print('json' in sys.modules)"))
         assert code == 0, err
         assert out == "False\n"
+
+    def test_setup_imports_no_module_that_only_some_commands_need(self):
+        # `-S` skips the site module and the .pth files of site-packages,
+        # which may import these modules themselves (a .pth file that
+        # imports `certifi` loads all four) and so would make the check
+        # pass whatever the package imports.  `wps.generic_member` imports
+        # `random` when it draws a member.
+        code, out, err = run_in_fresh_process([], (
+            "import sys, wfano.cli; wfano.golden.data(); "
+            "print(sorted({'importlib.resources', 'pathlib', 'typing', "
+            "'random'} & set(sys.modules))); "
+            "print(sorted(name for name, module in sys.modules.items() "
+            "if name.split('.')[0] == 'wfano' and 're' in vars(module)))"),
+            flags=["-S"])
+        assert code == 0, err
+        assert out == "[]\n[]\n"
 
 
 JUNK = st.text("0123456789,-x", max_size=8)

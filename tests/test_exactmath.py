@@ -384,28 +384,47 @@ def test_every_top_level_name_has_a_caller_in_the_package():
     assert uncalled == []
 
 
+def _record_fields(call):
+    """(record name, field names) of a `namedtuple("X", fields)` call,
+    whose fields are one string or a tuple or list of strings; else None."""
+    if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "namedtuple" and len(call.args) == 2):
+        return None
+    name, fields = call.args
+    if isinstance(fields, ast.Constant):
+        names = fields.value.replace(",", " ").split()
+    else:
+        names = [item.value for item in fields.elts]
+    return name.value, names
+
+
 def test_every_class_member_is_read_in_the_package():
-    """Each annotated field and each method or property of a package class,
+    """Each record field and each method or property of a package class,
     dunders aside, is read by package code as an attribute or a name: a
-    record field that only the tests read is dead weight.  It matches
-    member names only, so a read of a same-named attribute elsewhere
-    counts: `Census.family` passed while only `FamilyRecord.family` was
-    read, and `Series.weights` while only `args.weights` was."""
+    record field that only the tests read is dead weight.  The fields are
+    read off each `namedtuple` call, the methods off each class body.  It
+    matches member names only, so a read of a same-named attribute
+    elsewhere counts: `Census.family` passed while only
+    `FamilyRecord.family` was read, and `Series.weights` while only
+    `args.weights` was."""
     members, read = set(), set()
     for path in Path(wfano.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ClassDef):
+            record = _record_fields(node)
+            if record:
+                members.update((record[0], field) for field in record[1])
+            elif isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if (isinstance(item, ast.AnnAssign)
-                            and isinstance(item.target, ast.Name)):
-                        members.add((node.name, item.target.id))
-                    elif (isinstance(item, ast.FunctionDef)
-                          and not item.name.startswith("__")):
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("__")):
                         members.add((node.name, item.name))
             elif (isinstance(node, (ast.Attribute, ast.Name))
                   and isinstance(node.ctx, ast.Load)):
                 read.add(node.attr if isinstance(node, ast.Attribute)
                          else node.id)
     assert len(members) > 50
+    # the 58 fields of the 12 records, their 7 methods and properties, and
+    # the 6 methods of `Family` and `GoldenData`
+    assert len(members) == 71
     assert sorted(f"{cls}.{name}" for cls, name in members
                   if name not in read) == []

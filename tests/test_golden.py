@@ -4,14 +4,17 @@ import re
 from importlib import resources
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wfano import golden
-from wfano.exactmath import COORD_INDEX
+from wfano.exactmath import COORD_INDEX, parse_poly
 from wfano.golden import (UnknownVariantFlag, canonical_atom, holds,
                           match_rows, parse_condition, parse_linear_system,
                           parse_monomials, parse_type, parse_variant)
 from wfano.report import build_report
+
+from oracles import (regex_parse_linear_system, regex_parse_poly,
+                     regex_parse_type, regex_strip_coefficients)
 
 DATA = golden.data()
 
@@ -186,6 +189,125 @@ class TestDataset:
         for name, columns in golden._COLUMNS.items():
             header = (src / name).read_text("utf-8").split("\n", 1)[0]
             assert sorted(header.split("\t")) == sorted(columns), name
+
+
+def outcome(parse, text):
+    """('value', what `parse` returns) or ('error', its ValueError text)."""
+    try:
+        return "value", parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def regex_parse_monomials(text):
+    return tuple(regex_parse_poly(regex_strip_coefficients(text)))
+
+
+# Each parser next to the regular-expression grammar it replaced.  The
+# memoized parsers are called through `__wrapped__`, so the drawn texts do
+# not fill their caches.
+PARSERS = {
+    "parse_poly": (parse_poly, regex_parse_poly),
+    "strip": (golden._strip_coefficients, regex_strip_coefficients),
+    "parse_monomials": (parse_monomials.__wrapped__, regex_parse_monomials),
+    "parse_type": (parse_type, regex_parse_type),
+    "parse_linear_system": (parse_linear_system.__wrapped__,
+                            regex_parse_linear_system),
+}
+# a non-ASCII decimal digit, which `\d` matches; a superscript digit, which
+# it does not; two non-ASCII spaces, which `\s` matches; a non-ASCII letter,
+# which `\w` matches; and a line break, which `.` does not
+ODD = ["\u0663", "\u00b2", "\u00a0", "\u3000", "\u00e9", "\n", "\t"]
+
+
+def edits(text, alphabet):
+    """Every text one character away from `text`: one character of the
+    alphabet or of `ODD` inserted, or put in place of one character."""
+    for at in range(len(text) + 1):
+        for char in [*alphabet, *ODD]:
+            yield text[:at] + char + text[at:]
+            yield text[:at] + char + text[at + 1:]
+
+
+@st.composite
+def near(draw, examples, alphabet):
+    """One of the example texts with one to four characters inserted or
+    replaced, each from the alphabet or `ODD`."""
+    text = draw(st.sampled_from(examples))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        text = (text[:at] + draw(st.sampled_from([*ODD, *alphabet]))
+                + text[at + draw(st.integers(0, 1)):])
+    return text
+
+
+def pieces(*tokens):
+    """Texts made of the tokens and the `ODD` characters."""
+    return st.lists(st.sampled_from([*tokens, *ODD]),
+                    max_size=10).map("".join)
+
+
+POLY = "xyztw+-*^ 0123456789"
+# per parser: well-formed and nearly well-formed texts, the characters of
+# its grammar, and tokens to build texts from
+GRAMMARS = {
+    "parse_poly": (
+        ["3*x^2*y", "x", "-y + 2 z^3", "12xy^3z", "* 2 * x ^0 *",
+         "t*w^2 + y^2*w^2+ y*t^3 - 3*y^3*t^2", "w-w", "x++y"],
+        POLY, [*POLY, "q", "x^2", "12"]),
+    "strip": (
+        ["y-alpha_iz", "z-alpha_i y^2", "betalpha", "mu_1lambda_x",
+         "alpha_", "alpha__", "lambdalpha_z"],
+        "abelmpu_iz ", ["alpha", "beta", "lambda", "mu", "_", "i", "z", "y",
+                        "lpha", "a", "l", "m", "u", " ", "-", "^2"]),
+    "parse_monomials": (
+        ["z-alpha_i y^2", "y-alpha_iz", "x^2-beta_1 t", "mu z^3w"],
+        POLY + "albe_", ["alpha", "beta", "lambda", "mu", "_", "i", *POLY,
+                         "x^2"]),
+    "parse_type": (
+        ["1/3(1_x,2_y,1_t)", "1/4(1,3,1)", "1/12(1,5,7)", "1 / 2 (1, 1, 1)"],
+        "0123456789/(),_xyztw ", ["1/", "1", "0", "3", "12", "/", "(", ")",
+                                  ",", "_", "x", "y", "z", "t", "w", " "]),
+    "parse_linear_system": (
+        ["5B+2E", "B-E", "B", "12B+E", "3B - 10E"],
+        "0123456789BE+- ", [*"0123456789BE+- ", "5B", "+2E", "-E"]),
+}
+
+
+class TestParsersMatchTheirRegexGrammars:
+    @pytest.mark.parametrize("name", PARSERS)
+    def test_on_each_text_one_character_off_an_example(self, name):
+        new, old = PARSERS[name]
+        examples, alphabet, _tokens = GRAMMARS[name]
+        for text in {t for example in examples
+                     for t in edits(example, alphabet)}:
+            assert outcome(new, text) == outcome(old, text), text
+
+    @pytest.mark.parametrize("name", PARSERS)
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_on_drawn_text(self, name, data):
+        examples, alphabet, tokens = GRAMMARS[name]
+        text = data.draw(st.one_of(near(examples, alphabet), pieces(*tokens),
+                                   st.text(max_size=8)), label="text")
+        new, old = PARSERS[name]
+        assert outcome(new, text) == outcome(old, text)
+
+    def test_on_every_cell_of_the_packaged_tables(self):
+        src = resources.files("wfano") / "data"
+        cells = set()
+        for name in ("families.tsv", "golden_tables.tsv",
+                     "golden_notes.tsv"):
+            for line in (src / name).read_text("utf-8").splitlines():
+                cells.update(line.split("\t"))
+        # the polynomial cells hold lists, split as `load` splits them
+        cells.update(part for cell in set(cells)
+                     for comma in cell.split(",")
+                     for part in comma.split(" or "))
+        assert len(cells) > 500
+        for text in sorted(cells):
+            for new, old in PARSERS.values():
+                assert outcome(new, text) == outcome(old, text), text
 
 
 class TestVariantMatching:

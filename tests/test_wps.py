@@ -252,6 +252,35 @@ class TestEnumeration:
                     assert len(got) == len(set(got))
                     assert sorted(got) == expected, (a1, a2, bound)
 
+    def test_candidates_pass_the_singleton_test_at_all_four_vertices(self):
+        # a brute-force statement of the tests up to max-weight 100: (a3,
+        # a4) is kept iff a1, a2, a3 share no factor and at each of O_y,
+        # O_z, O_t and O_w, d = a_j mod a_i for some j (j = i for x_i^k).
+        # O_w holds only where a4 divides s or some s - a_j, so a4 runs
+        # over the divisors of those that are at least a3; the candidates
+        # skip the test at O_w, which this one makes.
+        bound = 100
+        for a1 in range(1, bound + 1):
+            for a2 in range(a1, bound + 1):
+                expected = set()
+                for a3 in range(a2, bound + 1):
+                    if gcd(a1, a2, a3) != 1:
+                        continue
+                    s = a1 + a2 + a3
+                    for n in (s, s - 1, s - a1, s - a2, s - a3):
+                        for q in range(1, n // a3 + 1):
+                            a4 = n // q
+                            if n % q or a4 > bound:
+                                continue
+                            w = (1, a1, a2, a3, a4)
+                            d = s + a4
+                            if all(d % a in {b % a for b in w}
+                                   for a in w[1:]):
+                                expected.add((a3, a4))
+                got = list(bare_weight_candidates(a1, a2, bound))
+                assert len(got) == len(set(got))
+                assert set(got) == expected, (a1, a2)
+
     # each pre-test rejecting a quadruple that the other two keep
     @example((1, 1, 1, 4)).via("a4 not a candidate")
     @example((1, 1, 4, 5)).via("vertex test at O_t")
