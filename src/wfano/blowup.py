@@ -51,9 +51,7 @@ def triple(f: Family, sing: QuotientSingularity, c1, c2, c3) -> Fraction:
     numerator over its denominator (`int`s and `Fraction`s alike), the sum
     is taken over one common denominator and one `Fraction` is built.
     """
-    r = sing.r
-    w = f.w
-    prod = w[1] * w[2] * w[3] * w[4]
+    r, prod = sing.r, f.prod
     rab = r * sing.a * sing.b
     # Over den_i = db_i * de_i, b_i = nb_i * de_i / den_i and
     # g_i = (r * ne_i * db_i - nb_i * de_i) / den_i; bn, gn and den are the
@@ -76,8 +74,7 @@ def b_cubed(f: Family, sing: QuotientSingularity) -> tuple[Fraction, str]:
     checked against the trilinear product B.B.B on every call, under
     `python -O` too: a disagreement raises `CrossCheckFailed`.
     """
-    w = f.w
-    prod = w[1] * w[2] * w[3] * w[4]
+    prod = f.prod
     rab = sing.r * sing.a * sing.b
     num = f.d * rab - prod
     val = Fraction(num, prod * rab)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .exactmath import COORDS, Exp5, NoEliminatingMonomial, Poly
+from .exactmath import COORDS, OTHERS, Exp5, NoEliminatingMonomial, Poly
 
 
 # The 4 vertices and 6 edges that carry quotient points, by name, as
@@ -24,11 +24,6 @@ LOCATIONS = {"O" + COORDS[i]: ("vertex", i) for i in range(1, 5)}
 LOCATIONS.update(("O" + COORDS[i] + "O" + COORDS[j], ("edge", i, j))
                  for i, j in EDGES)
 
-# (i, j) -> the three coordinates other than i and j, in order: the local
-# parameters at O_i when x_j is eliminated, and along the edge O_iO_j
-OTHERS = {(i, j): tuple(k for k in range(5) if k not in (i, j))
-          for i in range(5) for j in range(5) if i != j}
-
 
 class NonTerminal(ValueError):
     """A quotient type that cannot be normalized to 1/r(1, a, r-a)."""
@@ -36,6 +31,10 @@ class NonTerminal(ValueError):
 
 class EdgeContained(ValueError):
     """The coordinate edge lies inside every member of the family."""
+
+
+# What the census raises for a family whose points it cannot place
+REFUSALS = (NonTerminal, EdgeContained, NoEliminatingMonomial)
 
 
 def _unit_slot(r: int, v: int, p: int, q: int) -> tuple | None:
@@ -97,6 +96,17 @@ class QuotientSingularity(namedtuple("QuotientSingularity", (
 
 
 Census = namedtuple("Census", "entries")  # tuple[QuotientSingularity, ...]
+
+
+def _point(f: Family, r: int, location: tuple, count: int,
+           eliminated: int | None, locs: tuple) -> QuotientSingularity:
+    """The point of order r with local parameters `locs`: their weight
+    residues mod r and the type they normalize to."""
+    w5 = f.w
+    k, l, m = locs
+    residues = w5[k] % r, w5[l] % r, w5[m] % r
+    return QuotientSingularity(r, normalize_type(r, residues), location,
+                               count, locs, residues, eliminated)
 
 
 def vertex_elimination_candidates(f: Family, i: int) -> list[int]:
@@ -162,12 +172,8 @@ def vertex_singularity(f: Family, i: int,
     elif eliminated not in vertex_elimination_candidates(f, i):
         raise NoEliminatingMonomial(
             f"{COORDS[eliminated]} cannot be eliminated at O_{COORDS[i]}")
-    w5, r = f.w, f.w[i]
-    k, l, m = locs = OTHERS[i, eliminated]
-    residues = w5[k] % r, w5[l] % r, w5[m] % r
-    return QuotientSingularity(
-        r=r, type_=normalize_type(r, residues), location=("vertex", i),
-        count=1, local_params=locs, residues=residues, eliminated=eliminated)
+    return _point(f, f.w[i], ("vertex", i), 1, eliminated,
+                  OTHERS[i, eliminated])
 
 
 def edge_point_count(f: Family, i: int, j: int) -> int:
@@ -194,18 +200,13 @@ def edge_singularities(f: Family, i: int, j: int
     """Quotient points along the edge O_iO_j, or None when gcd = 1 or empty."""
     if not (1 <= i < j <= 4):
         raise ValueError("edge indices must satisfy 1 <= i < j <= 4")
-    w5 = f.w
-    h = gcd(w5[i], w5[j])
+    h = gcd(f.w[i], f.w[j])
     if h == 1:
         return None
     count = edge_point_count(f, i, j)
     if count == 0:
         return None
-    k, l, m = locs = OTHERS[i, j]
-    residues = w5[k] % h, w5[l] % h, w5[m] % h
-    return QuotientSingularity(
-        r=h, type_=normalize_type(h, residues), location=("edge", i, j),
-        count=count, local_params=locs, residues=residues, eliminated=None)
+    return _point(f, h, ("edge", i, j), count, None, OTHERS[i, j])
 
 
 def census(f: Family) -> Census:
@@ -237,6 +238,6 @@ def is_terminal_family(f: Family) -> bool:
         return False
     try:
         census(f)
-    except (NonTerminal, EdgeContained, NoEliminatingMonomial):
+    except REFUSALS:
         return False
     return True

@@ -15,9 +15,9 @@ from types import SimpleNamespace
 from . import golden, report as report_mod
 from .blowup import DEFAULT_CUTOFF, CrossCheckFailed, divisor_multiplicity
 from .census import census as compute_census
-from .census import (LOCATIONS, EdgeContained, NonTerminal,
-                     is_terminal_family, member_chart, vertex_singularity)
-from .exactmath import NoEliminatingMonomial, OVERCUTOFF, parse_poly
+from .census import (LOCATIONS, REFUSALS, is_terminal_family, member_chart,
+                     vertex_singularity)
+from .exactmath import OVERCUTOFF, parse_poly
 from .golden import UnknownVariantFlag, parse_variant
 from .wps import (Family, UnknownSpecialMember, anticanonical_degree,
                   enumerate_families, general_quasismooth, generic_member,
@@ -44,8 +44,8 @@ class UsageError(ValueError):
 # What `main` turns into an exit code and one `error:` line.  Anything else
 # is a defect in the program and keeps its traceback.
 USAGE_ERRORS = (UsageError, UnknownVariantFlag, UnknownSpecialMember)
-MISMATCHES = (NonTerminal, EdgeContained, NoEliminatingMonomial,
-              CrossCheckFailed)
+# `NoEliminatingMonomial` comes from the series too, not only the census.
+MISMATCHES = REFUSALS + (CrossCheckFailed,)
 
 
 def _dataset(args):

@@ -45,6 +45,11 @@ Part = dict[Exp3, Coeff]  # the terms of one weighted degree of a series
 COORDS = ("x", "y", "z", "t", "w")
 COORD_INDEX = {name: i for i, name in enumerate(COORDS)}
 
+# (i, j) -> the three coordinates other than i and j, in order: the local
+# parameters at O_i when x_j is eliminated, and along the edge O_iO_j
+OTHERS = {(i, j): tuple(k for k in range(5) if k not in (i, j))
+          for i in range(5) for j in range(5) if i != j}
+
 
 class NoEliminatingMonomial(ValueError):
     """The support has no monomial of the form x_vertex^s * x_eliminated."""
@@ -151,7 +156,7 @@ def _reduce_to_chart(support: Mapping[Exp5, Coeff], chart_vertex: int,
     Two monomials of a non-homogeneous polynomial can meet at one chart
     key, so the coefficients there are summed.
     """
-    l0, l1, l2 = [i for i in range(5) if i not in (chart_vertex, eliminated)]
+    l0, l1, l2 = OTHERS[chart_vertex, eliminated]
     reduced: dict[tuple[Exp3, int], Coeff] = {}
     for exps, c in support.items():
         key = ((exps[l0], exps[l1], exps[l2]), exps[eliminated])

@@ -112,8 +112,7 @@ def smooth_point_status(f: Family) -> SmoothPointStatus:
     coprime a3, a4, a3 a4 is a combination of a1, a2, and a3 a4 A^3 <= 4;
     the remaining handful need per-family surface geometry (SPECIAL).
     """
-    a, d = f.w, f.d
-    prod = a[1] * a[2] * a[3] * a[4]
+    a, d, prod = f.w, f.d, f.prod
     hats = hat_lcms(f)
     for i in (2, 3, 4):
         if d % a[i] == 0 and d * hats[i - 2] <= 4 * prod:
@@ -330,9 +329,7 @@ def _certify_exclusion(f: Family, row: GoldenRow, sing: QuotientSingularity,
     ks = s_class_ks(f, sing.r)
     if row.method in _INEQUALITIES:
         power, name = _INEQUALITIES[row.method]
-        w = f.w
-        lhs = Fraction(sing.r * sing.a * sing.b * c ** power * f.d,
-                       w[1] * w[2] * w[3] * w[4])
+        lhs = Fraction(sing.r * sing.a * sing.b * c ** power * f.d, f.prod)
         results = [(k, lhs <= k * m ** power) for k in ks]
         detail = "; ".join(f"k={k}: {lhs} <= {k * m ** power}: {ok}"
                            for k, ok in results)

@@ -28,12 +28,12 @@ class Family:
     """An anticanonically embedded hypersurface family X_d in P(1,a1..a4).
 
     `w` is the 5-vector (1, a1, a2, a3, a4) with 0 < a1 <= a2 <= a3 <= a4,
-    and the degree d = a1+a2+a3+a4 is derived from it.  Families are
-    immutable and compare by identity: code that compares two families
-    compares their `w`.
+    and the degree d = a1+a2+a3+a4 and `prod` = a1*a2*a3*a4 derive from
+    it.  Families are immutable and compare by identity: code that
+    compares two families compares their `w`.
     """
 
-    __slots__ = ("w", "entry_no", "d")
+    __slots__ = ("w", "entry_no", "d", "prod")
 
     def __init__(self, w: tuple[int, int, int, int, int],
                  entry_no: int | None = None):
@@ -45,6 +45,7 @@ class Family:
         _set(self, "w", w)
         _set(self, "entry_no", entry_no)
         _set(self, "d", w[1] + w[2] + w[3] + w[4])
+        _set(self, "prod", w[1] * w[2] * w[3] * w[4])
 
     @classmethod
     def of(cls, a1: int, a2: int, a3: int, a4: int,
@@ -66,8 +67,7 @@ class Family:
 
 def anticanonical_degree(f: Family) -> Fraction:
     """A^3 = -K^3 = d / (a1*a2*a3*a4)."""
-    a = f.w
-    return Fraction(f.d, a[1] * a[2] * a[3] * a[4])
+    return Fraction(f.d, f.prod)
 
 
 def hat_lcms(f: Family) -> tuple[int, int, int]:

@@ -5,8 +5,10 @@ reference; these tests hold the program to the same references, so that
 a change which would fail the benchmark's gate fails here first.
 """
 
+import importlib
 import itertools
 import json
+import sys
 from pathlib import Path
 
 from wfano import golden
@@ -79,3 +81,24 @@ def test_enumerate(capsys):
     code, out = run(capsys, "enumerate", "--json")
     assert code == 0
     assert json.loads(out) == ref("enumerate")
+
+
+def test_the_reference_builders_rebuild_the_committed_refs(monkeypatch):
+    # perfbench/record_refs.py reads attributes of the program's results
+    # (`census(f).entries`, `rec.family.entry_no`) that no other test
+    # reads through it.  Its three builders run here, never its `main`,
+    # which writes the refs; the scripts import each other by bare name, and
+    # `enumerate_ref` reads a path relative to the repository root.
+    monkeypatch.syspath_prepend(str(REFS.parent))
+    monkeypatch.chdir(REFS.parents[1])
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    scripts = ("record_refs", "run", "tracing")  # it imports the other two
+    assert not set(scripts) & set(sys.modules)
+    try:
+        record_refs = importlib.import_module("record_refs")
+        assert record_refs.audit_ref() == ref("audit")
+        assert record_refs.enumerate_ref() == ref("enumerate")
+        assert record_refs.series_ref() == ref("series")
+    finally:
+        for name in scripts:
+            sys.modules.pop(name, None)

@@ -255,6 +255,28 @@ class TestDivisorMultiplicity:
                                        generic_member(fam(no)))
             assert got == Fraction(1, sing.r)
 
+    def test_each_local_parameter_has_order_residue_over_r(self):
+        # the census pairs each local parameter with its weight residue, and
+        # the series takes the residues as the weights of its own chart
+        # coordinates: the two orders agree when, on the generic member at
+        # every eliminated vertex point, each local parameter x_k has order
+        # (a_k mod r)/r
+        wrong, checks = [], 0
+        for rec in golden.data().families:
+            f = rec.family
+            member = generic_member(f)
+            for sing in census(f).entries:
+                if sing.eliminated is None:
+                    continue
+                for k, res in zip(sing.local_params, sing.residues):
+                    x_k = {tuple(int(j == k) for j in range(5)): 1}
+                    got = divisor_multiplicity(sing, x_k, member)
+                    if got != Fraction(res, sing.r):
+                        wrong.append((f.entry_no, str(sing), COORDS[k], got))
+                    checks += 1
+        assert checks == 417
+        assert wrong == []
+
     def test_overcutoff_propagates(self):
         f, sing = vertex_point(23, 2, eliminated=1)
         member = special_member(f)

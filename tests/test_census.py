@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wfano import golden
-from wfano.census import (EdgeContained, NonTerminal, canonical_type, census,
-                          default_eliminated, edge_point_count,
-                          edge_singularities, eliminating_monomial,
-                          is_terminal_family, member_chart, normalize_type,
+from wfano.census import (REFUSALS, EdgeContained, NonTerminal,
+                          canonical_type, census, default_eliminated,
+                          edge_point_count, edge_singularities,
+                          eliminating_monomial, is_terminal_family,
+                          member_chart, no_singular_curves, normalize_type,
                           vertex_elimination_candidates, vertex_singularity)
 from wfano.exactmath import NoEliminatingMonomial
 from wfano.wps import Family, generic_member, special_member
@@ -293,3 +295,22 @@ class TestTerminalFamily:
 
     def test_singular_curve(self):
         assert not is_terminal_family(Family.of(2, 2, 4, 4))
+
+    def test_the_census_refuses_a_family_only_with_its_refusals(self):
+        # over the 20,475 quadruples with a4 <= 25 the census returns or
+        # raises one of REFUSALS, and a family is terminal exactly when no
+        # triple of weights shares a factor and the census returns
+        outcomes = Counter()
+        for w in combinations_with_replacement(range(1, 26), 4):
+            f = Family.of(*w)
+            try:
+                census(f)
+            except REFUSALS as exc:
+                outcome = type(exc).__name__
+            else:
+                outcome = "returned"
+            outcomes[outcome] += 1
+            assert is_terminal_family(f) == (
+                no_singular_curves(f.w) and outcome == "returned"), w
+        assert outcomes == {"returned": 93, "NoEliminatingMonomial": 14247,
+                            "NonTerminal": 6135}
