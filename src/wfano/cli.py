@@ -32,8 +32,8 @@ MAX_CUTOFF = 8
 # keeps bit masks of about a1+a2+a3+a4 bits per coordinate subset.
 MAX_WEIGHT = 10**6
 # Largest `enumerate --max-weight`; the scan over a1 <= a2 <= a3 grows as its
-# cube and takes about 0.14 s at this bound (Python 3.11, one core).  All 95
-# families have a4 <= 33.
+# cube and takes about 0.08 s at this bound (Python 3.11, one core of a
+# shared 2-vCPU host).  All 95 families have a4 <= 33.
 MAX_ENUMERATE_WEIGHT = 100
 
 

@@ -77,9 +77,18 @@ def hat_lcms(f: Family) -> tuple[int, int, int]:
 
 
 def is_wellformed(w: Iterable[int]) -> bool:
-    """Every 4-subset of the weights has gcd 1 (a0 = 1 reduces this to one gcd)."""
-    a = tuple(w)
-    return gcd(gcd(a[1], a[2]), gcd(a[3], a[4])) == 1
+    """Whether X_d in P(w) is well-formed (Iano-Fletcher 2000, section 6).
+
+    P is well-formed when every four weights have gcd 1, and X_d is when,
+    besides, the gcd of every three weights divides d.  As a0 = 1, only
+    a1..a4 need checking: their one gcd and those of their four triples.
+    """
+    _, a1, a2, a3, a4 = w
+    d = a1 + a2 + a3 + a4
+    g12, g34 = gcd(a1, a2), gcd(a3, a4)
+    return gcd(g12, g34) == 1 and not any(
+        d % g for g in (gcd(g12, a3), gcd(g12, a4), gcd(a1, g34),
+                        gcd(a2, g34)))
 
 
 # ----------------------------------------------------- quasi-smoothness
@@ -171,29 +180,63 @@ def bare_weight_candidates(a1: int, a2: int, max_weight: int
     or (s-1)/2), and a3 itself when a2 = a3 (the half of s-a1 = 2a3):
     every other n/2 or n/3 is below a3, or equals a3 with a1 = a2 = a3.
 
-    Once a3 > a1+a2, only s, s-1, a2+a3 and a1+a3 are at least a3 (s//2
-    and a1+a2 are below it, and a2 < a3), and the least of them is a1+a3.
-    So a3 stops at max_weight - a1 once that is past a1+a2.
-
-    Each value is then tested at O_t, O_z and O_y in turn (O_t rejects the
+    Each value is tested at O_t, O_z and O_y in turn (O_t rejects the
     most): for I = {i}, some x_i^k or x_i^k * x_j has degree d, that is
     d = a_j mod a_i for some j, where j = i stands for x_i^k alone.  Each
     is a necessary condition for `general_quasismooth`.  The test at O_w
     always holds, so it is not made: a4 divides s or s - a_j, so
-    d = s + a4 = a_j mod a4, with j = w for s.  The pairs come in no
-    particular order.
+    d = s + a4 = a_j mod a4, with j = w for s.
+
+    Write p = a1+a2, so that the four values s, s-1, a2+a3 and a1+a3 are
+    a3 + c with c in {p, p-1, a2, a1}.  Two rules keep a3 short:
+
+    - The cap.  Each value bounds a3 through a3 <= a4 <= max_weight:
+      a3 + c needs a3 <= max_weight - a1 (the least c is a1); p needs
+      a3 <= p <= max_weight; s//2 needs a3 <= p (so that s//2 >= a3) and
+      a3 <= 2*max_weight + 1 - p (so that s//2 <= max_weight); a3 itself
+      needs a3 = a2.  So the loop with all seven values stops a3 at p, at
+      max_weight and at the largest of max_weight - a1,
+      2*max_weight + 1 - p and a2.
+    - O_t solved above p.  Once a3 > p, only a4 = a3 + c is at least a3,
+      and d = p + 2*a3 + c = p + c mod a3, where 0 < p + c < 2*a3 as
+      c <= p < a3.  If p + c < a3, then d mod a3 = p + c exceeds 1, a1,
+      a2, c and 0, and O_t fails; otherwise d mod a3 = p + c - a3, which
+      is 1, a1, a2, 0 or c exactly when a3 is p+c-1, a2+c, a1+c, p+c or
+      p.  The last is not above p.
+      So the pairs above p are at most 16, drawn by c, and need only the
+      tests at O_z and O_y; there are none when p + a1 >= max_weight, as
+      each a4 = a3 + c is then at least p + 1 + a1.
+
+    The pairs come in no particular order.
     """
-    g12 = gcd(a1, a2)
-    for a3 in range(a2, min(max_weight, max(max_weight - a1, a1 + a2)) + 1):
+    g12, p = gcd(a1, a2), a1 + a2
+    for a3 in range(a2, min(p, max_weight, max(max_weight - a1,
+                                                2 * max_weight + 1 - p,
+                                                a2)) + 1):
         if gcd(g12, a3) != 1:
             continue
-        s = a1 + a2 + a3
-        for a4 in {s, s - 1, a2 + a3, a1 + a3, a1 + a2, s // 2,
+        s = p + a3
+        for a4 in {s, s - 1, a2 + a3, a1 + a3, p, s // 2,
                    a3 if a2 == a3 else s}:
             if not a3 <= a4 <= max_weight:
                 continue
             d = s + a4
             for a in (a3, a2, a1):
+                r = d % a
+                if (r != 1 % a and r != a1 % a and r != a2 % a
+                        and r != a3 % a and r != a4 % a):
+                    break
+            else:
+                yield a3, a4
+    if p + a1 >= max_weight:
+        return
+    for c in {p, p - 1, a2, a1}:
+        for a3 in {p + c - 1, a2 + c, a1 + c, p + c}:
+            a4 = a3 + c
+            if a3 <= p or a4 > max_weight or gcd(g12, a3) != 1:
+                continue
+            d = p + a3 + a4
+            for a in (a2, a1):
                 r = d % a
                 if (r != 1 % a and r != a1 % a and r != a2 % a
                         and r != a3 % a and r != a4 % a):
@@ -232,10 +275,12 @@ def enumerate_families(max_weight: int = 33) -> list[Family]:
     only save work.  The terminal test goes first because it rejects more
     of the survivors, and the conjunction does not depend on the order:
     `is_terminal_family` returns False, never raises, on a family that is
-    not quasi-smooth.  At max_weight 33 the scan visits 5,504 of the 6,545
-    triples (the rest are past the a3 cap); 4,532 share no factor and give
-    8,867 candidates, 577 pass the vertex test and 258 the triple test, and
-    of those 95 are terminal and 95 quasi-smooth.
+    not quasi-smooth.  At max_weight 33 the a3 loop visits 2,739 of the
+    6,545 triples (the rest are past the a3 cap, or above a1+a2, where the
+    O_t test is solved for a3); 2,156 share no factor and give 5,604
+    candidates, the solved stretch gives 488 more, 577 of the 6,092 pass
+    the vertex test and 258 the triple test, and of those 95 are terminal
+    and 95 quasi-smooth.
     """
     found = []
     for a1 in range(1, max_weight + 1):

@@ -857,6 +857,13 @@ class TestSearch:
         assert code == 0
         assert json.loads(out)["wellformed"] is False
 
+    def test_hypersurface_not_wellformed(self, capsys):
+        # P(1,2,2,2,3) is well-formed, but X_9 holds the plane x = w = 0,
+        # as gcd(2, 2, 2) does not divide 9
+        code, out, _ = run(capsys, "search", "2,2,2,3", "--json")
+        assert code == 0
+        assert json.loads(out)["wellformed"] is False
+
     def test_non_terminal_quadruple(self, capsys):
         code, out, _ = run(capsys, "search", "1,1,1,4", "--json")
         assert code == 0

@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -49,8 +50,28 @@ class TestBasics:
         ((1, 1, 2, 2, 3), True),
         ((1, 2, 4, 6, 8), False),
         ((1, 5, 6, 22, 33), True),
+        # P is well-formed, but gcd(2, 2, 2) and gcd(2, 2, 4) do not
+        # divide d = 9: X holds the plane x = w = 0, or x = y = 0, of 1/2
+        # points
+        ((1, 2, 2, 2, 3), False),
+        ((1, 1, 2, 2, 4), False),
     ])
     def test_is_wellformed(self, w, expected):
+        assert is_wellformed(w) is expected
+
+    def test_the_95_are_wellformed(self):
+        assert all(is_wellformed(rec.family.w)
+                   for rec in golden.data().families)
+
+    @given(st.lists(st.integers(1, 60), min_size=4, max_size=4).map(sorted))
+    @settings(max_examples=300, deadline=None)
+    def test_is_wellformed_matches_the_subset_gcds(self, a):
+        # every four of the five weights coprime, and the gcd of every
+        # three dividing d
+        w = (1, *a)
+        d = sum(a)
+        expected = all(gcd(*sub) == 1 for sub in combinations(w, 4)) and all(
+            d % gcd(*sub) == 0 for sub in combinations(w, 3))
         assert is_wellformed(w) is expected
 
 
@@ -178,6 +199,30 @@ def vertex_tests_pass(f):
                for i in range(1, 5))
 
 
+def singleton_pairs(a1, a2, bound):
+    """A brute-force statement of `bare_weight_candidates`: (a3, a4) is kept
+    iff a1, a2, a3 share no factor and at each of O_y, O_z, O_t and O_w,
+    d = a_j mod a_i for some j (j = i for x_i^k).  O_w holds only where a4
+    divides s or some s - a_j, so a4 runs over the divisors of those that
+    are at least a3; the candidates skip the test at O_w, which this one
+    makes."""
+    expected = set()
+    for a3 in range(a2, bound + 1):
+        if gcd(a1, a2, a3) != 1:
+            continue
+        s = a1 + a2 + a3
+        for n in (s, s - 1, s - a1, s - a2, s - a3):
+            for q in range(1, n // a3 + 1):
+                a4 = n // q
+                if n % q or a4 > bound:
+                    continue
+                w = (1, a1, a2, a3, a4)
+                d = s + a4
+                if all(d % a in {b % a for b in w} for a in w[1:]):
+                    expected.add((a3, a4))
+    return expected
+
+
 @pytest.fixture(scope="module")
 def families():
     return enumerate_families(33)
@@ -232,7 +277,8 @@ class TestEnumeration:
         # n, n/2 and n/3 for n in s, s-1, s-a1, s-a2, s-a3, read literally,
         # that pass the vertex test, for every a3 in [a2, bound] that shares
         # no factor with a1 and a2; no pair may come twice.  The bound 72
-        # runs a3 past the cap at max(72 - a1, a1 + a2).
+        # runs a3 past both a3 <= a1 + a2, where the pass tests all seven
+        # values, and the a3 above it where it solves the test at O_t.
         for a1 in range(1, 25):
             for a2 in range(a1, 25):
                 for bound in (a2, 24, 3 * 24):
@@ -253,33 +299,26 @@ class TestEnumeration:
                     assert sorted(got) == expected, (a1, a2, bound)
 
     def test_candidates_pass_the_singleton_test_at_all_four_vertices(self):
-        # a brute-force statement of the tests up to max-weight 100: (a3,
-        # a4) is kept iff a1, a2, a3 share no factor and at each of O_y,
-        # O_z, O_t and O_w, d = a_j mod a_i for some j (j = i for x_i^k).
-        # O_w holds only where a4 divides s or some s - a_j, so a4 runs
-        # over the divisors of those that are at least a3; the candidates
-        # skip the test at O_w, which this one makes.
         bound = 100
         for a1 in range(1, bound + 1):
             for a2 in range(a1, bound + 1):
-                expected = set()
-                for a3 in range(a2, bound + 1):
-                    if gcd(a1, a2, a3) != 1:
-                        continue
-                    s = a1 + a2 + a3
-                    for n in (s, s - 1, s - a1, s - a2, s - a3):
-                        for q in range(1, n // a3 + 1):
-                            a4 = n // q
-                            if n % q or a4 > bound:
-                                continue
-                            w = (1, a1, a2, a3, a4)
-                            d = s + a4
-                            if all(d % a in {b % a for b in w}
-                                   for a in w[1:]):
-                                expected.add((a3, a4))
                 got = list(bare_weight_candidates(a1, a2, bound))
                 assert len(got) == len(set(got))
-                assert set(got) == expected, (a1, a2)
+                assert set(got) == singleton_pairs(a1, a2, bound), (a1, a2)
+
+    # the pass draws no a3 above a1 + a2 while 2*a1 + a2 >= max-weight, and
+    # (2, 3) has the pair (6, 8) with a4 = 2*a1 + a2 + 1
+    @example((2, 3, 7)).via("2*a1 + a2 = max-weight")
+    @example((2, 3, 8)).via("2*a1 + a2 + 1 = max-weight")
+    @example((1, 1, 200)).via("a1 = a2 = 1")
+    @given(st.lists(st.integers(1, 200), min_size=3, max_size=3)
+           .map(sorted).map(tuple))
+    @settings(max_examples=300, deadline=None)
+    def test_candidates_pass_the_singleton_test_up_to_200(self, a):
+        a1, a2, bound = a
+        got = list(bare_weight_candidates(a1, a2, bound))
+        assert len(got) == len(set(got))
+        assert set(got) == singleton_pairs(a1, a2, bound)
 
     # each pre-test rejecting a quadruple that the other two keep
     @example((1, 1, 1, 4)).via("a4 not a candidate")
