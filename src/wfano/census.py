@@ -5,7 +5,7 @@ edges O_iO_j with h = gcd(a_i, a_j) > 1 carry finitely many 1/h points,
 counted by the degrees of the pure binary part of the equation.  Each
 point gets a terminal type 1/r(1, a, r-a), the three coordinates inducing
 local parameters, and (at vertices) the coordinate eliminated by the
-quasi-smoothness monomial.
+quasi-smoothness monomial.  The bare-weight triple-gcd rules live here too.
 """
 
 from __future__ import annotations
@@ -29,12 +29,8 @@ class NonTerminal(ValueError):
     """A quotient type that cannot be normalized to 1/r(1, a, r-a)."""
 
 
-class EdgeContained(ValueError):
-    """The coordinate edge lies inside every member of the family."""
-
-
 # What the census raises for a family whose points it cannot place
-REFUSALS = (NonTerminal, EdgeContained, NoEliminatingMonomial)
+REFUSALS = (NonTerminal, NoEliminatingMonomial)
 
 
 def _unit_slot(r: int, v: int, p: int, q: int) -> tuple | None:
@@ -110,10 +106,9 @@ def _point(f: Family, r: int, location: tuple, count: int,
 
 
 def vertex_elimination_candidates(f: Family, i: int) -> list[int]:
-    """Coordinates x_j with x_i^k * x_j of degree d for some k >= 1."""
+    """Coordinates x_j with x_i^k * x_j of degree d, k >= 1 as d-a_j >= a_i."""
     w5, d = f.w, f.d
-    return [j for j in range(5)
-            if j != i and (d - w5[j]) % w5[i] == 0 and (d - w5[j]) >= w5[i]]
+    return [j for j in range(5) if j != i and (d - w5[j]) % w5[i] == 0]
 
 
 def eliminating_monomial(f: Family, i: int, e: int) -> Exp5:
@@ -146,7 +141,7 @@ def default_eliminated(f: Family, i: int) -> int | None:
     if r == 1 or d % r == 0:
         return None
     for j in (4, 3, 2, 1, 0):
-        if j != i and (d - w5[j]) % r == 0 and d - w5[j] >= r:
+        if j != i and (d - w5[j]) % r == 0:
             return j
     raise NoEliminatingMonomial(
         f"no monomial x_{COORDS[i]}^k*x_j of degree {d}: "
@@ -184,14 +179,19 @@ def edge_point_count(f: Family, i: int, j: int) -> int:
     stratum of P(a_i, a_j) carries (d - pmin a_i - qmin a_j)/lcm(a_i, a_j)
     distinct zeros for a general member.  That is the number of steps from
     pmin to pmax, as the exponents p step by lcm/a_i = a_j/gcd(a_i, a_j)
-    and d - pmin a_i - qmin a_j = (pmax - pmin) a_i.
+    and d - pmin a_i - qmin a_j = (pmax - pmin) a_i.  With no monomial
+    purely in x_i, x_j of degree d, the edge, a curve of 1/h points, lies
+    in every member: `NonTerminal`.
+    `census` never gets here.  It places O_i first, a_i does not divide d,
+    and O_i cannot eliminate x_j, so it is refused or keeps x_j, whose
+    residue shares h with a_i, as a local parameter.
     """
     d, ai, aj = f.d, f.w[i], f.w[j]
     top = d // ai
     for pmin in range(top + 1):
         if (d - pmin * ai) % aj == 0:
             return (top - pmin) // (aj // gcd(ai, aj))
-    raise EdgeContained(
+    raise NonTerminal(
         f"no monomial purely in {COORDS[i]},{COORDS[j]} of degree {d}")
 
 
@@ -216,6 +216,13 @@ def census(f: Family) -> Census:
     return Census(tuple(s for s in found if s is not None))
 
 
+def _triple_gcds(w: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """The gcds of the four triples of a1..a4 in w = (1, a1, a2, a3, a4)."""
+    _, a1, a2, a3, a4 = w
+    g12, g34 = gcd(a1, a2), gcd(a3, a4)
+    return gcd(g12, a3), gcd(g12, a4), gcd(a1, g34), gcd(a2, g34)
+
+
 def no_singular_curves(w: tuple[int, int, int, int, int]) -> bool:
     """No three of the bare weights w = (1, a1, a2, a3, a4) share a factor.
 
@@ -224,11 +231,15 @@ def no_singular_curves(w: tuple[int, int, int, int, int]) -> bool:
     curve of quotient singularities, and terminal threefold singularities
     are isolated.  The enumeration tests it before it builds a `Family`.
     """
-    _, a1, a2, a3, a4 = w
-    g12 = gcd(a1, a2)
-    g34 = gcd(a3, a4)
-    return (gcd(g12, a3) == 1 and gcd(g12, a4) == 1
-            and gcd(a1, g34) == 1 and gcd(a2, g34) == 1)
+    return _triple_gcds(w) == (1, 1, 1, 1)
+
+
+def is_wellformed(w: tuple[int, int, int, int, int]) -> bool:
+    """Whether X_d in P(w) is well-formed (Iano-Fletcher 2000, section 6).
+    As a0 = 1: a1..a4 have gcd 1, and each three of them a gcd dividing d."""
+    g = _triple_gcds(w)
+    d = w[1] + w[2] + w[3] + w[4]
+    return gcd(*g) == 1 and not any(d % t for t in g)
 
 
 def is_terminal_family(f: Family) -> bool:

@@ -15,13 +15,13 @@ from types import SimpleNamespace
 from . import golden, report as report_mod
 from .blowup import DEFAULT_CUTOFF, CrossCheckFailed, divisor_multiplicity
 from .census import census as compute_census
-from .census import (LOCATIONS, REFUSALS, is_terminal_family, member_chart,
-                     vertex_singularity)
+from .census import (LOCATIONS, REFUSALS, is_terminal_family, is_wellformed,
+                     member_chart, vertex_singularity)
 from .exactmath import OVERCUTOFF, parse_poly
 from .golden import UnknownVariantFlag, parse_variant
 from .wps import (Family, UnknownSpecialMember, anticanonical_degree,
                   enumerate_families, general_quasismooth, generic_member,
-                  is_wellformed, special_member)
+                  special_member)
 
 USAGE_ERROR = 2
 MISMATCH = 1

@@ -2,16 +2,16 @@
 
 A family is a weight quadruple a1 <= a2 <= a3 <= a4 together with the
 anticanonical degree d = a1+a2+a3+a4, held in an immutable `Family`.  The
-module decides well-formedness and quasi-smoothness of the general member
-combinatorially, enumerates all families with terminal singularities, and
-builds concrete general members with deterministic pseudo-random
-coefficients for order computations.
+module decides quasi-smoothness of the general member combinatorially,
+enumerates all families with terminal singularities, and builds concrete
+general members with deterministic pseudo-random coefficients for order
+computations.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -74,21 +74,6 @@ def hat_lcms(f: Family) -> tuple[int, int, int]:
     """(hat a2, hat a3, hat a4): lcm of the three weights other than a_i."""
     a = f.w
     return (lcm(a[1], a[3], a[4]), lcm(a[1], a[2], a[4]), lcm(a[1], a[2], a[3]))
-
-
-def is_wellformed(w: Iterable[int]) -> bool:
-    """Whether X_d in P(w) is well-formed (Iano-Fletcher 2000, section 6).
-
-    P is well-formed when every four weights have gcd 1, and X_d is when,
-    besides, the gcd of every three weights divides d.  As a0 = 1, only
-    a1..a4 need checking: their one gcd and those of their four triples.
-    """
-    _, a1, a2, a3, a4 = w
-    d = a1 + a2 + a3 + a4
-    g12, g34 = gcd(a1, a2), gcd(a3, a4)
-    return gcd(g12, g34) == 1 and not any(
-        d % g for g in (gcd(g12, a3), gcd(g12, a4), gcd(a1, g34),
-                        gcd(a2, g34)))
 
 
 # ----------------------------------------------------- quasi-smoothness

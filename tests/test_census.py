@@ -4,18 +4,18 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wfano import golden
-from wfano.census import (REFUSALS, EdgeContained, NonTerminal,
-                          canonical_type, census, default_eliminated,
-                          edge_point_count, edge_singularities,
-                          eliminating_monomial, is_terminal_family,
-                          member_chart, no_singular_curves, normalize_type,
+from wfano.census import (REFUSALS, NonTerminal, canonical_type, census,
+                          default_eliminated, edge_point_count,
+                          edge_singularities, eliminating_monomial,
+                          is_terminal_family, is_wellformed, member_chart,
+                          no_singular_curves, normalize_type,
                           vertex_elimination_candidates, vertex_singularity)
 from wfano.exactmath import NoEliminatingMonomial
 from wfano.wps import Family, generic_member, special_member
@@ -183,8 +183,9 @@ class TestEdges:
 
     def test_edge_contained_raises(self):
         # weights (3,4,4,6): d = 17 is odd, so no pure monomial in the two
-        # weight-4 coordinates exists and the edge lies inside every member
-        with pytest.raises(EdgeContained):
+        # weight-4 coordinates exists and the edge, a curve of 1/4 points,
+        # lies inside every member
+        with pytest.raises(NonTerminal, match="purely in z,t of degree 17"):
             edge_point_count(Family.of(3, 4, 4, 6), 2, 3)
 
 
@@ -277,7 +278,7 @@ class TestCensus:
         for w in combinations_with_replacement(range(1, 25), 4):
             try:
                 out = repr(census(Family.of(*w)).entries)
-            except (NonTerminal, EdgeContained, NoEliminatingMonomial) as e:
+            except REFUSALS as e:
                 out = f"{type(e).__name__}: {e}"
             lines.append(f"{w} {out}")
         assert len(lines) == 17550
@@ -298,8 +299,9 @@ class TestTerminalFamily:
 
     def test_the_census_refuses_a_family_only_with_its_refusals(self):
         # over the 20,475 quadruples with a4 <= 25 the census returns or
-        # raises one of REFUSALS, and a family is terminal exactly when no
-        # triple of weights shares a factor and the census returns
+        # raises one of REFUSALS, each of them somewhere, and a family is
+        # terminal exactly when no triple of weights shares a factor and the
+        # census returns
         outcomes = Counter()
         for w in combinations_with_replacement(range(1, 26), 4):
             f = Family.of(*w)
@@ -312,5 +314,19 @@ class TestTerminalFamily:
             outcomes[outcome] += 1
             assert is_terminal_family(f) == (
                 no_singular_curves(f.w) and outcome == "returned"), w
+        assert {cls.__name__ for cls in REFUSALS} <= set(outcomes)
         assert outcomes == {"returned": 93, "NoEliminatingMonomial": 14247,
                             "NonTerminal": 6135}
+
+    def test_the_triple_gcd_rules_over_every_small_quadruple(self):
+        # over the 8,855 quadruples with a4 <= 20: no singular curves
+        # exactly when no three weights share a factor, and then X is
+        # well-formed, as `enumerate_families` relies on
+        count = 0
+        for a in combinations_with_replacement(range(1, 21), 4):
+            w = (1, *a)
+            coprime = all(gcd(*t) == 1 for t in combinations(a, 3))
+            assert no_singular_curves(w) is coprime, a
+            assert is_wellformed(w) or not coprime, a
+            count += 1
+        assert count == 8855

@@ -10,14 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from wfano import golden
 from wfano.census import (eliminating_monomial, is_terminal_family,
-                          no_singular_curves, vertex_elimination_candidates,
-                          vertex_singularity)
+                          is_wellformed, no_singular_curves,
+                          vertex_elimination_candidates, vertex_singularity)
 from wfano.exactmath import COORDS, _reduce_to_chart
 from wfano.wps import (Family, UnknownSpecialMember, _eliminating_monomials,
                        _extend_mask, anticanonical_degree,
                        bare_weight_candidates, enumerate_families,
                        general_quasismooth, generic_member, hat_lcms,
-                       is_wellformed, normal_form_support, special_member)
+                       normal_form_support, special_member)
 
 from oracles import weighted_monomials
 
