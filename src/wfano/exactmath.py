@@ -30,11 +30,9 @@ by r internally and divided out only at the API boundary.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from operator import itemgetter
 
 Exp5 = tuple[int, int, int, int, int]
 Exp3 = tuple[int, int, int]
@@ -188,9 +186,8 @@ def _graded_substitute(reduced, weights: Exp3, cutoff: int,
     `reduced` and appends parts[D] after degree D is yielded.  S^k has no
     part below degree k, as every local weight is at least 1, so a term
     whose local degree plus Y-degree reaches the cutoff is dropped and the
-    work does not grow with large exponents of Y.  The other terms are
-    sorted by local degree once, so degree D reads only the prefix of
-    terms whose local degree is at most D.  A part of S^k (k >= 2) is
+    work does not grow with large exponents of Y.  Degree D reads each
+    other term whose local degree is at most D.  A part of S^k (k >= 2) is
     built at the first degree at which a term or S^(k+1) can read it (see
     `lag`), not ahead of it for a caller that stops early, and a product
     with no pair of non-empty parts is not formed.
@@ -204,8 +201,6 @@ def _graded_substitute(reduced, weights: Exp3, cutoff: int,
             terms.append((base, ey, {loc: c}))
             if ey > max_ey:
                 max_ey = ey
-    terms.sort(key=itemgetter(0))
-    bases = [base for base, _ey, _mono in terms]
     # At degree D, a term Y^k of local degree `base` reads S^k at degree
     # D - base, and S^(k+1) at D - lag[k+1] reads S^k below that, so S^k is
     # built up to degree D - lag[k]; `cutoff` stands for never.
@@ -225,8 +220,8 @@ def _graded_substitute(reduced, weights: Exp3, cutoff: int,
                 pairs = [(parts[j], lower[top - j]) for j in range(1, top)
                          if parts[j] and lower[top - j]]
                 powers[k].append(_sum_products(pairs) if pairs else {})
-        pairs = [(mono, powers[ey][deg - base]) for base, ey, mono
-                 in terms[:bisect_right(bases, deg)] if powers[ey][deg - base]]
+        pairs = [(mono, powers[ey][deg - base]) for base, ey, mono in terms
+                 if base <= deg and powers[ey][deg - base]]
         yield _sum_products(pairs) if pairs else {}
 
 

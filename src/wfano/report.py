@@ -77,15 +77,16 @@ def _certify_family(dataset: GoldenData, no: int, rows: list[GoldenRow],
     rows) of `answers` that no row or more than one row answers, named in
     --variant syntax by the value that holds of each of the point's
     atoms."""
-    f, stored_A3, stored_flag = dataset.families[no - 1]
+    rec = dataset.families[no - 1]
+    f = rec.family
     entries = census(f).entries
     superrigid = super_rigid(dataset.rows_for(no), entries)
     discrepancies = [
         _discrepancy(no, "-", f"{name} mismatch: computed {computed}, "
                               f"stored {stored}")
         for name, computed, stored in (
-            ("A^3", anticanonical_degree(f), stored_A3),
-            ("super-rigidity", superrigid, stored_flag))
+            ("A^3", anticanonical_degree(f), rec.A3),
+            ("super-rigidity", superrigid, rec.superrigid))
         if computed != stored]
     # a row at a point the census lacks, or whose count, r or type is not
     # the census's, fails its own "quotient type" check instead

@@ -92,12 +92,6 @@ def _extend_mask(mask: int, a: int, bound: int) -> int:
     return mask
 
 
-def _has_monomial_with(mask: int, t: int, coords: int, w5) -> bool:
-    """Whether degree t is reached, within the subset of `mask`, by a
-    monomial that contains some x_i with bit i set in `coords`."""
-    return any(coords >> i & 1 and mask >> (t - w5[i]) & 1 for i in range(5))
-
-
 QuasiSmoothDiagnostics = namedtuple("QuasiSmoothDiagnostics", "ok detail",
                                     defaults=("",))
 
@@ -119,8 +113,11 @@ def general_quasismooth(f: Family, exclude_pure: tuple[int, ...] | None = None,
     Subsets are bit sets over the coordinates, walked in increasing order.
     masks[I] has bit t set iff degree t is reached by monomials in I; it
     extends the mask of I minus its lowest coordinate by that coordinate's
-    weight, and every I that holds x (weight 1) reaches all of 0..d.  Any
-    two weights sum to less than d, so no shift below is negative.
+    weight, and every I that holds x (weight 1) reaches all of 0..d.
+    kept has bit t set iff degree t is reached by a monomial in I that the
+    support keeps: one with a factor x_i outside the excluded set, that is
+    x_i times a monomial in I of degree t - a_i.  Any two weights sum to
+    less than d, so no shift below is negative.
     """
     w5, d = f.w, f.d
     banned = sum(1 << i for i in exclude_pure) if exclude_pure else 0
@@ -130,16 +127,19 @@ def general_quasismooth(f: Family, exclude_pure: tuple[int, ...] | None = None,
         rest = bits & (bits - 1)
         mask = masks[bits] = full if bits & 1 else _extend_mask(
             masks[rest], w5[(bits ^ rest).bit_length() - 1], d)
-        free = bits & ~banned
-        if (_has_monomial_with(mask, d, free, w5) if banned
-                else mask >> d & 1):
+        kept = mask
+        if banned:
+            kept = 0
+            for i in range(5):
+                if (bits & ~banned) >> i & 1:
+                    kept |= mask << w5[i]
+        if kept >> d & 1:
             continue
         subset = tuple(i for i in range(5) if bits >> i & 1)
         # an excluded x_e needs a cofactor that leaves the excluded set
         externals = sum(
             1 for e in range(5) if not bits >> e & 1
-            and (_has_monomial_with(mask, d - w5[e], free, w5)
-                 if banned >> e & 1 else mask >> (d - w5[e]) & 1))
+            and (kept if banned >> e & 1 else mask) >> (d - w5[e]) & 1)
         if externals < len(subset):
             names = "".join(COORDS[i] for i in subset)
             return QuasiSmoothDiagnostics(

@@ -67,8 +67,11 @@ def recharted_rows():
 
 
 def scan_every_term(reduced, weights, cutoff, parts):
-    """`_graded_substitute` as a plain loop: every term is tested at every
-    degree, and every pair of parts is multiplied, empty or not."""
+    """`_graded_substitute` as a plain loop.  It differs from the engine in
+    two ways only: it builds every part of each power S^k, where the engine
+    builds a part of S^k only from the first degree that can read it
+    (`lag`), and it multiplies every pair of parts, empty or not, where the
+    engine forms no product without a pair of non-empty parts."""
     terms = [({loc: c}, ey, sum(e * w for e, w in zip(loc, weights)))
              for c, loc, ey in reduced]
     terms = [(mono, ey, base) for mono, ey, base in terms
@@ -322,7 +325,7 @@ class TestDivisorMultiplicity:
 
     @pytest.mark.parametrize("no,point", [
         (50, "Ot"), (23, "Oz"), (73, "Ot"), (93, "Oz")])
-    def test_sorted_terms_substitute_as_the_full_scan(self, no, point):
+    def test_member_substitutes_as_the_full_scan(self, no, point):
         _, sing = vertex_point(no, COORDS.index(point[1]))
         vertex, eliminated, residues = chart_of(sing)
         member = generic_member(fam(no))

@@ -515,6 +515,36 @@ def test_digest_of_the_reports_under_every_variant():
         "56b847e800cb5a0d900b81688ad005d03eb3183a48db203f89486063b182c9b2")
 
 
+def test_digest_of_census_search_order_and_enumerate():
+    # exit code, stdout and stderr of every family census, of `search` on
+    # every quadruple with a4 <= 14, of `order` at the benchmark's series
+    # points under four member seeds and on No. 23's special member, and
+    # of `enumerate` at six bounds, on the packaged data
+    refs = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+    points = json.loads((refs / "series.json").read_text(encoding="utf-8"))
+    flags = ([], ["--json"])
+    argvs = [["census", str(no), *flag] for no in range(1, 96)
+             for flag in flags]
+    argvs += [["search", ",".join(map(str, w)), *flag]
+              for w in itertools.combinations_with_replacement(range(1, 15), 4)
+              for flag in flags]
+    argvs += [["order", str(pt["family"]), "--point", pt["point"],
+               "--poly", pt["poly"], "--seed", str(seed)]
+              for seed in range(4) for pt in points]
+    argvs.append(["order", "23", "--point", "Oz", "--poly", "y*z+x*t",
+                  "--variant", "special"])
+    argvs += [["enumerate", "--max-weight", str(m), *flag]
+              for m in (1, 5, 8, 25, 33, 100)
+              for flag in ([], ["--json"], ["--diff-paper"])]
+    assert len(argvs) == 190 + 4760 + 557 + 18
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = run_in_process(argv)
+        digest.update(f"{argv} {code}\n{out}\n{err}".encode())
+    assert digest.hexdigest() == (
+        "69aaed604bbb338b8e726b5ff6b19abb1608a4d5fcf545ecb97214e164a04172")
+
+
 class TestCheckTables:
     def test_clean(self, capsys):
         code, out, _ = run(capsys, "check-tables")
