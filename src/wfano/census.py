@@ -69,8 +69,8 @@ class QuotientSingularity(namedtuple("QuotientSingularity", (
         "count",
         "local_params",   # ambient coordinate indices
         "residues",       # weights of local_params mod r
-        "eliminated",     # vertex charts only; None by default
-), defaults=(None,))):
+        "eliminated",     # vertex charts only; else None
+))):
     """One cyclic quotient point (or orbit of identical points) on X."""
 
     __slots__ = ()

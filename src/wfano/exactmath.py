@@ -53,10 +53,6 @@ class NoEliminatingMonomial(ValueError):
     """The support has no monomial of the form x_vertex^s * x_eliminated."""
 
 
-class ZeroPolynomial(ValueError):
-    """An identically zero polynomial has no vanishing order."""
-
-
 # The result of an order that no term reaches below the series cutoff, so
 # the order is at least cutoff/r: the terms there cancel, or lie past it.
 # Compare with `is`.
@@ -297,7 +293,7 @@ def series_order(g: Mapping[Exp5, Coeff], member: Mapping[Exp5, Coeff],
     then at least cutoff/r.  The cutoff thereby caps the work.
     """
     if not g or all(c == 0 for c in g.values()):
-        raise ZeroPolynomial("vanishing order of the zero polynomial")
+        raise ValueError("vanishing order of the zero polynomial")
     weights = tuple(local_weights)
     parts: list[Part] = []
     steps = zip(_eliminate(member, chart_vertex, eliminated, weights, cutoff,

@@ -199,9 +199,9 @@ class GoldenRow(namedtuple("GoldenRow", (
         "condition",      # frozenset of (atom, value) pairs
         "witness_raw",
         "witness",        # monomials
-        "corrected",      # the type is corrected; False by default
+        "corrected",      # the type is corrected
         "defect",         # the documented certificate defect, a `Note`
-), defaults=(False, None))):
+))):
     """One certificate-table row, with corrections applied."""
 
     __slots__ = ()
@@ -226,10 +226,6 @@ class GoldenData:
         self._by_family: dict[int, list[GoldenRow]] = {}
         for r in rows:
             self._by_family.setdefault(r.family_no, []).append(r)
-
-    def __repr__(self):
-        return (f"GoldenData(families={self.families!r}, rows={self.rows!r}, "
-                f"notes={self.notes!r})")
 
     def family(self, no: int) -> Family:
         return self.families[no - 1].family

@@ -172,7 +172,7 @@ def render_text(report: dict) -> str:
                  + (f" (degree <= {cur['max_degree']})"
                     if cur["max_degree"] else ""))
     if not report["census"]:
-        lines.append("census: empty (" + report.get("note", "") + ")")
+        lines.append("census: empty (" + report["note"] + ")")
     else:
         lines.append("census:")
         for e in report["census"]:

@@ -29,13 +29,9 @@ from .golden import GoldenRow, holds, parse_condition
 from .wps import Family, anticanonical_degree, general_quasismooth, hat_lcms
 
 
-class NotSymmetric(ValueError):
-    pass
-
-
 # ------------------------------------------------------------ small tests
 
-Check = namedtuple("Check", "name passed detail", defaults=("",))
+Check = namedtuple("Check", "name passed detail")
 
 
 # the power p of c and m in the inequality r*a*(r-a)*c^p*A^3 <= k*m^p of
@@ -56,17 +52,17 @@ def two_ray_game(f: Family) -> tuple[bool, int | None]:
 
 def neg_definite(matrix: Sequence[Sequence[Fraction]]) -> bool:
     """Sylvester criterion on -M with exact rationals; M must be square and
-    symmetric, or `NotSymmetric` is raised.  The k-th pivot of a Gaussian
+    symmetric, or `ValueError` is raised.  The k-th pivot of a Gaussian
     elimination of -M without row swaps is D_k / D_(k-1), a ratio of its
     leading minors, so they are all positive exactly when the pivots are."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
-        raise NotSymmetric("matrix is not square")
+        raise ValueError("matrix is not square")
     neg = [[-Fraction(x) for x in row] for row in matrix]
     for i in range(n):
         for j in range(i):
             if neg[i][j] != neg[j][i]:
-                raise NotSymmetric(f"entry ({i},{j}) != ({j},{i})")
+                raise ValueError(f"entry ({i},{j}) != ({j},{i})")
     for col in range(n):
         pivot = neg[col][col]
         if pivot <= 0:
@@ -134,7 +130,7 @@ def smooth_point_status(f: Family) -> SmoothPointStatus:
     else:
         detail = "degree bounds fail"
     return SmoothPointStatus("SPECIAL",
-                             case=_SPECIAL_CASES.get(f.entry_no or 0),
+                             case=_SPECIAL_CASES.get(f.entry_no),
                              detail=detail)
 
 
@@ -177,12 +173,10 @@ ELLIPTIC_POINTS = {
 }
 
 
-InvolutionCase = namedtuple("InvolutionCase", "label witness note",
-                            defaults=("", ""))
+InvolutionCase = namedtuple("InvolutionCase", "label witness note")
 
 
-def involution_case(f: Family, point: str,
-                    variant: dict[str, str] | None = None
+def involution_case(f: Family, point: str, variant: dict[str, str]
                     ) -> InvolutionCase | None:
     """Structural involution pattern at the point, or None.
 
@@ -194,7 +188,6 @@ def involution_case(f: Family, point: str,
     invisible-elliptic cases are read from `ELLIPTIC_POINTS`, under the
     variant as `golden.holds` reads it.
     """
-    variant = variant or {}
     w5, d = f.w, f.d
     for i4 in sorted(LOCATIONS[point][1:], key=lambda i: -w5[i]):
         for i3 in sorted((j for j in range(5) if j != i4),
@@ -218,7 +211,7 @@ def involution_case(f: Family, point: str,
     for label, condition in ELLIPTIC_POINTS.get((f.entry_no, point), ()):
         if holds(parse_condition(condition), variant):
             return InvolutionCase(
-                label, note=elliptic if label.startswith("EPS")
+                label, witness="", note=elliptic if label.startswith("EPS")
                 else "invisible elliptic involution")
     return None
 

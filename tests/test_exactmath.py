@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import wfano
 from wfano.exactmath import (NoEliminatingMonomial, OVERCUTOFF,
-                             ZeroPolynomial, implicit_eliminate, parse_poly,
-                             series_order)
+                             implicit_eliminate, parse_poly, series_order)
 
 from oracles import weighted_monomials
 
@@ -269,7 +268,7 @@ class TestSeriesOrder:
         assert order_23(SPECIAL_23) is OVERCUTOFF
 
     def test_zero_polynomial(self):
-        with pytest.raises(ZeroPolynomial):
+        with pytest.raises(ValueError, match="zero polynomial"):
             order_23({})
 
     def test_naive_lower_bound(self):
@@ -355,8 +354,10 @@ def test_import_as_gives_each_module():
 def test_every_top_level_name_has_a_caller_in_the_package():
     """Each top-level def, class and assigned name of a package module is
     read by package code (a load, an attribute or an import); a test oracle
-    lives in `tests/oracles.py` instead.  The names that the benchmark's
-    tracer wraps are exempt."""
+    lives in `tests/oracles.py` instead.  A name that is only raised, as in
+    `raise X` or `raise X(...)`, is not read: an exception type that no
+    `except` clause or error tuple names adds nothing to the error it
+    subclasses.  The names that the benchmark's tracer wraps are exempt."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
                                                   TRACING)
     tracing = importlib.util.module_from_spec(spec)
@@ -372,8 +373,12 @@ def test_every_top_level_name_has_a_caller_in_the_package():
                            else [node.target])
                 defined.update((path.stem, n.id) for t in targets
                                for n in ast.walk(t) if isinstance(n, ast.Name))
+        raised = {id(node.exc.func if isinstance(node.exc, ast.Call)
+                     else node.exc)
+                  for node in ast.walk(tree) if isinstance(node, ast.Raise)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in raised):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)

@@ -372,7 +372,10 @@ class TestOverride:
     ], ids=["byte-order-mark", "crlf", "blank-lines-between-rows",
             "blank-lines-at-end"])
     def test_equivalent_copies_load_equal(self, tmp_path, edit):
-        assert repr(golden.load(golden_copy(tmp_path, edit))) == repr(DATA)
+        # a `Family` compares by identity, so compare the reprs
+        copy = golden.load(golden_copy(tmp_path, edit))
+        assert (repr((copy.families, copy.rows, copy.notes))
+                == repr((DATA.families, DATA.rows, DATA.notes)))
 
     def test_a_quote_is_part_of_its_cell(self, tmp_path):
         note = DATA.notes[0].note
