@@ -46,17 +46,14 @@ def build_report(no: int, variant: dict[str, str],
     entries, certs, superrigid, discrepancies = _certify_family(
         dataset, no, [row for *_, rows in answers for row in rows], answers)
     f = dataset.family(no)
-    sps = smooth_point_status(f)
-    cs = curve_status(f)
     report: dict = {
         "family": no,
         "degree": f.d,
         "weights": list(f.w),
         "anticanonical_degree": str(anticanonical_degree(f)),
         "superrigid": superrigid,
-        "smooth_points": {"kind": sps.kind, "case": sps.case,
-                          "detail": sps.detail},
-        "curves": {"kind": cs.kind, "max_degree": cs.max_degree},
+        "smooth_points": smooth_point_status(f),
+        "curves": curve_status(f),
         "census": [census_record(e) for e in entries],
         "points": [_point_entry(cert) for cert in certs],
         "discrepancies": discrepancies,
@@ -125,10 +122,7 @@ def _point_entry(cert: Certificate) -> dict:
         "type": row.type_str,
         "condition": row.condition_raw,
         "valid": cert.valid,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in cert.checks
-        ],
+        "checks": [c._asdict() for c in cert.checks],
     }
     if cert.m is not None:  # an exclusion certificate that was computed
         entry.update(b3=str(cert.B3), c=row.linsys[0], m=cert.m,

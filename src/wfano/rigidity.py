@@ -31,6 +31,7 @@ from .wps import Family, anticanonical_degree, general_quasismooth, hat_lcms
 
 # ------------------------------------------------------------ small tests
 
+# the fields are the keys of a check's JSON object in the report
 Check = namedtuple("Check", "name passed detail")
 
 
@@ -84,21 +85,17 @@ FIXTURE_MATRICES = {
 
 # ------------------------------------------------------ smooth points etc.
 
-SmoothPointStatus = namedtuple("SmoothPointStatus", (
-    "kind",      # LEMMA1 | LEMMA2 | MPIM_PAIR | SPECIAL
-    "case",      # which per-family argument, for SPECIAL; None by default
-    "detail",
-), defaults=(None, ""))
-
-
 # families whose smooth points need a bespoke surface argument, grouped by
 # the shared K3 pencil shape of the argument
 _SPECIAL_CASES = {2: "2", 5: "5", 12: "12/20", 20: "12/20",
                   13: "13/25", 25: "13/25"}
 
 
-def smooth_point_status(f: Family) -> SmoothPointStatus:
-    """Which smooth-point exclusion argument covers the family.
+def smooth_point_status(f: Family) -> dict:
+    """Which smooth-point exclusion argument covers the family, as the
+    report's {"kind", "case", "detail"} object.  The kind is one of the
+    four below; the case names the per-family argument of a SPECIAL
+    family (None otherwise).
 
     LEMMA1: some vertex O_i (i in {z, t, w}) is off the general member and
     the degree bound d * lcm-hat_i <= 4 a1a2a3a4 holds.  LEMMA2: both the
@@ -110,28 +107,27 @@ def smooth_point_status(f: Family) -> SmoothPointStatus:
     """
     a, d, prod = f.w, f.d, f.prod
     hats = hat_lcms(f)
+    kind, case = "SPECIAL", _SPECIAL_CASES.get(f.entry_no)
     for i in (2, 3, 4):
         if d % a[i] == 0 and d * hats[i - 2] <= 4 * prod:
-            return SmoothPointStatus("LEMMA1",
-                                     detail=f"O_{COORDS[i]} off X, "
-                                            f"{d}*{hats[i - 2]} <= {4 * prod}")
-    if d * hats[1] <= 4 * prod and d * hats[2] <= 4 * prod:
-        if not general_quasismooth(f, exclude_pure=(3, 4)).ok:
-            return SmoothPointStatus(
-                "LEMMA2", detail="no quasi-smooth member contains the t-w line")
-        A3 = anticanonical_degree(f)
-        if (a[3] > 1 and gcd(a[3], a[4]) == 1 and a[3] * a[4] > d
-                and a[3] * a[4] * A3 <= 4
-                and _is_combination(a[3] * a[4], a[1], a[2])):
-            return SmoothPointStatus("MPIM_PAIR",
-                                     detail=f"a3*a4 = {a[3] * a[4]}")
-        detail = ("members through the t-w line need per-family surface "
-                  "geometry")
+            kind, case = "LEMMA1", None
+            detail = f"O_{COORDS[i]} off X, {d}*{hats[i - 2]} <= {4 * prod}"
+            break
     else:
-        detail = "degree bounds fail"
-    return SmoothPointStatus("SPECIAL",
-                             case=_SPECIAL_CASES.get(f.entry_no),
-                             detail=detail)
+        if d * hats[1] > 4 * prod or d * hats[2] > 4 * prod:
+            detail = "degree bounds fail"
+        elif not general_quasismooth(f, exclude_pure=(3, 4)).ok:
+            kind, case = "LEMMA2", None
+            detail = "no quasi-smooth member contains the t-w line"
+        elif (a[3] > 1 and gcd(a[3], a[4]) == 1 and a[3] * a[4] > d
+              and a[3] * a[4] * anticanonical_degree(f) <= 4
+              and _is_combination(a[3] * a[4], a[1], a[2])):
+            kind, case = "MPIM_PAIR", None
+            detail = f"a3*a4 = {a[3] * a[4]}"
+        else:
+            detail = ("members through the t-w line need per-family surface "
+                      "geometry")
+    return {"kind": kind, "case": case, "detail": detail}
 
 
 def _is_combination(target: int, a1: int, a2: int) -> bool:
@@ -139,20 +135,16 @@ def _is_combination(target: int, a1: int, a2: int) -> bool:
                for m1 in range(target // a1 + 1))
 
 
-CurveStatus = namedtuple("CurveStatus", (
-    "kind",         # NUMERIC | SPECIAL
-    "max_degree",
-), defaults=(None,))
-
-
-def curve_status(f: Family) -> CurveStatus:
-    """Curves are excluded numerically unless -K^3 > 1, which admits
-    low-degree curves (degree < -K^3) needing the blow-up test class."""
+def curve_status(f: Family) -> dict:
+    """The report's {"kind", "max_degree"} object of the curve argument.
+    Curves are excluded numerically (NUMERIC, max_degree None) unless
+    -K^3 > 1, which admits low-degree curves (degree < -K^3) needing the
+    blow-up test class (SPECIAL, max_degree ceil(-K^3) - 1)."""
     A3 = anticanonical_degree(f)
     if A3 <= 1:
-        return CurveStatus("NUMERIC")
-    max_deg = -(-A3.numerator // A3.denominator) - 1  # ceil(A3) - 1
-    return CurveStatus("SPECIAL", max_degree=max_deg)
+        return {"kind": "NUMERIC", "max_degree": None}
+    max_degree = -(-A3.numerator // A3.denominator) - 1  # ceil(A3) - 1
+    return {"kind": "SPECIAL", "max_degree": max_degree}
 
 
 # -------------------------------------------------------------- involutions

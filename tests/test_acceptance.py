@@ -177,15 +177,15 @@ def test_criterion_06_inequality_certificates():
 
 def test_criterion_07_smooth_point_partition():
     lemma1_fail = {no for no in range(1, 96)
-                   if smooth_point_status(fam(no)).kind != "LEMMA1"}
+                   if smooth_point_status(fam(no))["kind"] != "LEMMA1"}
     assert lemma1_fail == {2, 5, 12, 13, 20, 23, 25, 33, 40, 58, 61, 76}
     mpim = {no for no in lemma1_fail
-            if smooth_point_status(fam(no)).kind == "MPIM_PAIR"}
+            if smooth_point_status(fam(no))["kind"] == "MPIM_PAIR"}
     assert mpim == {33, 58}
     # families 1 and 3 carry no certificate tables (classical results);
     # among the tabulated families the special curve set is exactly 2, 4, 5
     curve_special = {no for no in range(1, 96) if DATA.rows_for(no)
-                     and curve_status(fam(no)).kind == "SPECIAL"}
+                     and curve_status(fam(no))["kind"] == "SPECIAL"}
     assert curve_special == {2, 4, 5}
     done("7 smooth points: Lemma-1 failures, MPIM pair {33,58}, "
          "curve specials {2,4,5}")

@@ -99,6 +99,9 @@ class TestVertex:
 
     def test_smooth_quartic_has_none(self):
         assert all(vertex_singularity(fam(1), i) is None for i in (1, 2, 3, 4))
+        for i in (0, 5):
+            with pytest.raises(ValueError, match="vertex index must be 1..4"):
+                vertex_singularity(fam(1), i)
 
     def test_weight_divides_degree(self):
         # No. 3: a4 = 3 divides d = 6, the general member misses O_w
@@ -180,6 +183,12 @@ class TestEdges:
 
     def test_coprime_edge_has_none(self):
         assert edge_singularities(fam(23), 1, 2) is None  # gcd(2,3) = 1
+        # gcd(4, 6) = 2, but the pure t,w part of X_14 in P(1,2,2,4,6) is
+        # t^2*w alone, which has no zero on the open edge O_tO_w
+        assert edge_singularities(Family.of(2, 2, 4, 6), 3, 4) is None
+        for i, j in ((3, 3), (4, 3)):
+            with pytest.raises(ValueError, match="edge indices must satisfy"):
+                edge_singularities(fam(23), i, j)
 
     def test_edge_contained_raises(self):
         # weights (3,4,4,6): d = 17 is odd, so no pure monomial in the two

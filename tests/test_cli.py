@@ -401,6 +401,9 @@ class TestCensus:
         code, out, _ = run(capsys, "census", "2,3,4,5")
         assert code == 0
         assert "X_14" in out
+        # a leading a0 = 1 is dropped
+        assert run(capsys, "census", "1,5,6,22,33") == run(capsys, "census",
+                                                           "95")
 
 
 class TestReport:
@@ -881,6 +884,8 @@ class TestSearch:
         assert code == 0
         info = json.loads(out)
         assert info["entry_no"] == 45 and info["terminal"]
+        assert run(capsys, "search", "1,3,4,5,8") == run(capsys, "search",
+                                                         "3,4,5,8")
 
     def test_not_wellformed(self, capsys):
         code, out, _ = run(capsys, "search", "2,4,6,8", "--json")

@@ -93,6 +93,7 @@ class TestGrammar:
         assert parse_variant("a1=0,c=nonzero") == {
             "a1": "zero", "c": "nonzero"}
         assert parse_variant("type=II") == {"type": "II"}
+        assert parse_variant("a1=0,,c=0") == {"a1": "zero", "c": "zero"}
         with pytest.raises(UnknownVariantFlag):
             parse_variant("a1=maybe")
         # `order` alone reads the name special, not as a condition flag

@@ -7,8 +7,7 @@ import pytest
 from wfano import golden
 from wfano.blowup import B, format_class
 from wfano.census import census
-from wfano.rigidity import (certify_row, curve_status, involution_case,
-                            smooth_point_status)
+from wfano.rigidity import certify_row, involution_case
 from wfano.wps import Family, general_quasismooth
 
 from oracles import E
@@ -26,7 +25,6 @@ def _records():
         (f, "w"), (data.families[94], "A3"), (data.notes[0], "note"),
         (row, "method"), (cert, "checks"), (cert.checks[0], "passed"),
         (cens, "entries"), (cens.entries[0], "r"),
-        (smooth_point_status(f), "kind"), (curve_status(f), "kind"),
         (involution_case(f23, "Oz", {"a1": "zero", "c": "zero"}), "label"),
         (general_quasismooth(f), "ok"),
     ]
